@@ -141,6 +141,7 @@ class CostMatrix:
 
     @classmethod
     def from_csv(cls, path) -> "CostMatrix":
+        """Read ``to_csv`` output; rejects a NaN or a missing cell on or above the diagonal."""
         cells: dict[tuple[int, int], float] = {}
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -150,7 +151,10 @@ class CostMatrix:
             for row in reader:
                 if not row:
                     continue
-                cells[(int(row[0]), int(row[1]))] = parse_value(row[2])
+                tp, t, value = int(row[0]), int(row[1]), parse_value(row[2])
+                if math.isnan(value):
+                    raise InvalidInputError(f"matrix CSV cell (t_prime={tp}, t={t}) is NaN")
+                cells[(tp, t)] = value
         if not cells:
             raise InvalidInputError("matrix CSV contains no cells")
         start = min(tp for tp, _ in cells)
@@ -159,6 +163,10 @@ class CostMatrix:
         entries = np.full((n, n), math.inf)
         for (tp, t), value in cells.items():
             entries[tp - start, t - start] = value
+        for tp in range(start, end + 1):
+            for t in range(tp, end + 1):
+                if (tp, t) not in cells:
+                    raise InvalidInputError(f"matrix CSV is missing cell (t_prime={tp}, t={t})")
         kappa = np.diagonal(entries).copy()
         return cls(start, entries, kappa)
 

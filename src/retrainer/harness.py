@@ -259,7 +259,7 @@ def load_csv_stream(
     and 10% of each batch (or ``queries_per_batch``) is sampled, seeded, as
     data-mode queries.
     """
-    rows: list[tuple[int, np.ndarray, int, int]] = []
+    ts, labels, marks, row_nos, feats = [], [], [], [], []  # feats: all values, row after row
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -269,38 +269,53 @@ def load_csv_stream(
         expected = ["t"] + [f"f{i}" for i in range(n_cols - 3)] + ["label", "is_query"]
         if n_cols < 4 or header != expected:
             raise StreamParseError(1, f"unexpected header {header!r}")
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != n_cols:
-                raise StreamParseError(row_no, f"expected {n_cols} columns, got {len(row)}")
-            try:
-                t = int(row[0])
-                feats = np.array([float(v) for v in row[1:-2]], dtype=np.float64)
-                label = int(row[-2])
-                is_query = int(row[-1])
-            except ValueError as exc:
-                raise StreamParseError(row_no, str(exc)) from None
-            if label not in (0, 1):
-                raise StreamParseError(row_no, f"label must be 0 or 1, got {label}")
-            if is_query not in (0, 1):
-                raise StreamParseError(row_no, f"is_query must be 0 or 1, got {is_query}")
-            if not np.all(np.isfinite(feats)):
-                raise StreamParseError(row_no, "non-finite feature value")
-            rows.append((t, feats, label, is_query))
-    if not rows:
+        try:
+            for row_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != n_cols:
+                    raise StreamParseError(row_no, f"expected {n_cols} columns, got {len(row)}")
+                try:
+                    t = int(row[0])
+                    x = [float(v) for v in row[1:-2]]
+                    label = int(row[-2])
+                    is_query = int(row[-1])
+                except ValueError as exc:
+                    raise StreamParseError(row_no, str(exc)) from None
+                if label not in (0, 1):
+                    raise StreamParseError(row_no, f"label must be 0 or 1, got {label}")
+                if is_query not in (0, 1):
+                    raise StreamParseError(row_no, f"is_query must be 0 or 1, got {is_query}")
+                ts.append(t)
+                labels.append(label)
+                marks.append(is_query)
+                row_nos.append(row_no)
+                feats.extend(x)
+        except StreamParseError:
+            _finite_features(feats, n_cols - 3, row_nos)  # an earlier non-finite row fails first
+            raise
+    if not ts:
         raise StreamParseError(2, "no data rows")
+    X = _finite_features(feats, n_cols - 3, row_nos)
+    y = np.array(labels, dtype=np.int64)
+    if any(marks):
+        return _group_marked_rows(ts, marks, X, y, n_batches)
+    return _rebatch_rows(X, y, n_batches, seed, queries_per_batch)
 
-    if any(r[3] == 1 for r in rows):
-        return _group_marked_rows(rows, n_batches)
-    return _rebatch_rows(rows, n_batches, seed, queries_per_batch)
+
+def _finite_features(feats: list, dim: int, row_nos: list) -> np.ndarray:
+    """The parsed feature rows as one array; the first row with a non-finite value fails."""
+    X = np.array(feats, dtype=np.float64).reshape(len(row_nos), dim)
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise StreamParseError(row_nos[bad[0]], "non-finite feature value")
+    return X
 
 
-def _group_marked_rows(rows, n_batches):
+def _group_marked_rows(ts, marks, X, y, n_batches):
     grouped: dict[int, tuple[list, list]] = {}
-    for t, feats, label, is_query in rows:
-        bucket = grouped.setdefault(t, ([], []))[is_query]
-        bucket.append((feats, label))
+    for i, (t, is_query) in enumerate(zip(ts, marks)):
+        grouped.setdefault(t, ([], []))[is_query].append(i)
     ts = sorted(grouped)
     if ts != list(range(len(ts))):
         raise InvalidInputError(f"batch indices are not contiguous from 0: {ts[:5]}...")
@@ -311,30 +326,28 @@ def _group_marked_rows(rows, n_batches):
         d, q = grouped[t]
         if not d or not q:
             raise InvalidInputError(f"batch {t} is missing data or query rows")
-        data.append(DataBatch(t, np.stack([f for f, _ in d]), [lab for _, lab in d]))
-        queries.append(QueryBatch(t, np.stack([f for f, _ in q]), [lab for _, lab in q]))
+        data.append(DataBatch(t, X[d], y[d]))
+        queries.append(QueryBatch(t, X[q], y[q]))
     return data, queries
 
 
-def _rebatch_rows(rows, n_batches, seed, queries_per_batch):
+def _rebatch_rows(X, y, n_batches, seed, queries_per_batch):
     if n_batches is None or n_batches < 1:
         raise InvalidInputError("n_batches is required to batch a plain data file")
-    if len(rows) < n_batches:
-        raise InvalidInputError(f"{len(rows)} rows cannot fill {n_batches} batches")
-    batch_size = len(rows) // n_batches
+    if len(X) < n_batches:
+        raise InvalidInputError(f"{len(X)} rows cannot fill {n_batches} batches")
+    batch_size = len(X) // n_batches
     q_per_batch = queries_per_batch if queries_per_batch is not None else max(1, batch_size // 10)
     if q_per_batch > batch_size:
         raise InvalidInputError(f"cannot sample {q_per_batch} queries from batches of {batch_size}")
     data, queries = [], []
     for t in range(n_batches):
-        chunk = rows[t * batch_size : (t + 1) * batch_size]
-        X = np.stack([r[1] for r in chunk])
-        y = np.array([r[2] for r in chunk], dtype=np.int64)
-        batch = DataBatch(t, X, y)
+        chunk = slice(t * batch_size, (t + 1) * batch_size)
+        batch = DataBatch(t, X[chunk], y[chunk])
         rng = np.random.default_rng([seed % (2**32), t, 1])
         idx = rng.choice(batch_size, size=q_per_batch, replace=False)
         data.append(batch)
-        queries.append(QueryBatch(t, X[idx], y[idx]))
+        queries.append(QueryBatch(t, batch.X[idx], batch.y[idx]))
     return data, queries
 
 

@@ -152,13 +152,6 @@ class LogisticClassifier(BaseClassifier):
         self.intercept_ = b
         return self
 
-    def decision_function(self, X) -> np.ndarray:
-        X = self._check_X(X)
-        if self.constant_ is not None:
-            margin = math.inf if self.constant_ == 1 else -math.inf
-            return np.full(X.shape[0], margin)
-        return X @ self.coef_ + self.intercept_
-
     def _predict_impl(self, X: np.ndarray) -> np.ndarray:
         # probability 0.5 (margin exactly 0) resolves to class 0
         return (X @ self.coef_ + self.intercept_ > 0).astype(np.int64)

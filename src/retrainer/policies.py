@@ -13,11 +13,13 @@ Policies that keep mutable state reset it when they decide to retrain, so a
 single instance can be reused across runs via ``reset()``.
 
 ``optimize_offline`` calibrates the threshold, cumulative and periodic
-families against a prebuilt cost matrix by replaying the decision loop over
-the matrix rows; no model is ever refit during calibration. The search is a
-deterministic grid: candidate thresholds are the realized staleness values
-(cumulative sums for the cumulative family) with -inf/+inf sentinels, plus a
-64-point uniform refinement around the stage-1 optimum. The sentinels
+families against a prebuilt cost matrix, never refitting a model: one pass
+over the matrix columns evaluates a block of candidates together, holding
+each one's serving row (and accumulator) in numpy vectors and making
+``decide``'s comparisons, so each cost equals ``strategy_cost`` of the
+replayed strategy exactly. Candidate thresholds are the realized staleness
+values (cumulative sums for the cumulative family) with -inf/+inf sentinels,
+plus a 64-point uniform refinement around the stage-1 optimum. The sentinels
 guarantee the result is never worse than never-retraining or
 retrain-every-batch where the family can express them, and equal-cost ties
 prefer the largest (most conservative) threshold.
@@ -30,7 +32,7 @@ import math
 
 import numpy as np
 
-from .costmatrix import CostMatrix, Strategy, StreamCosts, strategy_cost
+from .costmatrix import CostMatrix, Strategy, StreamCosts
 from .detectors import AdwinDetector, DdmDetector
 from .errors import InvalidInputError
 
@@ -315,8 +317,31 @@ def replay_policy(policy: RetrainPolicy, c: CostMatrix) -> Strategy:
     return Strategy(c.start, c.end, served)
 
 
-def _replay_cost(policy: RetrainPolicy, c: CostMatrix) -> float:
-    return strategy_cost(replay_policy(policy, c), c)
+_BLOCK = 256  # candidates per pass; bounds the (block, n) work arrays
+
+
+def _candidate_costs(family: str, params: np.ndarray, c: CostMatrix) -> list[float]:
+    """Cost over ``c`` of each candidate of ``family`` (a threshold, or a
+    (period, offset) row), equal to ``strategy_cost`` of its replay exactly."""
+    psi = c.staleness_entries()
+    costs: list[float] = []
+    for lo in range(0, len(params), _BLOCK):
+        p = params[lo : lo + _BLOCK]
+        rel, acc = np.zeros(len(p), dtype=np.int64), np.zeros(len(p))
+        terms = np.empty((len(p), c.n))
+        for j in range(c.n):
+            if family == "threshold":
+                retrain = ~(psi[rel, j] < p)
+            elif family == "cumulative":
+                acc += psi[rel, j]
+                retrain = ~(acc < p)
+                acc[retrain] = 0.0
+            else:
+                retrain = (c.start + j - p[:, 1]) % p[:, 0] == 0
+            rel[retrain] = j
+            terms[:, j] = c.entries[rel, j]
+        costs.extend(terms.sum(axis=1).tolist())
+    return costs
 
 
 def _threshold_candidates(values: np.ndarray) -> np.ndarray:
@@ -324,7 +349,7 @@ def _threshold_candidates(values: np.ndarray) -> np.ndarray:
     return np.concatenate(([-math.inf], finite, [math.inf]))
 
 
-def _search_threshold(make, candidates: np.ndarray, c: CostMatrix, refine: int = 64) -> float:
+def _search_threshold(family: str, candidates: np.ndarray, c: CostMatrix) -> float:
     """Two-stage grid search; ties resolve to the largest threshold.
 
     Preferring the largest tied threshold means the +inf sentinel wins
@@ -332,16 +357,14 @@ def _search_threshold(make, candidates: np.ndarray, c: CostMatrix, refine: int =
     calibrated under a huge retraining cost stay retrain-free online instead
     of inheriting a knife-edge finite threshold.
     """
-    evaluated: list[tuple[float, float]] = [
-        (float(tau), _replay_cost(make(tau), c)) for tau in candidates
-    ]
+    evaluated = list(zip(candidates.tolist(), _candidate_costs(family, candidates, c)))
     best_tau, _ = min(evaluated, key=lambda item: (item[1], -item[0]))
     idx = int(np.searchsorted(candidates, best_tau))
     lo = candidates[idx - 1] if idx > 0 else -math.inf
     hi = candidates[idx + 1] if idx + 1 < candidates.size else math.inf
     if math.isfinite(lo) and math.isfinite(hi) and hi > lo:
-        for tau in np.linspace(lo, hi, refine):
-            evaluated.append((float(tau), _replay_cost(make(tau), c)))
+        taus = np.linspace(lo, hi, 64)
+        evaluated.extend(zip(taus.tolist(), _candidate_costs(family, taus, c)))
     best_tau, _ = min(evaluated, key=lambda item: (item[1], -item[0]))
     return best_tau
 
@@ -352,40 +375,27 @@ def optimize_offline(family: str, c: CostMatrix) -> RetrainPolicy:
 
     ``family`` is 'threshold', 'cumulative' or 'periodic'. A matrix whose
     staleness entries are all zero short-circuits the threshold families to
-    +inf (never retrain). The periodic search is exhaustive over periods up
-    to the matrix end with every feasible offset; its ties prefer the largest
-    period, then the smallest offset.
+    +inf (never retrain). The periodic search is exhaustive over periods
+    1..max(1, c.end) (the absolute matrix end) with every offset
+    0..period-1; its ties prefer the largest period, then the smallest
+    offset.
     """
     psi = c.staleness_entries()
-    upper = psi[np.triu_indices(c.n, k=1)] if c.n > 1 else np.empty(0)
-
-    if family == "threshold":
-        if upper.size == 0 or not np.any(upper != 0.0):
-            return ThresholdPolicy(math.inf)
-        tau = _search_threshold(ThresholdPolicy, _threshold_candidates(upper), c)
-        return ThresholdPolicy(tau)
-
-    if family == "cumulative":
-        if upper.size == 0 or not np.any(upper != 0.0):
-            return CumulativeThresholdPolicy(math.inf)
-        sums = []
-        for i in range(c.n - 1):
-            row = psi[i, i + 1 :]
-            sums.append(np.cumsum(row[np.isfinite(row)]))
-        candidates = _threshold_candidates(np.concatenate(sums))
-        tau = _search_threshold(CumulativeThresholdPolicy, candidates, c)
-        return CumulativeThresholdPolicy(tau)
+    if family in ("threshold", "cumulative"):
+        make = ThresholdPolicy if family == "threshold" else CumulativeThresholdPolicy
+        values = psi[np.triu_indices(c.n, k=1)]
+        if not np.any(values != 0.0):
+            return make(math.inf)
+        if family == "cumulative":
+            rows = (psi[i, i + 1 :] for i in range(c.n - 1))
+            values = np.concatenate([np.cumsum(row[np.isfinite(row)]) for row in rows])
+        return make(_search_threshold(family, _threshold_candidates(values), c))
 
     if family == "periodic":
-        max_period = max(1, c.end)
-        best = None
-        for period in range(1, max_period + 1):
-            for offset in range(period):
-                cost = _replay_cost(PeriodicPolicy(period, offset), c)
-                key = (cost, -period, offset)
-                if best is None or key < best[0]:
-                    best = (key, period, offset)
-        return PeriodicPolicy(best[1], best[2])
+        pairs = [(p, offset) for p in range(1, max(1, c.end) + 1) for offset in range(p)]
+        costs = _candidate_costs(family, np.array(pairs), c)
+        _, (period, offset) = min(zip(costs, pairs), key=lambda it: (it[0], -it[1][0], it[1][1]))
+        return PeriodicPolicy(period, offset)
 
     raise InvalidInputError(
         f"unknown optimizable family {family!r}; expected 'threshold', 'cumulative' or 'periodic'"

@@ -78,27 +78,3 @@ class QueryBatch:
     @property
     def dim(self) -> int:
         return self.X.shape[1]
-
-
-def check_stream(batches, start: int, end: int, name: str = "stream") -> None:
-    """Verify that ``batches`` is indexable by t for every t in [start, end]
-    with matching batch indices and a common dimensionality.
-
-    Streams are stored as lists where position i holds the batch with t == i.
-    """
-    if start < 0 or end < start:
-        raise InvalidInputError(f"invalid batch range [{start}, {end}]")
-    if len(batches) <= end:
-        raise InvalidInputError(
-            f"{name} covers {len(batches)} batches, range [{start}, {end}] needs {end + 1}"
-        )
-    dim = batches[start].dim
-    for t in range(start, end + 1):
-        if batches[t].t != t:
-            raise InvalidInputError(
-                f"{name} has a gap: position {t} holds batch index {batches[t].t}"
-            )
-        if batches[t].dim != dim:
-            raise InvalidInputError(
-                f"{name} mixes dimensionalities {dim} and {batches[t].dim}"
-            )

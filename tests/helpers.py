@@ -4,11 +4,22 @@ The brute-force functions here deliberately avoid the library's DP and
 matrix-summation code paths so they can serve as independent checks.
 """
 
+import math
 from itertools import product
 
 import numpy as np
 
-from retrainer import CostMatrix, DataBatch, QueryBatch, Strategy
+from retrainer import (
+    CostMatrix,
+    CumulativeThresholdPolicy,
+    DataBatch,
+    PeriodicPolicy,
+    QueryBatch,
+    Strategy,
+    ThresholdPolicy,
+    replay_policy,
+    strategy_cost,
+)
 from retrainer.models import LogisticClassifier
 
 
@@ -47,6 +58,66 @@ def random_cost_matrix(rng, n, kappa, start=0, low=-1.0, high=1.0):
     entries[iu] = rng.uniform(low, high, size=iu[0].size)
     np.fill_diagonal(entries, kappa)
     return CostMatrix(start, entries, kappa)
+
+
+# ---------------------------------------------------------------------------
+# Reference offline calibration: one replay per candidate.
+#
+# The same candidates, refinement and tie rules as ``optimize_offline``, but
+# every candidate is priced by running the policy object through
+# ``replay_policy`` and ``strategy_cost``; the batched evaluator must return
+# the same parameters.
+# ---------------------------------------------------------------------------
+
+
+def replay_cost(policy, c):
+    return strategy_cost(replay_policy(policy, c), c)
+
+
+def _reference_candidates(values):
+    finite = np.unique(values[np.isfinite(values)])
+    return np.concatenate(([-math.inf], finite, [math.inf]))
+
+
+def _reference_search(make, candidates, c, refine=64):
+    evaluated = [(float(tau), replay_cost(make(tau), c)) for tau in candidates]
+    best_tau, _ = min(evaluated, key=lambda item: (item[1], -item[0]))
+    idx = int(np.searchsorted(candidates, best_tau))
+    lo = candidates[idx - 1] if idx > 0 else -math.inf
+    hi = candidates[idx + 1] if idx + 1 < candidates.size else math.inf
+    if math.isfinite(lo) and math.isfinite(hi) and hi > lo:
+        for tau in np.linspace(lo, hi, refine):
+            evaluated.append((float(tau), replay_cost(make(tau), c)))
+    best_tau, _ = min(evaluated, key=lambda item: (item[1], -item[0]))
+    return best_tau
+
+
+def reference_optimize_offline(family, c):
+    """Per-candidate replay search; returns the calibrated policy."""
+    psi = c.staleness_entries()
+    upper = psi[np.triu_indices(c.n, k=1)] if c.n > 1 else np.empty(0)
+    if family == "threshold":
+        if upper.size == 0 or not np.any(upper != 0.0):
+            return ThresholdPolicy(math.inf)
+        return ThresholdPolicy(_reference_search(ThresholdPolicy, _reference_candidates(upper), c))
+    if family == "cumulative":
+        if upper.size == 0 or not np.any(upper != 0.0):
+            return CumulativeThresholdPolicy(math.inf)
+        sums = []
+        for i in range(c.n - 1):
+            row = psi[i, i + 1 :]
+            sums.append(np.cumsum(row[np.isfinite(row)]))
+        candidates = _reference_candidates(np.concatenate(sums))
+        tau = _reference_search(CumulativeThresholdPolicy, candidates, c)
+        return CumulativeThresholdPolicy(tau)
+    assert family == "periodic"
+    best = None
+    for period in range(1, max(1, c.end) + 1):
+        for offset in range(period):
+            key = (replay_cost(PeriodicPolicy(period, offset), c), -period, offset)
+            if best is None or key < best[0]:
+                best = (key, period, offset)
+    return PeriodicPolicy(best[1], best[2])
 
 
 # ---------------------------------------------------------------------------

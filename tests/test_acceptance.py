@@ -6,6 +6,7 @@ One test per criterion; each prints a single PASS/FAIL line (visible with
 that need them.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -320,34 +321,51 @@ def test_criterion_8_detector_sanity():
         c.check(not any(quiet.update(1) for _ in range(10_000)), "adwin fired on a constant stream")
 
 
+# Criterion 9's small covcon sweep; also the golden-output fixture.
+CRITERION_9_CONFIG = {
+    "stream": {
+        "dataset": "covcon",
+        "n_batches": 24,
+        "batch_size": 150,
+        "queries_per_batch": 15,
+        "query_mode": "D",
+        "seed": 0,
+    },
+    "t_offline": 7,
+    "t_online": 23,
+    "kappas": [1.0, 5.0],
+    "policies": [
+        {"name": "threshold", "params": "optimize"},
+        {"name": "cumulative", "params": "optimize"},
+        {"name": "periodic", "params": "optimize"},
+        {"name": "never"},
+        {"name": "markov"},
+        {"name": "adwin"},
+        {"name": "ddm"},
+    ],
+    "model": {"kind": "logistic", "learning_rate": 0.5, "epochs": 100},
+    "seeds": [0, 1],
+}
+
+# sha256 of the results CSV that CRITERION_9_CONFIG's sweep writes. A change
+# that means to alter results updates it and says why in CHANGES.md.
+GOLDEN_RESULTS_SHA256 = "0035d9542f51e895081f3ee807417f955c4229a85fcfa94a0b0cfcca86c5d8a3"
+
+
+def test_golden_results_csv(tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(CRITERION_9_CONFIG))
+    out = tmp_path / "results.csv"
+    args = ["sweep", "--config", str(config_path), "--out", str(out)]
+    result = CliRunner().invoke(cli_main, args)
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_RESULTS_SHA256
+
+
 def test_criterion_9_sweep_determinism(tmp_path):
     with Criterion(9, "identical sweep configs produce byte-identical results", 1800) as c:
-        cfg = {
-            "stream": {
-                "dataset": "covcon",
-                "n_batches": 24,
-                "batch_size": 150,
-                "queries_per_batch": 15,
-                "query_mode": "D",
-                "seed": 0,
-            },
-            "t_offline": 7,
-            "t_online": 23,
-            "kappas": [1.0, 5.0],
-            "policies": [
-                {"name": "threshold", "params": "optimize"},
-                {"name": "cumulative", "params": "optimize"},
-                {"name": "periodic", "params": "optimize"},
-                {"name": "never"},
-                {"name": "markov"},
-                {"name": "adwin"},
-                {"name": "ddm"},
-            ],
-            "model": {"kind": "logistic", "learning_rate": 0.5, "epochs": 100},
-            "seeds": [0, 1],
-        }
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(cfg))
+        config_path.write_text(json.dumps(CRITERION_9_CONFIG))
         runner = CliRunner()
         outputs = []
         for name in ("first.csv", "second.csv"):

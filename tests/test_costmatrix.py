@@ -164,6 +164,34 @@ class TestCsvRoundTrip:
         assert np.array_equal(back.entries, c.entries)
         assert np.array_equal(back.kappa, c.kappa)
 
+    def test_cells_below_diagonal_may_be_omitted(self, tmp_path):
+        path = tmp_path / "matrix.csv"
+        path.write_text("t_prime,t,value\n2,2,1.5\n2,3,0.25\n3,3,1.5\n")
+        back = CostMatrix.from_csv(path)
+        assert back.start == 2
+        assert np.array_equal(back.entries, [[1.5, 0.25], [math.inf, 1.5]])
+
+    def test_nan_cell_rejected(self, tmp_path):
+        path = tmp_path / "matrix.csv"
+        path.write_text("t_prime,t,value\n0,0,1.0\n0,1,nan\n1,1,1.0\n")
+        with pytest.raises(InvalidInputError, match=r"\(t_prime=0, t=1\) is NaN"):
+            CostMatrix.from_csv(path)
+
+    @pytest.mark.parametrize("dropped", [(0, 2), (1, 1)])
+    def test_missing_cell_on_or_above_diagonal_rejected(self, tmp_path, dropped):
+        c = random_cost_matrix(np.random.default_rng(8), 3, kappa=1.0)
+        full = tmp_path / "full.csv"
+        c.to_csv(full)
+        lines = full.read_text().splitlines()
+        kept = [ln for ln in lines if not ln.startswith(f"{dropped[0]},{dropped[1]},")]
+        assert len(kept) == len(lines) - 1
+        path = tmp_path / "matrix.csv"
+        path.write_text("\n".join(kept) + "\n")
+        with pytest.raises(
+            InvalidInputError, match=rf"missing cell \(t_prime={dropped[0]}, t={dropped[1]}\)"
+        ):
+            CostMatrix.from_csv(path)
+
 
 class TestTrace:
     def test_last_point_equals_strategy_cost(self):

@@ -2,7 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from helpers import drift_scenario, random_cost_matrix, reachable_strategies
+from helpers import (
+    drift_scenario,
+    random_cost_matrix,
+    reachable_strategies,
+    reference_optimize_offline,
+    replay_cost,
+)
 from hypothesis import given, settings, strategies as st
 
 from retrainer import (
@@ -28,6 +34,7 @@ from retrainer import (
 )
 from retrainer.costmatrix import StreamCosts
 from retrainer.models import ForestClassifier, LogisticClassifier
+from retrainer.policies import _candidate_costs
 
 KEEP, RETRAIN = Decision.KEEP, Decision.RETRAIN
 
@@ -301,10 +308,95 @@ class TestOptimizeOffline:
         pol = optimize_offline("periodic", c)
         assert (pol.period, pol.offset) == (4, 0)
 
+    @pytest.mark.parametrize(
+        "start, n, expected",
+        [(0, 1, (1, 0)), (4, 1, (4, 0)), (3, 3, (5, 0))],
+    )
+    def test_periodic_search_range_ends_at_matrix_end(self, start, n, expected):
+        # every candidate ties, so the largest period searched wins: max(1, c.end)
+        entries = np.zeros((n, n))
+        entries[np.tril_indices(n, k=-1)] = math.inf
+        c = CostMatrix(start, entries, 0.0)
+        pol = optimize_offline("periodic", c)
+        assert (pol.period, pol.offset) == expected
+
+    def test_periodic_search_reaches_last_offset(self):
+        # one retrain at batch 6 is optimal; (7, 6) and (6, 0) both give it and
+        # the tie prefers the larger period, so offset = period - 1 is searched
+        n = 8
+        entries = np.full((n, n), math.inf)
+        for i in range(n):
+            for j in range(i + 1, n):
+                entries[i, j] = 100.0 if j >= 6 > i else 0.0
+        np.fill_diagonal(entries, 1.0)
+        c = CostMatrix(0, entries, 1.0)
+        pol = optimize_offline("periodic", c)
+        assert (pol.period, pol.offset) == (7, 6)
+        assert strategy_cost(replay_policy(pol, c), c) == 2.0
+
     def test_unknown_family_rejected(self):
         c = random_cost_matrix(np.random.default_rng(3), 4, kappa=1.0)
         with pytest.raises(InvalidInputError):
             optimize_offline("never", c)
+
+
+@st.composite
+def offline_matrices(draw):
+    """Small cost matrices with negative entries, repeated values (ties),
+    all-zero staleness, n = 1 and ranges that start after 0."""
+    n = draw(st.integers(1, 9))
+    start = draw(st.integers(0, 4))
+    kappa = draw(st.sampled_from([0.0, 0.5, 2.0, 50.0]))
+    value = st.sampled_from([-1.0, -0.25, 0.0, 0.25, 0.5, 1.0]) | st.floats(-2.0, 2.0)
+    upper = draw(st.lists(value, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    entries = np.full((n, n), math.inf)
+    entries[np.triu_indices(n, k=1)] = upper
+    np.fill_diagonal(entries, kappa)
+    return CostMatrix(start, entries, kappa)
+
+
+class TestBatchedCalibration:
+    """The batched candidate evaluator against per-candidate replays."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(c=offline_matrices())
+    def test_same_parameters_as_reference_search(self, c):
+        for family in ("threshold", "cumulative", "periodic"):
+            got = optimize_offline(family, c).get_params()
+            assert got == reference_optimize_offline(family, c).get_params()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        c=offline_matrices(),
+        extra=st.lists(
+            st.sampled_from([-math.inf, math.inf, -1.0, 0.0]) | st.floats(-3.0, 3.0), max_size=6
+        ),
+    )
+    def test_every_cost_equals_replayed_strategy_cost(self, c, extra):
+        psi = c.staleness_entries()
+        upper = psi[np.triu_indices(c.n, k=1)]
+        sums = [np.cumsum(psi[i, i + 1 :]) for i in range(c.n - 1)]
+        taus = np.concatenate([[-math.inf, math.inf], upper, *sums, extra])
+        for family, make in (
+            ("threshold", ThresholdPolicy),
+            ("cumulative", CumulativeThresholdPolicy),
+        ):
+            costs = _candidate_costs(family, taus, c)
+            assert costs == [replay_cost(make(tau), c) for tau in taus]
+        pairs = np.array(
+            [(p, o) for p in range(1, max(1, c.end) + 1) for o in range(p)], dtype=np.int64
+        )
+        costs = _candidate_costs("periodic", pairs, c)
+        assert costs == [replay_cost(PeriodicPolicy(int(p), int(o)), c) for p, o in pairs]
+
+    def test_blocks_larger_than_one_pass(self):
+        # more candidates than one block holds, on a matrix longer than the
+        # 128-element pairwise-summation unit
+        rng = np.random.default_rng(11)
+        c = random_cost_matrix(rng, 150, kappa=0.7, start=2)
+        taus = np.concatenate([[-math.inf, math.inf], rng.uniform(-3.0, 20.0, 600)])
+        costs = _candidate_costs("cumulative", taus, c)
+        assert costs == [replay_cost(CumulativeThresholdPolicy(tau), c) for tau in taus]
 
 
 class TestDriftScenarioPolicies:
