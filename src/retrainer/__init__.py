@@ -12,7 +12,6 @@ from .costmatrix import (
     CostMatrix,
     Strategy,
     StreamCosts,
-    build_cost_matrix,
     cumulative_cost_trace,
     strategy_cost,
     validate_strategy,
@@ -102,7 +101,6 @@ __all__ = [
     "Strategy",
     "ThresholdPolicy",
     "UndefinedMetricError",
-    "build_cost_matrix",
     "concept_label",
     "cumulative_cost_trace",
     "default_gamma",

@@ -14,8 +14,10 @@ batch. The cost of a strategy is the sum of its matrix entries.
 
 ``StreamCosts`` is the shared computation cache behind matrix builds, policy
 runs and evaluation: per-batch fitted models, per-pair 0/1 error vectors and
-query kernel weights are computed once and reused. Staleness entries do not
-depend on kappa, so sweeping kappa only rewrites the diagonal.
+query predictions are computed once and reused, and ``staleness_matrix`` is
+the one place staleness is computed (its query kernel masses are used once
+each, so they are not kept). Staleness entries do not depend on kappa, so
+sweeping kappa only rewrites the diagonal.
 """
 
 from __future__ import annotations
@@ -102,6 +104,16 @@ class CostMatrix:
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise InvalidInputError(f"entries must be square, got shape {entries.shape}")
         kappa = np.broadcast_to(np.asarray(self.kappa, dtype=np.float64), (entries.shape[0],)).copy()
+        if np.isnan(entries).any():
+            i, j = np.argwhere(np.isnan(entries))[0]
+            raise InvalidInputError(f"cost matrix cell (t_prime={self.start + i}, t={self.start + j}) is NaN")
+        diag = np.diagonal(entries)
+        if not (np.all(np.isfinite(diag)) and np.all(diag >= 0)):
+            raise InvalidInputError(f"retraining costs on the diagonal must be finite and >= 0, got {diag}")
+        if not np.array_equal(diag, kappa):
+            raise InvalidInputError(f"diagonal {diag} differs from kappa {kappa}")
+        if np.isfinite(entries[np.tril_indices(entries.shape[0], k=-1)]).any():
+            raise InvalidInputError("cost matrix has a finite cell below the diagonal")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "kappa", kappa)
 
@@ -211,7 +223,6 @@ class StreamCosts:
         self.kernel = kernel if kernel is not None else KernelConfig(default_gamma(dim))
         self._models: dict[int, BaseClassifier] = {}
         self._errors: dict[tuple[int, int], np.ndarray] = {}
-        self._weights: dict[tuple[int, int], np.ndarray] = {}
         self._query_preds: dict[tuple[int, int], np.ndarray] = {}
         self._staleness_base: dict[tuple[int, int], np.ndarray] = {}
 
@@ -242,85 +253,43 @@ class StreamCosts:
             self._errors[key] = (preds != batch.y).astype(np.float64)
         return self._errors[key]
 
-    def query_weight(self, t_query: int, t_data: int) -> np.ndarray:
-        """Per-data-point kernel mass of the query batch: sum_q sim(q, x)."""
-        key = (t_query, t_data)
-        if key not in self._weights:
-            sims = rbf_weights(
-                self.query_batch(t_query).X, self.data_batch(t_data).X, self.kernel.gamma
-            )
-            self._weights[key] = sims.sum(axis=0)
-        return self._weights[key]
-
     def query_predictions(self, t_model: int, t_query: int) -> np.ndarray:
         key = (t_model, t_query)
         if key not in self._query_preds:
             self._query_preds[key] = self.model_at(t_model).predict(self.query_batch(t_query).X)
         return self._query_preds[key]
 
-    def batch_staleness(self, t_query: int, t_data: int, t_model: int) -> float:
-        """Total staleness of model t_model for queries t_query over data t_data."""
-        w = self.query_weight(t_query, t_data)
-        losses = self.errors(t_model, t_data)
-        return float(w @ losses) / self.data_batch(t_data).size
-
-    def staleness(self, t: int, t_prime: int) -> float:
-        """Relative staleness of serving batch t with the model from t_prime."""
-        if t_prime > t:
-            raise InvalidInputError(f"model batch {t_prime} is newer than batch {t}")
-        if t_prime == t:
-            return 0.0
-        return self.batch_staleness(t, t, t_prime) - self.batch_staleness(t, t_prime, t_prime)
-
     def staleness_matrix(self, start: int, end: int) -> np.ndarray:
         """Upper-triangular relative staleness over [start, end]; zero diagonal,
-        +inf below. Cached per range and shared across kappa values."""
+        +inf below. Cached per range and shared across kappa values.
+
+        Entry (t', t) is total(Q_t, D_t) - total(Q_t, D_t') for the model
+        trained at t', where total(Q, D) is the query kernel mass on each
+        point of D dotted with the model's 0/1 errors there, over |D|.
+        """
         key = (start, end)
         if key not in self._staleness_base:
             n = end - start + 1
             if n < 1:
                 raise InvalidInputError(f"invalid batch range [{start}, {end}]")
+            gamma = self.kernel.gamma
             out = np.full((n, n), math.inf)
             np.fill_diagonal(out, 0.0)
-            for j in range(n):
+            for j in range(1, n):
+                t = start + j
+                Q, now = self.query_batch(t).X, self.data_batch(t)
+                w_now = rbf_weights(Q, now.X, gamma).sum(axis=0)
                 for i in range(j):
-                    out[i, j] = self.staleness(start + j, start + i)
+                    train = self.data_batch(start + i)
+                    w_train = rbf_weights(Q, train.X, gamma).sum(axis=0)
+                    out[i, j] = float(w_now @ self.errors(start + i, t)) / now.size - float(
+                        w_train @ self.errors(start + i, start + i)
+                    ) / train.size
             self._staleness_base[key] = out
         return self._staleness_base[key]
 
     def cost_matrix(self, start: int, end: int, kappa) -> CostMatrix:
-        entries = self.staleness_matrix(start, end).copy()
-        n = end - start + 1
-        kappa_vec = np.broadcast_to(np.asarray(kappa, dtype=np.float64), (n,))
-        np.fill_diagonal(entries, kappa_vec)
-        return CostMatrix(start, entries, kappa_vec)
-
-
-def build_cost_matrix(
-    data,
-    queries,
-    kappa,
-    model: BaseClassifier,
-    kernel: KernelConfig | None = None,
-) -> CostMatrix:
-    """Train one model per batch and fill the cost matrix for the full range
-    covered by ``data``; ``queries`` must cover the same contiguous range."""
-    data = list(data)
-    queries = list(queries)
-    if not data or not queries:
-        raise InvalidInputError("data and query streams must be non-empty")
-    data_ts = [b.t for b in data]
-    query_ts = [q.t for q in queries]
-    start, end = min(data_ts), max(data_ts)
-    if sorted(data_ts) != list(range(start, end + 1)):
-        raise InvalidInputError("data batches do not form a contiguous range")
-    if sorted(query_ts) != list(range(start, end + 1)):
-        raise InvalidInputError(
-            f"query batches cover {min(query_ts)}..{max(query_ts)}, expected {start}..{end}"
-        )
-    kappa_vec = np.broadcast_to(np.asarray(kappa, dtype=np.float64), (end - start + 1,))
-    costs = StreamCosts(data, queries, model, kernel)
-    return costs.cost_matrix(start, end, kappa_vec)
+        return CostMatrix(start, self.staleness_matrix(start, end), 0.0).with_kappa(kappa)
 
 
 def strategy_cost(strategy: Strategy, c: CostMatrix) -> float:

@@ -1,13 +1,19 @@
 """Online retraining policies and their offline calibration.
 
-A policy looks at one batch at a time and answers Keep or Retrain. The
-decision loop (``run_policy``) trains an initial model at the range start,
-then per batch feeds each policy the inputs it declares:
+A policy looks at one batch at a time and answers Keep or Retrain. The one
+decision loop (``replay_policy``) starts from the model trained at the range
+start, then per batch feeds each policy the inputs it declares:
 
-* ``requires_staleness`` -- the relative staleness of the current model
-  (threshold, cumulative and markov policies);
+* ``requires_staleness`` -- the relative staleness of the current model,
+  read from the cost matrix (threshold, cumulative and markov policies);
 * ``requires_errors`` -- the model's per-sample 0/1 errors on the current
-  data batch, in stream order (drift detector policies).
+  data batch, in stream order, from an ``errors(t_model, t_data)`` source
+  (drift detector policies).
+
+``run_policy`` is the online entry point: it replays the policy on the cost
+matrix of its range, taken from a ``StreamCosts`` cache, with the cache's
+error vectors for the detectors. An online run and a replay on the same
+matrix are therefore the same computation.
 
 Policies that keep mutable state reset it when they decide to retrain, so a
 single instance can be reused across runs via ``reset()``.
@@ -18,9 +24,8 @@ over the matrix columns evaluates a block of candidates together, holding
 each one's serving row (and accumulator) in numpy vectors and making
 ``decide``'s comparisons, so each cost equals ``strategy_cost`` of the
 replayed strategy exactly. Candidate thresholds are the realized staleness
-values (cumulative sums for the cumulative family) with -inf/+inf sentinels,
-plus a 64-point uniform refinement around the stage-1 optimum. The sentinels
-guarantee the result is never worse than never-retraining or
+values (cumulative sums for the cumulative family) with -inf/+inf sentinels.
+The sentinels guarantee the result is never worse than never-retraining or
 retrain-every-batch where the family can express them, and equal-cost ties
 prefer the largest (most conservative) threshold.
 """
@@ -239,10 +244,6 @@ def make_policy(name: str, **params) -> RetrainPolicy:
     return cls(**params)
 
 
-def _kappa_vector(kappa, start: int, end: int) -> np.ndarray:
-    return np.broadcast_to(np.asarray(kappa, dtype=np.float64), (end - start + 1,))
-
-
 def run_policy(
     policy: RetrainPolicy,
     data,
@@ -257,10 +258,10 @@ def run_policy(
 ) -> Strategy:
     """Run the online decision loop over [start, end].
 
-    Trains the initial model at ``start``, asks the policy once per batch,
-    refits on the current batch after each Retrain, and returns the resulting
-    strategy. ``costs`` may carry a prefilled cache shared across runs; the
-    result is identical either way because model fits are deterministic.
+    Replays the policy on the cost matrix of the range, with
+    ``costs.errors`` as the detectors' error source. ``costs`` may carry a
+    prefilled cache shared across runs; the result is identical either way
+    because model fits are deterministic.
     """
     if costs is None:
         costs = StreamCosts(data, queries, model, kernel)
@@ -273,45 +274,33 @@ def run_policy(
     for t in range(start, end + 1):
         costs.data_batch(t)
         costs.query_batch(t)
-    kappa_vec = _kappa_vector(kappa, start, end)
-    policy.reset()
-    costs.model_at(start)
-    t_prime = start
-    served = np.empty(end - start + 1, dtype=np.int64)
-    for t in range(start, end + 1):
-        inputs = {"kappa": float(kappa_vec[t - start])}
-        if policy.requires_staleness:
-            inputs["staleness"] = costs.staleness(t, t_prime)
-        if policy.requires_errors:
-            inputs["errors"] = costs.errors(t_prime, t)
-        if policy.decide(t, t_prime, **inputs) is Decision.RETRAIN:
-            t_prime = t
-            costs.model_at(t)
-        served[t - start] = t_prime
-    return Strategy(start, end, served)
+    return replay_policy(policy, costs.cost_matrix(start, end, kappa), costs.errors)
 
 
-def replay_policy(policy: RetrainPolicy, c: CostMatrix) -> Strategy:
+def replay_policy(policy: RetrainPolicy, c: CostMatrix, errors=None) -> Strategy:
     """Run the decision loop against a prebuilt cost matrix.
 
     The matrix rows supply every staleness value the policy can ask for, so
-    no model is fit. Detector policies need per-sample errors and cannot be
-    replayed this way.
+    no model is fit for them. Detector policies read per-sample errors from
+    ``errors(t_model, t_data)`` and cannot be replayed without it.
     """
-    if policy.requires_errors:
+    if policy.requires_errors and errors is None:
         raise InvalidInputError(
             f"policy {policy.name!r} consumes per-sample errors and cannot be "
-            "replayed from a cost matrix"
+            "replayed from a cost matrix alone"
         )
     psi = c.staleness_entries()
     policy.reset()
     rel_prime = 0
     served = np.empty(c.n, dtype=np.int64)
     for j in range(c.n):
+        t, t_prime = c.start + j, c.start + rel_prime
         inputs = {"kappa": float(c.kappa[j])}
         if policy.requires_staleness:
             inputs["staleness"] = float(psi[rel_prime, j])
-        if policy.decide(c.start + j, c.start + rel_prime, **inputs) is Decision.RETRAIN:
+        if policy.requires_errors:
+            inputs["errors"] = errors(t_prime, t)
+        if policy.decide(t, t_prime, **inputs) is Decision.RETRAIN:
             rel_prime = j
         served[j] = c.start + rel_prime
     return Strategy(c.start, c.end, served)
@@ -350,22 +339,19 @@ def _threshold_candidates(values: np.ndarray) -> np.ndarray:
 
 
 def _search_threshold(family: str, candidates: np.ndarray, c: CostMatrix) -> float:
-    """Two-stage grid search; ties resolve to the largest threshold.
+    """Grid search over the candidates; ties resolve to the largest threshold.
 
-    Preferring the largest tied threshold means the +inf sentinel wins
-    whenever never retraining is already offline-optimal, so policies
-    calibrated under a huge retraining cost stay retrain-free online instead
-    of inheriting a knife-edge finite threshold.
+    Past the first batch, whose decision changes nothing, a replay compares
+    the threshold only against candidates or against values that take the
+    same branch for every finite threshold. So a threshold strictly between
+    two adjacent candidates replays like the larger one, and the grid is
+    exhaustive. Preferring the largest tied threshold means the
+    +inf sentinel wins whenever never retraining is already offline-optimal,
+    so policies calibrated under a huge retraining cost stay retrain-free
+    online instead of inheriting a knife-edge finite threshold.
     """
-    evaluated = list(zip(candidates.tolist(), _candidate_costs(family, candidates, c)))
-    best_tau, _ = min(evaluated, key=lambda item: (item[1], -item[0]))
-    idx = int(np.searchsorted(candidates, best_tau))
-    lo = candidates[idx - 1] if idx > 0 else -math.inf
-    hi = candidates[idx + 1] if idx + 1 < candidates.size else math.inf
-    if math.isfinite(lo) and math.isfinite(hi) and hi > lo:
-        taus = np.linspace(lo, hi, 64)
-        evaluated.extend(zip(taus.tolist(), _candidate_costs(family, taus, c)))
-    best_tau, _ = min(evaluated, key=lambda item: (item[1], -item[0]))
+    costs = _candidate_costs(family, candidates, c)
+    best_tau, _ = min(zip(candidates.tolist(), costs), key=lambda item: (item[1], -item[0]))
     return best_tau
 
 

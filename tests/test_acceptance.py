@@ -32,7 +32,6 @@ from retrainer import (
     RunConfig,
     StreamSpec,
     ThresholdPolicy,
-    build_cost_matrix,
     fit_model,
     generate_stream,
     memoize_dp,
@@ -135,7 +134,7 @@ def test_criterion_2_static_data_zero_cost():
     with Criterion(2, "static data with drifting queries has zero staleness cost", 5) as c:
         data, queries, model = static_scenario()
         n_queries = queries[0].size
-        matrix = build_cost_matrix(data, queries, 1.0, model)
+        matrix = StreamCosts(data, queries, model).cost_matrix(0, 3, 1.0)
         off_diagonal = matrix.staleness_entries()[np.triu_indices(4, k=1)]
         c.check(
             np.max(np.abs(off_diagonal)) <= 1e-12 * n_queries,
@@ -157,12 +156,12 @@ def test_criterion_2_static_data_zero_cost():
 def test_criterion_3_drift_scenario_decision_pattern():
     with Criterion(3, "linear-drift scenario: keep when queries are far, retrain mid-way when near", 10) as c:
         far_data, far_queries, model = drift_scenario("far")
-        far_matrix = build_cost_matrix(far_data, far_queries, 1.0, model)
+        far_matrix = StreamCosts(far_data, far_queries, model).cost_matrix(0, 3, 1.0)
         far_strat, _ = oracle_strategy(far_matrix)
         c.check(far_strat.retrain_batches == (0,), f"far queries retrained at {far_strat.retrain_batches}")
 
         near_data, near_queries, model = drift_scenario("near")
-        near_matrix = build_cost_matrix(near_data, near_queries, 1.0, model)
+        near_matrix = StreamCosts(near_data, near_queries, model).cost_matrix(0, 3, 1.0)
         first_row = near_matrix.entries[0, 1:]
         c.check(np.all(np.diff(first_row) > 0), f"first row not increasing: {first_row}")
         near_strat, _ = oracle_strategy(near_matrix)

@@ -16,13 +16,16 @@ from retrainer import (
     InvalidInputError,
     QueryBatch,
     Strategy,
-    build_cost_matrix,
+    StreamSpec,
     cumulative_cost_trace,
+    fit_model,
+    generate_stream,
+    relative_staleness,
     strategy_cost,
     validate_strategy,
 )
 from retrainer.costmatrix import StreamCosts
-from retrainer.models import LogisticClassifier
+from retrainer.models import ForestClassifier, LogisticClassifier
 
 
 def small_stream(n=4, seed=0):
@@ -43,7 +46,7 @@ class TestBuild:
     def test_diagonal_equals_kappa(self):
         data, queries = small_stream()
         kappa = [0.5, 1.5, 2.5, 3.5]
-        c = build_cost_matrix(data, queries, kappa, MODEL)
+        c = StreamCosts(data, queries, MODEL).cost_matrix(0, 3, kappa)
         assert np.array_equal(np.diagonal(c.entries), kappa)
         assert np.all(np.isinf(c.entries[np.tril_indices(4, k=-1)]))
         assert np.all(np.isfinite(c.entries[np.triu_indices(4, k=1)]))
@@ -54,32 +57,32 @@ class TestBuild:
         y = rng.integers(0, 2, 10)
         data = [DataBatch(t, X.copy(), y.copy()) for t in range(4)]
         queries = [QueryBatch(t, rng.normal(size=(4, 2))) for t in range(4)]
-        c = build_cost_matrix(data, queries, 1.0, MODEL)
+        c = StreamCosts(data, queries, MODEL).cost_matrix(0, 3, 1.0)
         assert np.all(c.entries[np.triu_indices(4, k=1)] == 0.0)
 
     def test_drift_scenario_first_row_strictly_increasing(self):
         data, queries, model = drift_scenario("near")
-        c = build_cost_matrix(data, queries, 1.0, model)
+        c = StreamCosts(data, queries, model).cost_matrix(0, 3, 1.0)
         row = c.entries[0, 1:]
         assert np.all(row > 0)
         assert np.all(np.diff(row) > 0)
 
     def test_build_is_deterministic(self):
         data, queries = small_stream()
-        a = build_cost_matrix(data, queries, 1.0, MODEL)
-        b = build_cost_matrix(data, queries, 1.0, MODEL)
+        a = StreamCosts(data, queries, MODEL).cost_matrix(0, 3, 1.0)
+        b = StreamCosts(data, queries, MODEL).cost_matrix(0, 3, 1.0)
         assert np.array_equal(a.entries, b.entries)
 
     def test_range_mismatch_rejected(self):
         data, queries = small_stream()
         with pytest.raises(InvalidInputError):
-            build_cost_matrix(data, queries[:-1], 1.0, MODEL)
+            StreamCosts(data, queries[:-1], MODEL).cost_matrix(0, 3, 1.0)
         with pytest.raises(InvalidInputError):
-            build_cost_matrix([data[0], data[2], data[3]], queries[1:], 1.0, MODEL)
+            StreamCosts([data[0], data[2], data[3]], queries[1:], MODEL).cost_matrix(0, 3, 1.0)
 
     def test_kappa_patch_leaves_staleness_bit_identical(self):
         data, queries = small_stream()
-        c1 = build_cost_matrix(data, queries, 1.0, MODEL)
+        c1 = StreamCosts(data, queries, MODEL).cost_matrix(0, 3, 1.0)
         c2 = c1.with_kappa(7.5)
         off = ~np.eye(4, dtype=bool)
         assert np.array_equal(c1.entries[off], c2.entries[off])
@@ -92,6 +95,43 @@ class TestBuild:
         c2 = costs.cost_matrix(0, 3, 9.0)
         off = ~np.eye(4, dtype=bool)
         assert np.array_equal(c1.entries[off], c2.entries[off])
+
+
+    @pytest.mark.parametrize(
+        "model",
+        [LogisticClassifier(learning_rate=0.5, epochs=50), ForestClassifier(n_trees=5, max_depth=4)],
+        ids=["logistic", "forest"],
+    )
+    def test_matches_relative_staleness_definition(self, model):
+        spec = StreamSpec(dataset="covcon", n_batches=5, batch_size=60, queries_per_batch=6, seed=3)
+        data, queries = generate_stream(spec)
+        costs = StreamCosts(data, queries, model)
+        psi = costs.staleness_matrix(0, 4)
+        for j in range(5):
+            for i in range(j):
+                expected = relative_staleness(
+                    queries[j], data[j], data[i], fit_model(data[i], model), costs.kernel
+                )
+                assert psi[i, j] == expected
+
+
+class TestInvariants:
+    @pytest.mark.parametrize(
+        "entries, kappa",
+        [
+            ([[1.0, math.nan], [math.inf, 1.0]], 1.0),
+            ([[math.nan]], math.nan),
+            ([[-1.0, 0.5], [math.inf, -1.0]], -1.0),
+            ([[math.inf, 0.5], [math.inf, math.inf]], math.inf),
+            ([[1.0, 0.5], [math.inf, 2.0]], 1.0),
+            ([[1.0, 0.5], [0.25, 1.0]], 1.0),
+        ],
+        ids=["nan-cell", "nan-diagonal", "negative-diagonal", "infinite-diagonal",
+             "diagonal-differs-from-kappa", "finite-below-diagonal"],
+    )
+    def test_construction_rejects(self, entries, kappa):
+        with pytest.raises(InvalidInputError):
+            CostMatrix(0, np.array(entries), kappa)
 
 
 class TestStrategyCost:

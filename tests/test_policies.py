@@ -224,6 +224,18 @@ class TestRunPolicy:
             replayed = replay_policy(pol, c)
             assert np.array_equal(online.served_by, replayed.served_by)
 
+    def test_replay_feeds_detectors_the_serving_models_errors(self):
+        class ErrorsSeen(AdwinPolicy):
+            def decide(self, t, t_prime, *, staleness=None, errors=None, kappa=None):
+                return RETRAIN if errors.sum() > 0 else KEEP
+
+        def errors(t_model, t_data):
+            return np.array([float(t_data - t_model >= 2)])
+
+        c = random_cost_matrix(np.random.default_rng(0), 7, kappa=1.0, start=3)
+        s = replay_policy(ErrorsSeen(), c, errors)
+        assert np.array_equal(s.served_by, [3, 3, 5, 5, 7, 7, 9])
+
     def test_replay_rejects_detector_policies(self):
         c = random_cost_matrix(np.random.default_rng(0), 4, kappa=1.0)
         with pytest.raises(InvalidInputError):
