@@ -10,9 +10,11 @@ and evaluates everything prequentially.
 
 from .costmatrix import (
     CostMatrix,
+    KernelConfig,
     Strategy,
     StreamCosts,
     cumulative_cost_trace,
+    default_gamma,
     strategy_cost,
     validate_strategy,
 )
@@ -40,8 +42,8 @@ from .harness import (
     scpe,
     summary_to_csv,
 )
-from .models import ForestClassifier, LogisticClassifier, fit_model, make_model, predict_one
-from .oracle import DPTable, OracleRetrains, expand_to_strategy, memoize_dp, oracle_retrains, oracle_strategy
+from .models import ForestClassifier, LogisticClassifier, fit_model, make_model
+from .oracle import DPTable, memoize_dp, oracle_strategy
 from .policies import (
     AdwinPolicy,
     CumulativeThresholdPolicy,
@@ -55,16 +57,6 @@ from .policies import (
     make_policy,
     optimize_offline,
     replay_policy,
-    run_policy,
-)
-from .staleness import (
-    KernelConfig,
-    default_gamma,
-    query_staleness,
-    rbf_similarity,
-    relative_staleness,
-    staleness_total,
-    zero_one_loss,
 )
 from .streams import DataBatch, QueryBatch
 
@@ -88,7 +80,6 @@ __all__ = [
     "MarkovPolicy",
     "NeverRetrainPolicy",
     "NotFittedError",
-    "OracleRetrains",
     "PeriodicPolicy",
     "PolicySpec",
     "QueryBatch",
@@ -105,7 +96,6 @@ __all__ = [
     "cumulative_cost_trace",
     "default_gamma",
     "evaluate_prequential",
-    "expand_to_strategy",
     "fit_model",
     "gen_batch",
     "generate_stream",
@@ -115,24 +105,16 @@ __all__ = [
     "make_queries",
     "memoize_dp",
     "optimize_offline",
-    "oracle_retrains",
     "oracle_strategy",
-    "predict_one",
-    "query_staleness",
-    "rbf_similarity",
-    "relative_staleness",
     "render_summary",
     "replay_policy",
     "report",
     "results_from_csv",
     "results_to_csv",
-    "run_policy",
     "run_sweep",
     "save_stream_csv",
     "scpe",
-    "staleness_total",
     "strategy_cost",
     "summary_to_csv",
     "validate_strategy",
-    "zero_one_loss",
 ]

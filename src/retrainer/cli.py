@@ -27,8 +27,8 @@ from .harness import (
     scpe,
     summary_to_csv,
 )
-from .oracle import expand_to_strategy, memoize_dp, oracle_retrains, oracle_strategy
-from .policies import run_policy
+from .oracle import memoize_dp, oracle_strategy
+from .policies import replay_policy
 
 
 @click.group()
@@ -66,9 +66,8 @@ def gen(dataset, n_batches, batch_size, queries_per_batch, query_mode, seed, cov
 def _setup(cfg: RunConfig, seed, kappa):
     seed = cfg.seeds[0] if seed is None else seed
     kappa = cfg.kappas[0] if kappa is None else kappa
-    data, queries = cfg.stream_for_seed(seed)
-    costs = StreamCosts(data, queries, cfg.model_for_seed(seed), cfg.kernel)
-    return seed, kappa, data, queries, costs
+    costs = StreamCosts(*cfg.stream_for_seed(seed), cfg.model_for_seed(seed), cfg.kernel)
+    return seed, kappa, costs
 
 
 @main.command("cost-matrix")
@@ -80,7 +79,7 @@ def _setup(cfg: RunConfig, seed, kappa):
 def cost_matrix_cmd(config_path, phase, kappa, seed, out):
     """Build one phase's cost matrix and export it as CSV."""
     cfg = RunConfig.load(config_path)
-    seed, kappa, _, _, costs = _setup(cfg, seed, kappa)
+    seed, kappa, costs = _setup(cfg, seed, kappa)
     if phase == "offline":
         start, end = 0, cfg.t_offline
     else:
@@ -99,17 +98,16 @@ def cost_matrix_cmd(config_path, phase, kappa, seed, out):
 def oracle_cmd(config_path, kappa, seed, out, table_out):
     """Optimal online strategy and its cost for one kappa."""
     cfg = RunConfig.load(config_path)
-    seed, kappa, _, _, costs = _setup(cfg, seed, kappa)
+    seed, kappa, costs = _setup(cfg, seed, kappa)
     matrix = costs.cost_matrix(cfg.t_offline + 1, cfg.t_online, kappa)
-    table = memoize_dp(matrix)
-    strategy = expand_to_strategy(oracle_retrains(table), matrix.start, matrix.end)
-    click.echo(f"optimal cost: {format_value(table.optimal_cost)}")
+    strategy, cost = oracle_strategy(matrix)
+    click.echo(f"optimal cost: {format_value(cost)}")
     click.echo(f"retrains at: {','.join(str(b) for b in strategy.retrain_batches)}")
     click.echo(f"strategy: {strategy}")
     if out:
         _write_strategy_csv(out, strategy)
     if table_out:
-        table.to_csv(table_out)
+        memoize_dp(matrix).to_csv(table_out)
 
 
 def _write_strategy_csv(path, strategy):
@@ -129,7 +127,7 @@ def _write_strategy_csv(path, strategy):
 def run_cmd(config_path, policy_name, kappa, seed, trace_out):
     """Run one policy online and print its result row."""
     cfg = RunConfig.load(config_path)
-    seed, kappa, data, queries, costs = _setup(cfg, seed, kappa)
+    seed, kappa, costs = _setup(cfg, seed, kappa)
     start, end = cfg.t_offline + 1, cfg.t_online
     matrix = costs.cost_matrix(start, end, kappa)
 
@@ -137,10 +135,10 @@ def run_cmd(config_path, policy_name, kappa, seed, trace_out):
     if spec is None:
         spec = PolicySpec(policy_name, {})
     policy = spec.build(costs.cost_matrix(0, cfg.t_offline, kappa))
-    strategy = run_policy(policy, data, queries, kappa, costs.model, start=start, end=end, costs=costs)
+    strategy = replay_policy(policy, matrix, costs.errors)
     cost = strategy_cost(strategy, matrix)
     _, opt_cost = oracle_strategy(matrix)
-    accuracy = evaluate_prequential(strategy, data, queries, costs=costs)
+    accuracy = evaluate_prequential(strategy, costs)
     click.echo(f"policy: {policy!r}")
     click.echo(f"strategy_cost: {format_value(cost)}")
     click.echo(f"oracle_cost: {format_value(opt_cost)}")

@@ -13,26 +13,52 @@ either keep the previous model or switch to one trained at the current
 batch. The cost of a strategy is the sum of its matrix entries.
 
 ``StreamCosts`` is the shared computation cache behind matrix builds, policy
-runs and evaluation: per-batch fitted models, per-pair 0/1 error vectors and
-query predictions are computed once and reused, and ``staleness_matrix`` is
-the one place staleness is computed (its query kernel masses are used once
-each, so they are not kept). Staleness entries do not depend on kappa, so
-sweeping kappa only rewrites the diagonal.
+replays and evaluation: per-batch fitted models, per-pair 0/1 error vectors
+and query predictions are computed once and reused, and ``staleness_matrix``
+is the one place staleness is computed. Staleness entries do not depend on
+kappa, so sweeping kappa only rewrites the diagonal.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolationError, InvalidInputError
 from .models import BaseClassifier, fit_model
-from .staleness import KernelConfig, default_gamma, rbf_weights
 from .streams import DataBatch, QueryBatch
-from .validation import check_same_dim
+from .validation import as_point_matrix, check_same_dim
+
+
+@dataclass(frozen=True)
+class KernelConfig:
+    """RBF kernel width; gamma is the inverse squared length scale."""
+
+    gamma: float
+
+    def __post_init__(self):
+        if not self.gamma > 0:
+            raise InvalidInputError(f"gamma must be > 0, got {self.gamma}")
+
+
+def default_gamma(dim: int) -> float:
+    """Scale-free default: gamma = 1/d."""
+    if dim < 1:
+        raise InvalidInputError("dimensionality must be >= 1")
+    return 1.0 / dim
+
+
+def rbf_weights(Q, X, gamma: float) -> np.ndarray:
+    """Pairwise similarities exp(-gamma * ||q - x||^2), shape (n_queries, n_points)."""
+    Q = as_point_matrix(Q, name="Q")
+    X = as_point_matrix(X, name="X")
+    check_same_dim(Q.shape[1], X.shape[1], name="X")
+    sq = np.sum(Q * Q, axis=1)[:, None] + np.sum(X * X, axis=1)[None, :] - 2.0 * (Q @ X.T)
+    np.maximum(sq, 0.0, out=sq)
+    return np.exp(-gamma * sq)
 
 
 @dataclass(frozen=True)
@@ -163,7 +189,7 @@ class CostMatrix:
             for row in reader:
                 if not row:
                     continue
-                tp, t, value = int(row[0]), int(row[1]), parse_value(row[2])
+                tp, t, value = int(row[0]), int(row[1]), float(row[2])
                 if math.isnan(value):
                     raise InvalidInputError(f"matrix CSV cell (t_prime={tp}, t={t}) is NaN")
                 cells[(tp, t)] = value
@@ -191,12 +217,24 @@ def format_value(x: float) -> str:
     return repr(x)
 
 
-def parse_value(text: str) -> float:
-    return float(text)
-
-
 class StreamCosts:
     """Caches everything derivable from (streams, model prototype, kernel).
+
+    The staleness of a model M with respect to a query q is M's expected
+    misclassification in the query's neighborhood:
+
+        psi(q, D, M) = (1/|D|) * sum over (x, y) in D of
+                           sim(q, x) * loss(M, x, y)
+
+    with an RBF similarity sim(q, x) = exp(-gamma * ||q - x||^2) and the 0/1
+    loss. Summing over a query batch Q gives total(Q, D, M). The decision
+    signal is the *relative* staleness: how much worse the model trained at
+    t' does on today's data than on the data it was trained on,
+
+        total(Q_t, D_t, M_t') - total(Q_t, D_t', M_t').
+
+    It is zero when the data distribution is static (retraining would
+    reproduce the same model), and can be negative.
 
     Streams are passed as sequences of batches; batches are indexed by their
     own ``t`` field, so partial streams work as long as the batches needed by
@@ -245,12 +283,12 @@ class StreamCosts:
         return self._models[t]
 
     def errors(self, t_model: int, t_data: int) -> np.ndarray:
-        """0/1 losses of model t_model on data batch t_data, stream order."""
+        """0/1 losses of model t_model on data batch t_data, stream order, as bools."""
         key = (t_model, t_data)
         if key not in self._errors:
             batch = self.data_batch(t_data)
             preds = self.model_at(t_model).predict(batch.X)
-            self._errors[key] = (preds != batch.y).astype(np.float64)
+            self._errors[key] = preds != batch.y
         return self._errors[key]
 
     def query_predictions(self, t_model: int, t_query: int) -> np.ndarray:
@@ -272,6 +310,7 @@ class StreamCosts:
             n = end - start + 1
             if n < 1:
                 raise InvalidInputError(f"invalid batch range [{start}, {end}]")
+            self.data_batch(start)  # the loop below reads no batch when n == 1
             gamma = self.kernel.gamma
             out = np.full((n, n), math.inf)
             np.fill_diagonal(out, 0.0)
@@ -308,8 +347,12 @@ def strategy_cost(strategy: Strategy, c: CostMatrix) -> float:
 
 
 def cumulative_cost_trace(strategy: Strategy, c: CostMatrix) -> np.ndarray:
-    """Partial sums of the per-batch cost terms; the last value equals
-    ``strategy_cost``. Useful for plot-ready exports."""
+    """Partial sums of the per-batch cost terms, added in batch order.
+    Useful for plot-ready exports.
+
+    The last value equals the DP's sequential sum (the oracle cost, for the
+    oracle strategy) exactly, but may differ from ``strategy_cost`` in the
+    last bits, because ``np.sum`` adds pairwise."""
     if strategy.start != c.start or strategy.end != c.end:
         raise ContractViolationError("strategy and matrix ranges do not match")
     violation = validate_strategy(strategy)

@@ -13,27 +13,24 @@ from .errors import InvalidInputError
 
 
 class DdmDetector:
-    """Running error-rate monitor with sigma bands.
+    """Running error-rate monitor with a drift band.
 
     Tracks the error rate p and its standard error s = sqrt(p(1-p)/n) after
     every observation, remembering the smallest seen p + s. A drift is
     signaled when the current statistic reaches the recorded minimum plus
-    ``drift_sigma`` standard errors; the 2-sigma warning band is tracked in
-    ``in_warning_`` but triggers nothing by itself. Statistics reset after a
-    drift.
+    ``drift_sigma`` standard errors. Statistics reset after a drift.
 
     No decision is made before ``min_samples`` observations, and a statistic
     that merely equals its recorded minimum (e.g. a constant error stream)
     never counts as drift.
     """
 
-    def __init__(self, min_samples: int = 30, warn_sigma: float = 2.0, drift_sigma: float = 3.0):
+    def __init__(self, min_samples: int = 30, drift_sigma: float = 3.0):
         if min_samples < 1:
             raise InvalidInputError("min_samples must be >= 1")
-        if not 0 < warn_sigma <= drift_sigma:
-            raise InvalidInputError("need 0 < warn_sigma <= drift_sigma")
+        if not drift_sigma > 0:
+            raise InvalidInputError("drift_sigma must be > 0")
         self.min_samples = min_samples
-        self.warn_sigma = warn_sigma
         self.drift_sigma = drift_sigma
         self.reset()
 
@@ -42,7 +39,6 @@ class DdmDetector:
         self.error_count_ = 0
         self.p_min_ = math.inf
         self.s_min_ = math.inf
-        self.in_warning_ = False
 
     def update(self, error: int) -> bool:
         """Consume one error bit; True when a drift is detected."""
@@ -60,20 +56,10 @@ class DdmDetector:
             self.s_min_ = s
         level = p + s
         baseline = self.p_min_ + self.s_min_
-        self.in_warning_ = level >= self.p_min_ + self.warn_sigma * self.s_min_ and level > baseline
         if level >= self.p_min_ + self.drift_sigma * self.s_min_ and level > baseline:
             self.reset()
             return True
         return False
-
-
-class _BucketRow:
-    """One exponential-histogram level; each bucket summarizes 2^level bits."""
-
-    __slots__ = ("sums",)
-
-    def __init__(self):
-        self.sums: list[float] = []  # oldest first
 
 
 class AdwinDetector:
@@ -102,7 +88,7 @@ class AdwinDetector:
         self.reset()
 
     def reset(self) -> None:
-        self.rows_ = [_BucketRow()]
+        self.rows_: list[list[float]] = [[]]  # per level, oldest bucket sum first
         self.width_ = 0
         self.total_ = 0.0
 
@@ -119,32 +105,32 @@ class AdwinDetector:
         return self._shrink()
 
     def _insert(self, value: float) -> None:
-        self.rows_[0].sums.append(value)
+        self.rows_[0].append(value)
         self.width_ += 1
         self.total_ += value
         level = 0
-        while len(self.rows_[level].sums) > self.max_buckets:
+        while len(self.rows_[level]) > self.max_buckets:
             if level + 1 == len(self.rows_):
-                self.rows_.append(_BucketRow())
-            merged = self.rows_[level].sums.pop(0) + self.rows_[level].sums.pop(0)
+                self.rows_.append([])
+            merged = self.rows_[level].pop(0) + self.rows_[level].pop(0)
             # the merged pair is newer than everything already at level+1
-            self.rows_[level + 1].sums.append(merged)
+            self.rows_[level + 1].append(merged)
             level += 1
 
     def _buckets_oldest_first(self):
         for level in range(len(self.rows_) - 1, -1, -1):
             size = float(1 << level)
-            for s in self.rows_[level].sums:
+            for s in self.rows_[level]:
                 yield size, s
 
     def _drop_oldest(self) -> None:
         level = len(self.rows_) - 1
-        while not self.rows_[level].sums:
+        while not self.rows_[level]:
             level -= 1
-        dropped = self.rows_[level].sums.pop(0)
+        dropped = self.rows_[level].pop(0)
         self.width_ -= 1 << level
         self.total_ -= dropped
-        while len(self.rows_) > 1 and not self.rows_[-1].sums:
+        while len(self.rows_) > 1 and not self.rows_[-1]:
             self.rows_.pop()
 
     def _shrink(self) -> bool:

@@ -8,8 +8,9 @@ the model and kernel, and the seeds. Per (seed, kappa) the sweep
    policy marked "optimize" on it,
 2. builds the online matrix over (t_offline, t_online], computes the optimal
    strategy on it, and
-3. runs each policy through the online decision loop, pricing its strategy
-   on the online matrix and scoring prequential query accuracy.
+3. replays each policy on the online matrix (``replay_policy``, with the
+   cached error vectors for the drift detectors), pricing its strategy on
+   that matrix and scoring prequential query accuracy from the same cache.
 
 Staleness entries do not depend on kappa, so each seed computes them once;
 the kappa sweep only rewrites matrix diagonals. All outputs are plain CSV
@@ -21,19 +22,17 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .costmatrix import CostMatrix, Strategy, StreamCosts, strategy_cost, format_value
+from .costmatrix import CostMatrix, KernelConfig, Strategy, StreamCosts, strategy_cost, format_value
 from .datagen import StreamSpec, generate_stream
 from .errors import InvalidInputError, StreamParseError, UndefinedMetricError
 from .models import BaseClassifier, MODEL_KINDS, make_model
 from .oracle import oracle_strategy
-from .policies import RetrainPolicy, make_policy, optimize_offline, run_policy
-from .staleness import KernelConfig
+from .policies import RetrainPolicy, make_policy, optimize_offline, replay_policy
 from .streams import DataBatch, QueryBatch
 
 OPTIMIZABLE = ("threshold", "cumulative", "periodic")
@@ -59,23 +58,14 @@ def scpe(policy_cost: float, oracle_cost: float) -> float:
     return 100.0 * abs(policy_cost - oracle_cost) / abs(oracle_cost)
 
 
-def evaluate_prequential(
-    strategy: Strategy,
-    data,
-    queries,
-    model: BaseClassifier | None = None,
-    kernel: KernelConfig | None = None,
-    *,
-    costs: StreamCosts | None = None,
-) -> float:
+def evaluate_prequential(strategy: Strategy, costs: StreamCosts) -> float:
     """Mean per-batch query accuracy under test-then-train staggering.
 
     Queries at batch t are answered by the model in hand *before* the
     decision at t, i.e. the model assigned at t - 1; at the first batch this
-    is the initial model trained at the range start.
+    is the initial model trained at the range start. Models and their query
+    predictions come from the ``costs`` cache.
     """
-    if costs is None:
-        costs = StreamCosts(data, queries, model, kernel)
     accs = []
     for t in range(strategy.start, strategy.end + 1):
         serving = strategy.start if t == strategy.start else strategy.serving(t - 1)
@@ -383,7 +373,7 @@ def run_sweep(cfg: RunConfig, cost_cache: dict | None = None) -> list[RunResult]
     on_start, on_end = cfg.t_offline + 1, cfg.t_online
     for seed in cfg.seeds:
         if cost_cache is not None and seed in cost_cache:
-            data, queries, costs = cost_cache[seed]
+            costs = cost_cache[seed][2]
         else:
             data, queries = cfg.stream_for_seed(seed)
             costs = StreamCosts(data, queries, cfg.model_for_seed(seed), cfg.kernel)
@@ -403,19 +393,16 @@ def run_sweep(cfg: RunConfig, cost_cache: dict | None = None) -> list[RunResult]
                     oracle_cost=opt_cost,
                     scpe=0.0 if opt_cost != 0 else None,
                     n_retrains=opt_strategy.n_retrains,
-                    query_accuracy=evaluate_prequential(opt_strategy, data, queries, costs=costs),
+                    query_accuracy=evaluate_prequential(opt_strategy, costs),
                     strategy=opt_strategy,
                 )
             )
             for spec in cfg.policies:
                 try:
                     policy = spec.build(offline_c)
-                    strat = run_policy(
-                        policy, data, queries, kappa, costs.model,
-                        start=on_start, end=on_end, costs=costs,
-                    )
+                    strat = replay_policy(policy, online_c, costs.errors)
                     cost = strategy_cost(strat, online_c)
-                    acc = evaluate_prequential(strat, data, queries, costs=costs)
+                    acc = evaluate_prequential(strat, costs)
                 except UndefinedMetricError:
                     raise
                 except Exception as exc:

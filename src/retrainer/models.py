@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .streams import DataBatch
-from .validation import as_binary_labels, as_point, as_point_matrix, check_fitted, check_same_dim
+from .validation import as_binary_labels, as_point_matrix, check_fitted, check_same_dim
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -345,13 +345,6 @@ def fit_model(batch: DataBatch, model: BaseClassifier) -> BaseClassifier:
     fitted = model.clone().fit(batch.X, batch.y)
     fitted.trained_at_ = batch.t
     return fitted
-
-
-def predict_one(model: BaseClassifier, point) -> int:
-    """Predict the 0/1 label of a single point."""
-    check_fitted(model)
-    x = as_point(point, dim=model.n_features_in_)
-    return int(model.predict(x.reshape(1, -1))[0])
 
 
 MODEL_KINDS = {

@@ -3,8 +3,9 @@
 Given a complete cost matrix over [start, end], the table value at (t, p) is
 the cheapest cost of any reachable strategy through batch t whose current
 model was trained at batch p. Filling the table row by row and walking the
-argmins backwards recovers the set of batches where the optimal strategy
-retrains; the walk always terminates by including the range start, where
+argmins backwards from the last row recovers the optimal strategy: each
+argmin p is a retrain batch that serves every batch up to the end of the
+segment the walk came from, and the walk ends at the range start, where
 training is forced.
 
 Runs in O(n^2) time; entries above the feasible region stay +inf, and
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costmatrix import CostMatrix, Strategy, format_value
-from .errors import InvalidInputError
 
 
 @dataclass(frozen=True)
@@ -47,17 +47,6 @@ class DPTable:
                     writer.writerow([self.start + t, self.start + p, format_value(self.values[t, p])])
 
 
-@dataclass(frozen=True)
-class OracleRetrains:
-    """Sorted batches where the optimal strategy retrains; always includes
-    the range start."""
-
-    batches: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "batches", tuple(sorted(int(b) for b in self.batches)))
-
-
 def memoize_dp(c: CostMatrix) -> DPTable:
     """Fill the best-cost table from a cost matrix.
 
@@ -78,44 +67,19 @@ def memoize_dp(c: CostMatrix) -> DPTable:
     return DPTable(c.start, V)
 
 
-def oracle_retrains(table: DPTable) -> OracleRetrains:
-    """Walk the table backwards, collecting the retrain batches.
-
-    Argmin ties resolve to the smallest batch index. The walk stops once the
-    range start has been collected.
-    """
-    V = table.values
-    p = int(np.argmin(V[-1]))
-    collected = [p]
-    while p > 0:
-        p = int(np.argmin(V[p - 1]))
-        collected.append(p)
-    return OracleRetrains(tuple(table.start + b for b in collected))
-
-
-def expand_to_strategy(retrains: OracleRetrains, start: int, end: int) -> Strategy:
-    """Fill in the Keep decisions: each batch is served by the most recent
-    retrain at or before it."""
-    batches = retrains.batches
-    if not batches or batches[0] != start:
-        raise InvalidInputError(
-            f"retrain set must include the range start {start}, got {batches}"
-        )
-    if batches[-1] > end:
-        raise InvalidInputError(f"retrain batch {batches[-1]} outside range end {end}")
-    served = np.empty(end - start + 1, dtype=np.int64)
-    current = start
-    pos = 0
-    for t in range(start, end + 1):
-        if pos < len(batches) and batches[pos] == t:
-            current = t
-            pos += 1
-        served[t - start] = current
-    return Strategy(start, end, served)
-
-
 def oracle_strategy(c: CostMatrix) -> tuple[Strategy, float]:
-    """Optimal strategy for a cost matrix together with its cost."""
+    """Optimal strategy for a cost matrix together with its cost.
+
+    Walks the table backwards: the argmin p of the row of a segment's last
+    batch is the retrain batch whose model serves the segment, and row p - 1
+    ends the segment before it. Argmin ties resolve to the smallest batch
+    index.
+    """
     table = memoize_dp(c)
-    retrains = oracle_retrains(table)
-    return expand_to_strategy(retrains, c.start, c.end), table.optimal_cost
+    served = np.empty(c.n, dtype=np.int64)
+    end = c.n
+    while end > 0:
+        p = int(np.argmin(table.values[end - 1]))
+        served[p:end] = c.start + p
+        end = p
+    return Strategy(c.start, c.end, served), table.optimal_cost

@@ -10,10 +10,9 @@ start, then per batch feeds each policy the inputs it declares:
   data batch, in stream order, from an ``errors(t_model, t_data)`` source
   (drift detector policies).
 
-``run_policy`` is the online entry point: it replays the policy on the cost
-matrix of its range, taken from a ``StreamCosts`` cache, with the cache's
-error vectors for the detectors. An online run and a replay on the same
-matrix are therefore the same computation.
+An online run is a replay on the online cost matrix, with
+``StreamCosts.errors`` as the detectors' error source; the matrix and the
+error vectors both come from the same ``StreamCosts`` cache.
 
 Policies that keep mutable state reset it when they decide to retrain, so a
 single instance can be reused across runs via ``reset()``.
@@ -37,7 +36,7 @@ import math
 
 import numpy as np
 
-from .costmatrix import CostMatrix, Strategy, StreamCosts
+from .costmatrix import CostMatrix, Strategy
 from .detectors import AdwinDetector, DdmDetector
 from .errors import InvalidInputError
 
@@ -188,21 +187,16 @@ class DriftDetectorPolicy(RetrainPolicy):
 class DdmPolicy(DriftDetectorPolicy):
     name = "ddm"
 
-    def __init__(self, min_samples: int = 30, warn_sigma: float = 2.0, drift_sigma: float = 3.0):
+    def __init__(self, min_samples: int = 30, drift_sigma: float = 3.0):
         self.min_samples = int(min_samples)
-        self.warn_sigma = float(warn_sigma)
         self.drift_sigma = float(drift_sigma)
         super().__init__()
 
     def _make_detector(self):
-        return DdmDetector(self.min_samples, self.warn_sigma, self.drift_sigma)
+        return DdmDetector(self.min_samples, self.drift_sigma)
 
     def get_params(self):
-        return {
-            "min_samples": self.min_samples,
-            "warn_sigma": self.warn_sigma,
-            "drift_sigma": self.drift_sigma,
-        }
+        return {"min_samples": self.min_samples, "drift_sigma": self.drift_sigma}
 
 
 class AdwinPolicy(DriftDetectorPolicy):
@@ -242,39 +236,6 @@ def make_policy(name: str, **params) -> RetrainPolicy:
             f"unknown policy {name!r}; expected one of {sorted(POLICY_KINDS)}"
         ) from None
     return cls(**params)
-
-
-def run_policy(
-    policy: RetrainPolicy,
-    data,
-    queries,
-    kappa,
-    model,
-    kernel=None,
-    *,
-    start: int | None = None,
-    end: int | None = None,
-    costs: StreamCosts | None = None,
-) -> Strategy:
-    """Run the online decision loop over [start, end].
-
-    Replays the policy on the cost matrix of the range, with
-    ``costs.errors`` as the detectors' error source. ``costs`` may carry a
-    prefilled cache shared across runs; the result is identical either way
-    because model fits are deterministic.
-    """
-    if costs is None:
-        costs = StreamCosts(data, queries, model, kernel)
-    if start is None or end is None:
-        ts = sorted(b.t for b in data)
-        start = ts[0] if start is None else start
-        end = ts[-1] if end is None else end
-    if end < start:
-        raise InvalidInputError(f"invalid batch range [{start}, {end}]")
-    for t in range(start, end + 1):
-        costs.data_batch(t)
-        costs.query_batch(t)
-    return replay_policy(policy, costs.cost_matrix(start, end, kappa), costs.errors)
 
 
 def replay_policy(policy: RetrainPolicy, c: CostMatrix, errors=None) -> Strategy:

@@ -25,18 +25,6 @@ def as_point_matrix(X, name: str = "X") -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
-def as_point(x, dim: int | None = None, name: str = "point") -> np.ndarray:
-    """Coerce a single point to a finite 1-D float64 vector, optionally checking d."""
-    arr = np.asarray(x, dtype=np.float64).ravel()
-    if arr.size < 1:
-        raise InvalidInputError(f"{name} must have at least one feature")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError(f"{name} contains NaN or infinite entries")
-    if dim is not None and arr.size != dim:
-        raise InvalidInputError(f"{name} has {arr.size} features, expected {dim}")
-    return arr
-
-
 def as_binary_labels(y, n: int | None = None, name: str = "y") -> np.ndarray:
     """Coerce to a 1-D int64 array of {0, 1} labels, optionally checking length."""
     arr = np.asarray(y)

@@ -1,7 +1,9 @@
 """Shared test fixtures: independent oracles and hand-built scenario streams.
 
 The brute-force functions here deliberately avoid the library's DP and
-matrix-summation code paths so they can serve as independent checks.
+matrix-summation code paths so they can serve as independent checks, and the
+reference staleness forms restate the per-query definition that
+``StreamCosts.staleness_matrix`` computes as whole matrices.
 """
 
 import math
@@ -10,9 +12,11 @@ from itertools import product
 import numpy as np
 
 from retrainer import (
+    ContractViolationError,
     CostMatrix,
     CumulativeThresholdPolicy,
     DataBatch,
+    InvalidInputError,
     PeriodicPolicy,
     QueryBatch,
     Strategy,
@@ -20,7 +24,9 @@ from retrainer import (
     replay_policy,
     strategy_cost,
 )
+from retrainer.costmatrix import rbf_weights
 from retrainer.models import LogisticClassifier
+from retrainer.validation import check_same_dim
 
 
 def reachable_strategies(start, end):
@@ -58,6 +64,83 @@ def random_cost_matrix(rng, n, kappa, start=0, low=-1.0, high=1.0):
     entries[iu] = rng.uniform(low, high, size=iu[0].size)
     np.fill_diagonal(entries, kappa)
     return CostMatrix(start, entries, kappa)
+
+
+# ---------------------------------------------------------------------------
+# Reference staleness: the definition, one query and one point at a time.
+#
+#   query_staleness(q, D, M) = (1/|D|) * sum over (x, y) in D of
+#                                  sim(q, x) * loss(M, x, y)
+#
+# summed over a query batch for ``staleness_total``; ``relative_staleness``
+# is the total on today's batch minus the total on the training batch.
+# ---------------------------------------------------------------------------
+
+
+def as_point(x, dim=None, name="point"):
+    """A finite 1-D float64 vector, optionally checked to have ``dim`` features."""
+    arr = np.asarray(x, dtype=np.float64).ravel()
+    if arr.size < 1:
+        raise InvalidInputError(f"{name} must have at least one feature")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError(f"{name} contains NaN or infinite entries")
+    if dim is not None and arr.size != dim:
+        raise InvalidInputError(f"{name} has {arr.size} features, expected {dim}")
+    return arr
+
+
+def rbf_similarity(q, x, kernel):
+    """exp(-gamma * ||q - x||^2); symmetric, in (0, 1]."""
+    q = as_point(q, name="q")
+    x = as_point(x, dim=q.size, name="x")
+    diff = q - x
+    return float(np.exp(-kernel.gamma * float(diff @ diff)))
+
+
+def zero_one_loss(model, x, y):
+    """1 if the model mislabels the point, else 0."""
+    return int(model.predict(as_point(x).reshape(1, -1))[0] != int(y))
+
+
+def error_vector(model, batch):
+    """Per-point 0/1 losses of the model on a batch, in stream order."""
+    return (model.predict(batch.X) != batch.y).astype(np.float64)
+
+
+def query_staleness(q, data, model, kernel):
+    """Expected loss of one query in the region of the data; in [0, 1]."""
+    if data.size == 0:
+        raise InvalidInputError("data batch is empty")
+    q = as_point(q, dim=data.dim, name="q")
+    sims = rbf_weights(q.reshape(1, -1), data.X, kernel.gamma)[0]
+    return float(sims @ error_vector(model, data)) / data.size
+
+
+def staleness_total(queries, data, model, kernel):
+    """Sum of per-query staleness over the batch; in [0, n_queries]."""
+    if data.size == 0:
+        raise InvalidInputError("data batch is empty")
+    check_same_dim(data.dim, queries.dim, name="queries")
+    sims = rbf_weights(queries.X, data.X, kernel.gamma)
+    return float(sims.sum(axis=0) @ error_vector(model, data)) / data.size
+
+
+def relative_staleness(queries, data_now, data_train, model, kernel):
+    """Increase in staleness from the training batch to the current batch.
+
+    Requires the model to have been trained on ``data_train`` and that batch
+    to be no newer than ``data_now``.
+    """
+    trained_at = getattr(model, "trained_at_", None)
+    if trained_at is not None and trained_at != data_train.t:
+        raise ContractViolationError(f"model was trained at batch {trained_at}, not at {data_train.t}")
+    if data_train.t > data_now.t:
+        raise ContractViolationError(
+            f"training batch {data_train.t} is newer than current batch {data_now.t}"
+        )
+    return staleness_total(queries, data_now, model, kernel) - staleness_total(
+        queries, data_train, model, kernel
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,11 @@ from click.testing import CliRunner
 from helpers import (
     brute_force_optimum,
     drift_scenario,
+    query_staleness,
     random_cost_matrix,
+    rbf_similarity,
     static_scenario,
+    zero_one_loss,
 )
 
 from retrainer import (
@@ -37,17 +40,14 @@ from retrainer import (
     memoize_dp,
     optimize_offline,
     oracle_strategy,
-    query_staleness,
-    rbf_similarity,
+    replay_policy,
     report,
-    run_policy,
     run_sweep,
     strategy_cost,
-    zero_one_loss,
 )
 from retrainer.cli import main as cli_main
 from retrainer.costmatrix import StreamCosts
-from retrainer.models import ForestClassifier, LogisticClassifier
+from retrainer.models import LogisticClassifier
 from retrainer.streams import DataBatch
 
 
@@ -146,7 +146,7 @@ def test_criterion_2_static_data_zero_cost():
             CumulativeThresholdPolicy(1e-9),
             CumulativeThresholdPolicy(0.5),
         ):
-            strat = run_policy(policy, data, queries, 1.0, model)
+            strat = replay_policy(policy, matrix)
             c.check(
                 strat.n_retrains == 1,
                 f"{policy!r} retrained {strat.n_retrains - 1} times on static data",
@@ -179,14 +179,15 @@ def test_criterion_4_policy_equivalences():
             data, queries = generate_stream(spec)
             costs = StreamCosts(data, queries, model)
             for kappa in (1.0, 20.0):
-                markov = run_policy(MarkovPolicy(), data, queries, kappa, model, costs=costs)
-                threshold = run_policy(ThresholdPolicy(kappa), data, queries, kappa, model, costs=costs)
+                matrix = costs.cost_matrix(0, 29, kappa)
+                markov = replay_policy(MarkovPolicy(), matrix)
+                threshold = replay_policy(ThresholdPolicy(kappa), matrix)
                 c.check(
                     np.array_equal(markov.served_by, threshold.served_by),
                     f"{dataset} kappa={kappa}: markov and threshold strategies differ",
                 )
-                every = run_policy(PeriodicPolicy(1), data, queries, kappa, model, costs=costs)
-                cost = strategy_cost(every, costs.cost_matrix(0, 29, kappa))
+                every = replay_policy(PeriodicPolicy(1), matrix)
+                cost = strategy_cost(every, matrix)
                 c.check(
                     cost == 30 * kappa,
                     f"{dataset} kappa={kappa}: retrain-every cost {cost} != {30 * kappa}",
@@ -225,14 +226,13 @@ def test_criterion_6_saturation_at_huge_kappa(covcon_artifacts):
         cfg = covcon_artifacts["cfg"]
         start, end = cfg.t_offline + 1, cfg.t_online
         for seed in cfg.seeds:
-            data, queries, costs = covcon_artifacts["cache"][seed]
+            costs = covcon_artifacts["cache"][seed][2]
             online = costs.staleness_matrix(start, end)
             kappa_big = float(np.sum(np.abs(online[np.isfinite(online)]))) + 1.0
             online_c = costs.cost_matrix(start, end, kappa_big)
             offline_c = costs.cost_matrix(0, cfg.t_offline, kappa_big)
 
-            never = run_policy(NeverRetrainPolicy(), data, queries, kappa_big, costs.model,
-                               start=start, end=end, costs=costs)
+            never = replay_policy(NeverRetrainPolicy(), online_c)
             never_cost = strategy_cost(never, online_c)
 
             opt_strat, opt_cost = oracle_strategy(online_c)
@@ -241,8 +241,7 @@ def test_criterion_6_saturation_at_huge_kappa(covcon_artifacts):
 
             for family in ("threshold", "cumulative"):
                 policy = optimize_offline(family, offline_c)
-                strat = run_policy(policy, data, queries, kappa_big, costs.model,
-                                   start=start, end=end, costs=costs)
+                strat = replay_policy(policy, online_c)
                 cost = strategy_cost(strat, online_c)
                 c.check(
                     strat.n_retrains == 1,
@@ -258,8 +257,7 @@ def test_criterion_6_saturation_at_huge_kappa(covcon_artifacts):
                 periodic.period == cfg.t_offline,
                 f"seed {seed}: periodic saturated to period {periodic.period}, not {cfg.t_offline}",
             )
-            strat = run_policy(periodic, data, queries, kappa_big, costs.model,
-                               start=start, end=end, costs=costs)
+            strat = replay_policy(periodic, online_c)
             forced = [t for t in range(start, end + 1) if (t - periodic.offset) % periodic.period == 0]
             c.check(
                 strat.n_retrains == 1 + len(forced),

@@ -7,6 +7,7 @@ from helpers import (
     naive_strategy_cost,
     random_cost_matrix,
     reachable_strategies,
+    relative_staleness,
 )
 
 from retrainer import (
@@ -20,7 +21,7 @@ from retrainer import (
     cumulative_cost_trace,
     fit_model,
     generate_stream,
-    relative_staleness,
+    oracle_strategy,
     strategy_cost,
     validate_strategy,
 )
@@ -79,6 +80,8 @@ class TestBuild:
             StreamCosts(data, queries[:-1], MODEL).cost_matrix(0, 3, 1.0)
         with pytest.raises(InvalidInputError):
             StreamCosts([data[0], data[2], data[3]], queries[1:], MODEL).cost_matrix(0, 3, 1.0)
+        with pytest.raises(InvalidInputError):
+            StreamCosts(data, queries, MODEL).cost_matrix(4, 4, 1.0)
 
     def test_kappa_patch_leaves_staleness_bit_identical(self):
         data, queries = small_stream()
@@ -241,6 +244,15 @@ class TestTrace:
         assert trace[-1] == pytest.approx(strategy_cost(s, c), abs=1e-12)
         assert trace.shape == (6,)
         assert np.all(np.diff(trace) >= 0)  # nonnegative entries -> monotone
+
+    def test_last_point_is_the_sequential_sum(self):
+        # the DP adds the oracle's terms in batch order, as the trace does;
+        # strategy_cost adds them pairwise, so only closeness holds there
+        c = random_cost_matrix(np.random.default_rng(9), 200, kappa=0.05)
+        s, oracle_cost = oracle_strategy(c)
+        trace = cumulative_cost_trace(s, c)
+        assert trace[-1] == oracle_cost
+        assert math.isclose(trace[-1], strategy_cost(s, c), rel_tol=1e-12)
 
     def test_trace_is_cumsum_of_terms(self):
         c = random_cost_matrix(np.random.default_rng(8), 5, kappa=0.5)

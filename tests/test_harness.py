@@ -15,7 +15,6 @@ from retrainer import (
     StreamSpec,
     UndefinedMetricError,
     evaluate_prequential,
-    fit_model,
     generate_stream,
     load_csv_stream,
     render_summary,
@@ -126,14 +125,14 @@ class TestPrequential:
         data = [constant_batch(t, 1) for t in range(3)]
         queries = [QueryBatch(t, [[0.1, 0.2]], [1]) for t in range(3)]
         strategy = Strategy(0, 2, np.zeros(3, dtype=int))
-        acc = evaluate_prequential(strategy, data, queries, LogisticClassifier())
+        acc = evaluate_prequential(strategy, StreamCosts(data, queries, LogisticClassifier()))
         assert acc == 1.0
 
     def test_constant_zero_model_on_all_ones_scores_zero(self):
         data = [constant_batch(t, 0) for t in range(3)]
         queries = [QueryBatch(t, [[0.1, 0.2]], [1]) for t in range(3)]
         strategy = Strategy(0, 2, np.zeros(3, dtype=int))
-        assert evaluate_prequential(strategy, data, queries, LogisticClassifier()) == 0.0
+        assert evaluate_prequential(strategy, StreamCosts(data, queries, LogisticClassifier())) == 0.0
 
     def test_stagger_answers_with_pre_retrain_model(self):
         # batch 0 trains a constant-1 model, batch 1 a constant-0 model; the
@@ -142,7 +141,7 @@ class TestPrequential:
         data = [constant_batch(0, 1), constant_batch(1, 0)]
         queries = [QueryBatch(0, [[0.0, 0.0]], [1]), QueryBatch(1, [[0.0, 0.0]], [0])]
         strategy = Strategy(0, 1, np.array([0, 1]))
-        acc = evaluate_prequential(strategy, data, queries, LogisticClassifier())
+        acc = evaluate_prequential(strategy, StreamCosts(data, queries, LogisticClassifier()))
         assert acc == pytest.approx(0.5)  # t=0 right (1.0), t=1 wrong (0.0)
 
     def test_missing_labels_rejected(self):
@@ -150,7 +149,7 @@ class TestPrequential:
         queries = [QueryBatch(0, [[0.0, 0.0]])]
         strategy = Strategy(0, 0, np.array([0]))
         with pytest.raises(InvalidInputError):
-            evaluate_prequential(strategy, data, queries, LogisticClassifier())
+            evaluate_prequential(strategy, StreamCosts(data, queries, LogisticClassifier()))
 
 
 class TestScpe:

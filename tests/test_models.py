@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from retrainer import DataBatch, InvalidInputError, fit_model, predict_one
+from retrainer import DataBatch, InvalidInputError, fit_model
 from retrainer.models import ForestClassifier, LogisticClassifier, _CartTree
 
 
@@ -51,19 +51,19 @@ class TestLogistic:
         model.constant_ = None
         model.coef_ = np.zeros(2)
         model.intercept_ = 0.0
-        assert predict_one(model, [3.0, -4.0]) == 0
+        assert model.predict([[3.0, -4.0]])[0] == 0
 
     def test_predict_one_on_separable(self):
         model = fit_model(separable_batch(), LogisticClassifier(learning_rate=0.5, epochs=200))
-        assert predict_one(model, [1.0, 1.0]) == 1
-        assert predict_one(model, [0.0, 0.0]) == 0
+        assert model.predict([[1.0, 1.0]])[0] == 1
+        assert model.predict([[0.0, 0.0]])[0] == 0
 
     def test_dimension_mismatch(self):
         model = fit_model(separable_batch(), LogisticClassifier())
         with pytest.raises(InvalidInputError):
             model.predict([[1.0, 2.0, 3.0]])
         with pytest.raises(InvalidInputError):
-            predict_one(model, [1.0])
+            model.predict([[1.0]])
 
     def test_invalid_hyperparams(self):
         batch = separable_batch()

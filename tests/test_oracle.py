@@ -7,11 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from retrainer import (
     CostMatrix,
-    InvalidInputError,
-    OracleRetrains,
-    expand_to_strategy,
     memoize_dp,
-    oracle_retrains,
     oracle_strategy,
     strategy_cost,
 )
@@ -34,14 +30,14 @@ class TestMemoizeDp:
         table = memoize_dp(c)
         assert table.values[1, 0] == 6.0
         assert table.values[1, 1] == 2.0
-        assert oracle_retrains(table).batches == (0, 1)
+        assert oracle_strategy(c)[0].retrain_batches == (0, 1)
 
     def test_two_batch_keep_case(self):
         # keeping costs 0.25 < kappa: keep wins
         c = matrix_from([[1.0, 0.25], [math.inf, 1.0]], [1.0, 1.0])
         table = memoize_dp(c)
         assert table.optimal_cost == 1.25
-        assert oracle_retrains(table).batches == (0,)
+        assert oracle_strategy(c)[0].retrain_batches == (0,)
 
     def test_random_matrices_match_brute_force(self):
         rng = np.random.default_rng(42)
@@ -59,7 +55,7 @@ class TestOracleRetrains:
         entries[np.triu_indices(n, k=1)] = 0.0
         np.fill_diagonal(entries, 1.0)
         c = CostMatrix(0, entries, 1.0)
-        assert oracle_retrains(memoize_dp(c)).batches == (0,)
+        assert oracle_strategy(c)[0].retrain_batches == (0,)
 
     def test_free_retraining_with_costly_staleness_retrains_everywhere(self):
         n = 5
@@ -67,12 +63,12 @@ class TestOracleRetrains:
         entries[np.triu_indices(n, k=1)] = 0.8
         np.fill_diagonal(entries, 0.0)
         c = CostMatrix(0, entries, 0.0)
-        assert oracle_retrains(memoize_dp(c)).batches == (0, 1, 2, 3, 4)
+        assert oracle_strategy(c)[0].retrain_batches == (0, 1, 2, 3, 4)
 
     def test_argmin_tie_breaks_to_smallest_batch(self):
         # keeping (cost 1) ties with retraining (kappa 1): keep wins the tie
         c = matrix_from([[1.0, 1.0], [math.inf, 1.0]], [1.0, 1.0])
-        assert oracle_retrains(memoize_dp(c)).batches == (0,)
+        assert oracle_strategy(c)[0].retrain_batches == (0,)
 
     def test_saturation_single_retrain(self):
         rng = np.random.default_rng(7)
@@ -93,18 +89,6 @@ class TestOracleRetrains:
 
 
 class TestExpand:
-    def test_keep_only(self):
-        s = expand_to_strategy(OracleRetrains((0,)), 0, 3)
-        assert list(s.served_by) == [0, 0, 0, 0]
-
-    def test_mixed(self):
-        s = expand_to_strategy(OracleRetrains((0, 2)), 0, 3)
-        assert list(s.served_by) == [0, 0, 2, 2]
-
-    def test_missing_start_rejected(self):
-        with pytest.raises(InvalidInputError):
-            expand_to_strategy(OracleRetrains((1,)), 0, 3)
-
     def test_round_trip_cost_consistency(self):
         rng = np.random.default_rng(9)
         for _ in range(20):

@@ -23,12 +23,10 @@ from retrainer import (
     NeverRetrainPolicy,
     PeriodicPolicy,
     QueryBatch,
-    Strategy,
     ThresholdPolicy,
     make_policy,
     optimize_offline,
     replay_policy,
-    run_policy,
     strategy_cost,
     validate_strategy,
 )
@@ -56,6 +54,15 @@ def drifting_stream(n=12, n_points=40, n_queries=8, seed=0):
 
 
 MODEL = LogisticClassifier(learning_rate=0.5, epochs=100)
+
+
+def run_online(policy, data, queries, kappa, model=MODEL, *, start=0, end=None, costs=None):
+    """Replay the policy on the stream's cost matrix over [start, end] (the
+    last batch by default), with the stream's error vectors for detectors."""
+    if costs is None:
+        costs = StreamCosts(data, queries, model)
+    end = data[-1].t if end is None else end
+    return replay_policy(policy, costs.cost_matrix(start, end, kappa), costs.errors)
 
 
 class TestThresholdDecision:
@@ -146,19 +153,19 @@ class TestMarkovDecision:
 class TestRunPolicy:
     def test_never_retrain_serves_start_everywhere(self):
         data, queries = drifting_stream()
-        s = run_policy(NeverRetrainPolicy(), data, queries, 1.0, MODEL)
+        s = run_online(NeverRetrainPolicy(), data, queries, 1.0)
         assert np.all(s.served_by == 0)
 
     def test_period_one_retrains_every_batch(self):
         data, queries = drifting_stream()
-        s = run_policy(PeriodicPolicy(1), data, queries, 1.0, MODEL)
+        s = run_online(PeriodicPolicy(1), data, queries, 1.0)
         assert np.array_equal(s.served_by, np.arange(12))
 
     def test_markov_equals_threshold_at_kappa_end_to_end(self):
         data, queries = drifting_stream()
         for kappa in (0.5, 2.0):
-            a = run_policy(MarkovPolicy(), data, queries, kappa, MODEL)
-            b = run_policy(ThresholdPolicy(kappa), data, queries, kappa, MODEL)
+            a = run_online(MarkovPolicy(), data, queries, kappa)
+            b = run_online(ThresholdPolicy(kappa), data, queries, kappa)
             assert np.array_equal(a.served_by, b.served_by)
 
     def test_all_policies_return_valid_strategies(self):
@@ -174,23 +181,23 @@ class TestRunPolicy:
             DdmPolicy(min_samples=10),
         ]
         for pol in policies:
-            s = run_policy(pol, data, queries, 1.0, MODEL, costs=costs)
+            s = run_online(pol, data, queries, 1.0, costs=costs)
             assert validate_strategy(s) is None
 
     def test_sub_range_and_gap_detection(self):
         data, queries = drifting_stream()
-        s = run_policy(NeverRetrainPolicy(), data, queries, 1.0, MODEL, start=5, end=11)
+        s = run_online(NeverRetrainPolicy(), data, queries, 1.0, start=5, end=11)
         assert s.start == 5 and np.all(s.served_by == 5)
         with pytest.raises(InvalidInputError):
-            run_policy(NeverRetrainPolicy(), data[:6] + data[7:], queries, 1.0, MODEL, start=0, end=11)
+            run_online(NeverRetrainPolicy(), data[:6] + data[7:], queries, 1.0, end=11)
 
     def test_detectors_ignore_kappa_and_queries(self):
         data, queries = drifting_stream()
         rng = np.random.default_rng(99)
         other_queries = [QueryBatch(q.t, rng.normal(size=q.X.shape) * 3.0) for q in queries]
         for pol_cls in (AdwinPolicy, lambda: DdmPolicy(min_samples=10)):
-            a = run_policy(pol_cls(), data, queries, 0.0, MODEL)
-            b = run_policy(pol_cls(), data, other_queries, 1e6, MODEL)
+            a = run_online(pol_cls(), data, queries, 0.0)
+            b = run_online(pol_cls(), data, other_queries, 1e6)
             assert np.array_equal(a.served_by, b.served_by)
 
     def test_cost_aware_decisions_invariant_to_in_batch_permutation(self):
@@ -204,25 +211,9 @@ class TestRunPolicy:
             data_p.append(DataBatch(d.t, d.X[pd], d.y[pd]))
             queries_p.append(QueryBatch(q.t, q.X[pq], q.eval_labels[pq]))
         for pol in (ThresholdPolicy(0.37), CumulativeThresholdPolicy(0.9)):
-            a = run_policy(pol, data, queries, 1.0, model)
-            b = run_policy(pol, data_p, queries_p, 1.0, model)
+            a = run_online(pol, data, queries, 1.0, model)
+            b = run_online(pol, data_p, queries_p, 1.0, model)
             assert np.array_equal(a.served_by, b.served_by)
-
-    def test_replay_matches_online_run(self):
-        data, queries = drifting_stream()
-        costs = StreamCosts(data, queries, MODEL)
-        kappa = 0.8
-        c = costs.cost_matrix(0, 11, kappa)
-        for pol in (
-            ThresholdPolicy(0.4),
-            CumulativeThresholdPolicy(1.2),
-            PeriodicPolicy(3, 2),
-            MarkovPolicy(),
-            NeverRetrainPolicy(),
-        ):
-            online = run_policy(pol, data, queries, kappa, MODEL, costs=costs)
-            replayed = replay_policy(pol, c)
-            assert np.array_equal(online.served_by, replayed.served_by)
 
     def test_replay_feeds_detectors_the_serving_models_errors(self):
         class ErrorsSeen(AdwinPolicy):
@@ -418,12 +409,12 @@ class TestDriftScenarioPolicies:
         data, queries, model = static_scenario()
         costs = StreamCosts(data, queries, model)
         for pol in (ThresholdPolicy(1e-9), CumulativeThresholdPolicy(1e-9)):
-            s = run_policy(pol, data, queries, 1.0, model, costs=costs)
+            s = run_online(pol, data, queries, 1.0, model, costs=costs)
             assert s.n_retrains == 1
 
     def test_near_query_drift_triggers_retraining(self):
         data, queries, model = drift_scenario("near")
-        s = run_policy(ThresholdPolicy(0.5), data, queries, 1.0, model)
+        s = run_online(ThresholdPolicy(0.5), data, queries, 1.0, model)
         assert s.n_retrains > 1
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import query_staleness, rbf_similarity, relative_staleness, staleness_total, zero_one_loss
 from hypothesis import given, settings, strategies as st
 
 from retrainer import (
@@ -12,14 +13,9 @@ from retrainer import (
     QueryBatch,
     default_gamma,
     fit_model,
-    query_staleness,
-    rbf_similarity,
-    relative_staleness,
-    staleness_total,
-    zero_one_loss,
 )
+from retrainer.costmatrix import rbf_weights
 from retrainer.models import LogisticClassifier
-from retrainer.staleness import rbf_weights
 
 K1 = KernelConfig(1.0)
 
