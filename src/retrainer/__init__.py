@@ -28,6 +28,7 @@ from .errors import (
     UndefinedMetricError,
 )
 from .harness import (
+    CsvStream,
     PolicySpec,
     RunConfig,
     RunResult,
@@ -67,6 +68,7 @@ __all__ = [
     "AdwinPolicy",
     "ContractViolationError",
     "CostMatrix",
+    "CsvStream",
     "CumulativeThresholdPolicy",
     "DPTable",
     "DataBatch",

@@ -1,34 +1,32 @@
 """Command-line entry points.
 
 Subcommands: gen (write a synthetic stream), cost-matrix, oracle (optimal
-strategy for one kappa), run (single policy), sweep (full grid) and report
-(aggregate a results CSV). Everything beyond argument handling lives in the
-library modules.
+strategy for one kappa), run (the sweep's row for one policy, kappa and
+seed), sweep (full grid) and report (aggregate a results CSV). Everything
+beyond argument handling lives in the library modules.
 """
 
 from __future__ import annotations
 
-import csv
+from dataclasses import replace
 
 import click
 
-from .costmatrix import StreamCosts, cumulative_cost_trace, format_value, strategy_cost
+from .costmatrix import cumulative_cost_trace, format_value, write_csv
 from .datagen import StreamSpec, generate_stream
 from .harness import (
     PolicySpec,
     RunConfig,
-    evaluate_prequential,
     render_summary,
     report,
     results_from_csv,
     results_to_csv,
     run_sweep,
     save_stream_csv,
-    scpe,
     summary_to_csv,
 )
 from .oracle import memoize_dp, oracle_strategy
-from .policies import replay_policy
+from .policies import make_policy
 
 
 @click.group()
@@ -63,11 +61,13 @@ def gen(dataset, n_batches, batch_size, queries_per_batch, query_mode, seed, cov
     click.echo(f"wrote {spec.name}: {n_batches} batches x {batch_size} points to {out}")
 
 
-def _setup(cfg: RunConfig, seed, kappa):
-    seed = cfg.seeds[0] if seed is None else seed
-    kappa = cfg.kappas[0] if kappa is None else kappa
-    costs = StreamCosts(*cfg.stream_for_seed(seed), cfg.model_for_seed(seed), cfg.kernel)
-    return seed, kappa, costs
+def _narrow(cfg: RunConfig, seed, kappa) -> RunConfig:
+    """The config cut to one seed and one kappa, by default the first configured."""
+    return replace(
+        cfg,
+        seeds=[cfg.seeds[0] if seed is None else seed],
+        kappas=[cfg.kappas[0] if kappa is None else kappa],
+    )
 
 
 @main.command("cost-matrix")
@@ -78,13 +78,13 @@ def _setup(cfg: RunConfig, seed, kappa):
 @click.option("--out", type=click.Path(), required=True)
 def cost_matrix_cmd(config_path, phase, kappa, seed, out):
     """Build one phase's cost matrix and export it as CSV."""
-    cfg = RunConfig.load(config_path)
-    seed, kappa, costs = _setup(cfg, seed, kappa)
+    cfg = _narrow(RunConfig.load(config_path), seed, kappa)
+    kappa = cfg.kappas[0]
     if phase == "offline":
         start, end = 0, cfg.t_offline
     else:
         start, end = cfg.t_offline + 1, cfg.t_online
-    matrix = costs.cost_matrix(start, end, kappa)
+    matrix = cfg.costs_for_seed(cfg.seeds[0])[2].cost_matrix(start, end, kappa)
     matrix.to_csv(out)
     click.echo(f"wrote {phase} cost matrix [{start}, {end}] at kappa={kappa} to {out}")
 
@@ -97,25 +97,18 @@ def cost_matrix_cmd(config_path, phase, kappa, seed, out):
 @click.option("--table-out", type=click.Path(), default=None, help="export the DP table")
 def oracle_cmd(config_path, kappa, seed, out, table_out):
     """Optimal online strategy and its cost for one kappa."""
-    cfg = RunConfig.load(config_path)
-    seed, kappa, costs = _setup(cfg, seed, kappa)
-    matrix = costs.cost_matrix(cfg.t_offline + 1, cfg.t_online, kappa)
+    cfg = _narrow(RunConfig.load(config_path), seed, kappa)
+    costs = cfg.costs_for_seed(cfg.seeds[0])[2]
+    matrix = costs.cost_matrix(cfg.t_offline + 1, cfg.t_online, cfg.kappas[0])
     strategy, cost = oracle_strategy(matrix)
     click.echo(f"optimal cost: {format_value(cost)}")
     click.echo(f"retrains at: {','.join(str(b) for b in strategy.retrain_batches)}")
     click.echo(f"strategy: {strategy}")
     if out:
-        _write_strategy_csv(out, strategy)
+        served = ([t, strategy.serving(t)] for t in range(strategy.start, strategy.end + 1))
+        write_csv(out, ["t", "served_by"], served)
     if table_out:
         memoize_dp(matrix).to_csv(table_out)
-
-
-def _write_strategy_csv(path, strategy):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "served_by"])
-        for t in range(strategy.start, strategy.end + 1):
-            writer.writerow([t, strategy.serving(t)])
 
 
 @main.command("run")
@@ -125,37 +118,27 @@ def _write_strategy_csv(path, strategy):
 @click.option("--seed", type=int, default=None)
 @click.option("--trace-out", type=click.Path(), default=None, help="write the cumulative cost trace")
 def run_cmd(config_path, policy_name, kappa, seed, trace_out):
-    """Run one policy online and print its result row."""
+    """Run one policy online and print its row of the sweep."""
     cfg = RunConfig.load(config_path)
-    seed, kappa, costs = _setup(cfg, seed, kappa)
-    start, end = cfg.t_offline + 1, cfg.t_online
-    matrix = costs.cost_matrix(start, end, kappa)
-
-    spec = next((p for p in cfg.policies if p.name == policy_name), None)
-    if spec is None:
-        spec = PolicySpec(policy_name, {})
-    policy = spec.build(costs.cost_matrix(0, cfg.t_offline, kappa))
-    strategy = replay_policy(policy, matrix, costs.errors)
-    cost = strategy_cost(strategy, matrix)
-    _, opt_cost = oracle_strategy(matrix)
-    accuracy = evaluate_prequential(strategy, costs)
-    click.echo(f"policy: {policy!r}")
-    click.echo(f"strategy_cost: {format_value(cost)}")
-    click.echo(f"oracle_cost: {format_value(opt_cost)}")
-    if opt_cost != 0:
-        click.echo(f"scpe: {format_value(scpe(cost, opt_cost))}")
+    spec = next((p for p in cfg.policies if p.name == policy_name), PolicySpec(policy_name))
+    cfg = replace(_narrow(cfg, seed, kappa), policies=[spec])
+    cache: dict = {}
+    _, row = run_sweep(cfg, cache)
+    click.echo(f"policy: {make_policy(row.policy, **row.params)!r}")
+    click.echo(f"strategy_cost: {format_value(row.strategy_cost)}")
+    click.echo(f"oracle_cost: {format_value(row.oracle_cost)}")
+    if row.scpe is not None:
+        click.echo(f"scpe: {format_value(row.scpe)}")
     else:
         click.echo("scpe: undefined (zero oracle cost)")
-    click.echo(f"n_retrains: {strategy.n_retrains}")
-    click.echo(f"query_accuracy: {format_value(accuracy)}")
-    click.echo(f"strategy: {strategy}")
+    click.echo(f"n_retrains: {row.n_retrains}")
+    click.echo(f"query_accuracy: {format_value(row.query_accuracy)}")
+    click.echo(f"strategy: {row.strategy}")
     if trace_out:
-        trace = cumulative_cost_trace(strategy, matrix)
-        with open(trace_out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "cumulative_cost"])
-            for t, value in zip(range(start, end + 1), trace):
-                writer.writerow([t, format_value(value)])
+        matrix = cache[row.seed][2].cost_matrix(cfg.t_offline + 1, cfg.t_online, row.kappa)
+        trace = cumulative_cost_trace(row.strategy, matrix)
+        rows = ([matrix.start + i, format_value(v)] for i, v in enumerate(trace))
+        write_csv(trace_out, ["t", "cumulative_cost"], rows)
 
 
 @main.command("sweep")

@@ -170,12 +170,9 @@ class CostMatrix:
 
     def to_csv(self, path) -> None:
         """Write all cells as (t_prime, t, value) rows; inf as the literal 'inf'."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t_prime", "t", "value"])
-            for i in range(self.n):
-                for j in range(self.n):
-                    writer.writerow([self.start + i, self.start + j, format_value(self.entries[i, j])])
+        cells = ((i, j) for i in range(self.n) for j in range(self.n))
+        rows = ([self.start + i, self.start + j, format_value(self.entries[i, j])] for i, j in cells)
+        write_csv(path, ["t_prime", "t", "value"], rows)
 
     @classmethod
     def from_csv(cls, path) -> "CostMatrix":
@@ -215,6 +212,15 @@ def format_value(x: float) -> str:
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
     return repr(x)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header line and then the rows; every CSV the package writes
+    goes through here, except ``save_stream_csv``'s stream files."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 class StreamCosts:
@@ -331,8 +337,8 @@ class StreamCosts:
         return CostMatrix(start, self.staleness_matrix(start, end), 0.0).with_kappa(kappa)
 
 
-def strategy_cost(strategy: Strategy, c: CostMatrix) -> float:
-    """Sum of C[s_t, t] over the strategy's range."""
+def _served_terms(strategy: Strategy, c: CostMatrix) -> np.ndarray:
+    """C[s_t, t] for every batch t of a reachable strategy over the matrix's range."""
     if strategy.start != c.start or strategy.end != c.end:
         raise ContractViolationError(
             f"strategy range [{strategy.start}, {strategy.end}] does not match "
@@ -341,9 +347,12 @@ def strategy_cost(strategy: Strategy, c: CostMatrix) -> float:
     violation = validate_strategy(strategy)
     if violation is not None:
         raise ContractViolationError(violation)
-    rows = strategy.served_by - c.start
-    cols = np.arange(c.n)
-    return float(np.sum(c.entries[rows, cols]))
+    return c.entries[strategy.served_by - c.start, np.arange(c.n)]
+
+
+def strategy_cost(strategy: Strategy, c: CostMatrix) -> float:
+    """Sum of C[s_t, t] over the strategy's range."""
+    return float(np.sum(_served_terms(strategy, c)))
 
 
 def cumulative_cost_trace(strategy: Strategy, c: CostMatrix) -> np.ndarray:
@@ -353,11 +362,4 @@ def cumulative_cost_trace(strategy: Strategy, c: CostMatrix) -> np.ndarray:
     The last value equals the DP's sequential sum (the oracle cost, for the
     oracle strategy) exactly, but may differ from ``strategy_cost`` in the
     last bits, because ``np.sum`` adds pairwise."""
-    if strategy.start != c.start or strategy.end != c.end:
-        raise ContractViolationError("strategy and matrix ranges do not match")
-    violation = validate_strategy(strategy)
-    if violation is not None:
-        raise ContractViolationError(violation)
-    rows = strategy.served_by - c.start
-    cols = np.arange(c.n)
-    return np.cumsum(c.entries[rows, cols])
+    return np.cumsum(_served_terms(strategy, c))

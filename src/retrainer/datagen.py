@@ -123,31 +123,18 @@ def concept_label(spec: StreamSpec, X, t: int) -> np.ndarray:
     return labels.astype(np.int64)
 
 
-def gen_gauss(t: int, spec: StreamSpec) -> DataBatch:
-    rng = _rng(spec.seed, t, 0)
-    X = rng.normal(loc=gauss_center(t), scale=spec.gauss_sigma, size=(spec.batch_size, 2))
-    return DataBatch(t, X, concept_label(spec, X, t))
-
-
-def gen_circle(t: int, spec: StreamSpec) -> DataBatch:
-    rng = _rng(spec.seed, t, 0)
-    X = rng.uniform(0.0, 1.0, size=(spec.batch_size, 2))
-    return DataBatch(t, X, concept_label(spec, X, t))
-
-
-def gen_covcon(t: int, spec: StreamSpec) -> DataBatch:
-    rng = _rng(spec.seed, t, 0)
-    X = rng.normal(loc=covcon_mean(t), scale=0.1, size=(spec.batch_size, 2))
-    return DataBatch(t, X, concept_label(spec, X, t))
-
-
-_GENERATORS = {"gauss": gen_gauss, "circle": gen_circle, "covcon": gen_covcon}
-
-
 def gen_batch(spec: StreamSpec, t: int) -> DataBatch:
     if not 0 <= t < spec.n_batches:
         raise InvalidInputError(f"batch index {t} outside [0, {spec.n_batches})")
-    return _GENERATORS[spec.dataset](t, spec)
+    rng = _rng(spec.seed, t, 0)
+    size = (spec.batch_size, 2)
+    if spec.dataset == "gauss":
+        X = rng.normal(loc=gauss_center(t), scale=spec.gauss_sigma, size=size)
+    elif spec.dataset == "circle":
+        X = rng.uniform(0.0, 1.0, size=size)
+    else:
+        X = rng.normal(loc=covcon_mean(t), scale=0.1, size=size)
+    return DataBatch(t, X, concept_label(spec, X, t))
 
 
 def make_queries(spec: StreamSpec, t: int, data_batch: DataBatch) -> QueryBatch:

@@ -1,16 +1,21 @@
 """Stream ingestion, sweep orchestration, evaluation metrics and reporting.
 
-A run is driven by a ``RunConfig``: stream source (generator spec or CSV),
-offline/online split, retraining costs to sweep, the policies to evaluate,
-the model and kernel, and the seeds. Per (seed, kappa) the sweep
+A run is driven by a ``RunConfig``: the stream (a ``StreamSpec`` or a
+``CsvStream``), offline/online split, retraining costs to sweep, the
+policies to evaluate, the model and kernel, and the seeds. Per (seed, kappa)
+the sweep
 
 1. builds the offline cost matrix over [0, t_offline] and calibrates every
-   policy marked "optimize" on it,
+   policy marked "optimize" on it (only when some policy is),
 2. builds the online matrix over (t_offline, t_online], computes the optimal
    strategy on it, and
 3. replays each policy on the online matrix (``replay_policy``, with the
    cached error vectors for the drift detectors), pricing its strategy on
    that matrix and scoring prequential query accuracy from the same cache.
+
+``run_sweep`` is the only code that turns a policy into a result row; the
+CLI ``run`` command prints the row of a sweep narrowed to one (policy,
+kappa, seed).
 
 Staleness entries do not depend on kappa, so each seed computes them once;
 the kappa sweep only rewrites matrix diagonals. All outputs are plain CSV
@@ -27,10 +32,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .costmatrix import CostMatrix, KernelConfig, Strategy, StreamCosts, strategy_cost, format_value
+from .costmatrix import CostMatrix, KernelConfig, Strategy, StreamCosts, format_value, strategy_cost, write_csv
 from .datagen import StreamSpec, generate_stream
 from .errors import InvalidInputError, StreamParseError, UndefinedMetricError
-from .models import BaseClassifier, MODEL_KINDS, make_model
+from .models import MODEL_KINDS, make_model
 from .oracle import oracle_strategy
 from .policies import RetrainPolicy, make_policy, optimize_offline, replay_policy
 from .streams import DataBatch, QueryBatch
@@ -103,11 +108,35 @@ class PolicySpec:
         return make_policy(self.name, **self.params)
 
 
+@dataclass(frozen=True)
+class CsvStream:
+    """A stream read from a CSV file by ``load_csv_stream``; named after the file."""
+
+    path: str
+    n_batches: int
+    queries_per_batch: int | None = None
+
+    def __post_init__(self):
+        if self.n_batches is None or self.n_batches < 1:
+            raise InvalidInputError(f"csv stream {self.path!r} needs n_batches >= 1, got {self.n_batches!r}")
+
+    @property
+    def name(self) -> str:
+        return Path(self.path).stem
+
+
+def _required(raw: dict, key: str):
+    try:
+        return raw.pop(key)
+    except KeyError:
+        raise InvalidInputError(f"run config is missing {key!r}") from None
+
+
 @dataclass
 class RunConfig:
     """Declarative description of a sweep."""
 
-    stream: StreamSpec | None
+    stream: StreamSpec | CsvStream
     t_offline: int
     t_online: int
     kappas: list
@@ -116,21 +145,17 @@ class RunConfig:
     model_params: dict = field(default_factory=dict)
     gamma: float | None = None
     seeds: list = field(default_factory=lambda: [0])
-    csv_path: str | None = None
-    n_batches: int | None = None
-    queries_per_batch: int | None = None
     output: str | None = None
 
     def __post_init__(self):
-        if (self.stream is None) == (self.csv_path is None):
-            raise InvalidInputError("exactly one of stream spec and csv_path must be set")
         if not 0 <= self.t_offline < self.t_online:
             raise InvalidInputError(
                 f"need 0 <= t_offline < t_online, got {self.t_offline}, {self.t_online}"
             )
-        total = self.stream.n_batches if self.stream is not None else self.n_batches
-        if total is not None and self.t_online >= total:
-            raise InvalidInputError(f"t_online {self.t_online} needs {self.t_online + 1} batches, stream has {total}")
+        if self.t_online >= self.stream.n_batches:
+            raise InvalidInputError(
+                f"t_online {self.t_online} needs {self.t_online + 1} batches, stream has {self.stream.n_batches}"
+            )
         self.kappas = [float(k) for k in self.kappas]
         if not self.kappas or any(k < 0 for k in self.kappas):
             raise InvalidInputError("kappas must be a non-empty list of values >= 0")
@@ -146,64 +171,40 @@ class RunConfig:
             for p in self.policies
         ]
 
-    @property
-    def dataset_name(self) -> str:
-        if self.stream is not None:
-            return self.stream.name
-        return Path(self.csv_path).stem
-
-    @property
-    def kernel(self) -> KernelConfig | None:
-        return KernelConfig(self.gamma) if self.gamma is not None else None
-
-    def model_for_seed(self, seed: int) -> BaseClassifier:
+    def costs_for_seed(self, seed: int) -> tuple[list[DataBatch], list[QueryBatch], StreamCosts]:
+        """The seed's stream and the cost cache over it, with the model seed offset by ``seed``."""
+        if isinstance(self.stream, CsvStream):
+            data, queries = load_csv_stream(
+                self.stream.path, self.stream.n_batches, seed=seed, queries_per_batch=self.stream.queries_per_batch
+            )
+        else:
+            data, queries = generate_stream(self.stream.with_seed(seed))
         params = dict(self.model_params)
         params["seed"] = int(params.get("seed", 0)) + seed
-        return make_model(self.model_kind, **params)
-
-    def stream_for_seed(self, seed: int) -> tuple[list[DataBatch], list[QueryBatch]]:
-        if self.stream is not None:
-            return generate_stream(self.stream.with_seed(seed))
-        if self.n_batches is None:
-            raise InvalidInputError("csv streams need n_batches in the config")
-        return load_csv_stream(
-            self.csv_path,
-            self.n_batches,
-            seed=seed,
-            queries_per_batch=self.queries_per_batch,
-        )
+        kernel = KernelConfig(self.gamma) if self.gamma is not None else None
+        return data, queries, StreamCosts(data, queries, make_model(self.model_kind, **params), kernel)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         raw = dict(raw)
-        stream_raw = raw.pop("stream", None)
-        stream = None
-        csv_path = raw.pop("csv_path", None)
-        n_batches = raw.pop("n_batches", None)
-        queries_per_batch = raw.pop("queries_per_batch", None)
-        if stream_raw is not None:
-            stream_raw = dict(stream_raw)
-            if stream_raw.get("dataset") == "csv":
-                csv_path = stream_raw.get("path")
-                n_batches = stream_raw.get("n_batches", n_batches)
-                queries_per_batch = stream_raw.get("queries_per_batch", queries_per_batch)
-                stream = None
-            else:
-                stream_raw.pop("path", None)
-                if "circle_schedule" in stream_raw and stream_raw["circle_schedule"] is None:
-                    stream_raw.pop("circle_schedule")
-                stream = StreamSpec(**stream_raw)
+        stream_raw = dict(_required(raw, "stream"))
+        if stream_raw.get("dataset") == "csv":
+            stream = CsvStream(
+                _required(stream_raw, "path"), stream_raw.get("n_batches"), stream_raw.get("queries_per_batch")
+            )
+        else:
+            stream_raw.pop("path", None)
+            if "circle_schedule" in stream_raw and stream_raw["circle_schedule"] is None:
+                stream_raw.pop("circle_schedule")
+            stream = StreamSpec(**stream_raw)
         model_raw = dict(raw.pop("model", {"kind": "forest"}))
         model_kind = model_raw.pop("kind", "forest")
         return cls(
             stream=stream,
-            csv_path=csv_path,
-            n_batches=n_batches,
-            queries_per_batch=queries_per_batch,
-            t_offline=raw.pop("t_offline"),
-            t_online=raw.pop("t_online"),
-            kappas=raw.pop("kappas"),
-            policies=raw.pop("policies"),
+            t_offline=_required(raw, "t_offline"),
+            t_online=_required(raw, "t_online"),
+            kappas=_required(raw, "kappas"),
+            policies=_required(raw, "policies"),
             model_kind=model_kind,
             model_params=model_raw,
             gamma=raw.pop("gamma", None),
@@ -219,7 +220,8 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class RunResult:
-    """One (policy, kappa, seed) outcome."""
+    """One (policy, kappa, seed) outcome; ``params`` are the policy's
+    parameters as run (empty for the oracle) and are not written to CSV."""
 
     dataset: str
     policy: str
@@ -231,6 +233,7 @@ class RunResult:
     n_retrains: int
     query_accuracy: float
     strategy: Strategy
+    params: dict
 
 
 def load_csv_stream(
@@ -371,80 +374,59 @@ def run_sweep(cfg: RunConfig, cost_cache: dict | None = None) -> list[RunResult]
     """
     results: list[RunResult] = []
     on_start, on_end = cfg.t_offline + 1, cfg.t_online
+    calibrates = any(spec.optimize for spec in cfg.policies)
     for seed in cfg.seeds:
         if cost_cache is not None and seed in cost_cache:
             costs = cost_cache[seed][2]
         else:
-            data, queries = cfg.stream_for_seed(seed)
-            costs = StreamCosts(data, queries, cfg.model_for_seed(seed), cfg.kernel)
+            entry = cfg.costs_for_seed(seed)
+            costs = entry[2]
             if cost_cache is not None:
-                cost_cache[seed] = (data, queries, costs)
+                cost_cache[seed] = entry
         for kappa in cfg.kappas:
-            offline_c = costs.cost_matrix(0, cfg.t_offline, kappa)
+            offline_c = costs.cost_matrix(0, cfg.t_offline, kappa) if calibrates else None
             online_c = costs.cost_matrix(on_start, on_end, kappa)
             opt_strategy, opt_cost = oracle_strategy(online_c)
-            results.append(
-                RunResult(
-                    dataset=cfg.dataset_name,
-                    policy="oracle",
+
+            def row(policy: str, strategy: Strategy, cost: float, params: dict) -> RunResult:
+                return RunResult(
+                    dataset=cfg.stream.name,
+                    policy=policy,
                     kappa=kappa,
                     seed=seed,
-                    strategy_cost=opt_cost,
+                    strategy_cost=cost,
                     oracle_cost=opt_cost,
-                    scpe=0.0 if opt_cost != 0 else None,
-                    n_retrains=opt_strategy.n_retrains,
-                    query_accuracy=evaluate_prequential(opt_strategy, costs),
-                    strategy=opt_strategy,
+                    scpe=scpe(cost, opt_cost) if opt_cost != 0 else None,
+                    n_retrains=strategy.n_retrains,
+                    query_accuracy=evaluate_prequential(strategy, costs),
+                    strategy=strategy,
+                    params=params,
                 )
-            )
+
+            results.append(row("oracle", opt_strategy, opt_cost, {}))
             for spec in cfg.policies:
                 try:
                     policy = spec.build(offline_c)
                     strat = replay_policy(policy, online_c, costs.errors)
-                    cost = strategy_cost(strat, online_c)
-                    acc = evaluate_prequential(strat, costs)
+                    results.append(row(spec.name, strat, strategy_cost(strat, online_c), policy.get_params()))
                 except UndefinedMetricError:
                     raise
                 except Exception as exc:
                     raise RuntimeError(
                         f"policy={spec.name} kappa={kappa} seed={seed}: {exc}"
                     ) from exc
-                results.append(
-                    RunResult(
-                        dataset=cfg.dataset_name,
-                        policy=spec.name,
-                        kappa=kappa,
-                        seed=seed,
-                        strategy_cost=cost,
-                        oracle_cost=opt_cost,
-                        scpe=scpe(cost, opt_cost) if opt_cost != 0 else None,
-                        n_retrains=strat.n_retrains,
-                        query_accuracy=acc,
-                        strategy=strat,
-                    )
-                )
     return results
 
 
+def _cell(value) -> str:
+    """CSV text of a result or summary value: floats at full precision, None blank."""
+    if value is None:
+        return ""
+    return format_value(value) if isinstance(value, float) else str(value)
+
+
 def results_to_csv(results, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULT_COLUMNS)
-        for r in results:
-            writer.writerow(
-                [
-                    r.dataset,
-                    r.policy,
-                    format_value(r.kappa),
-                    r.seed,
-                    format_value(r.strategy_cost),
-                    format_value(r.oracle_cost),
-                    "" if r.scpe is None else format_value(r.scpe),
-                    r.n_retrains,
-                    format_value(r.query_accuracy),
-                    str(r.strategy),
-                ]
-            )
+    write_csv(path, RESULT_COLUMNS, ([_cell(getattr(r, c)) for c in RESULT_COLUMNS] for r in results))
 
 
 def results_from_csv(path) -> list[dict]:
@@ -525,21 +507,7 @@ SUMMARY_COLUMNS = (
 
 
 def summary_to_csv(summary, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in summary:
-            writer.writerow(
-                [
-                    row["dataset"],
-                    row["policy"],
-                    row["runs"],
-                    "" if row["mean_scpe"] is None else format_value(row["mean_scpe"]),
-                    format_value(row["mean_query_accuracy"]),
-                    format_value(row["mean_n_retrains"]),
-                    format_value(row["mean_extra_retrains"]),
-                ]
-            )
+    write_csv(path, SUMMARY_COLUMNS, ([_cell(row[c]) for c in SUMMARY_COLUMNS] for row in summary))
 
 
 def render_summary(summary) -> str:

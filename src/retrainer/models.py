@@ -43,11 +43,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 class BaseClassifier:
-    """Shared estimator plumbing: parameter introspection and prediction glue.
+    """Shared estimator plumbing: parameter introspection, fit and predict glue.
 
     Subclasses store constructor arguments verbatim under the same attribute
-    names, which is what makes ``get_params`` / ``set_params`` (and therefore
-    sklearn-style cloning) work.
+    names, which is what makes ``get_params`` (and therefore sklearn-style
+    cloning) work, and implement ``_validate_params``, ``_fit_impl`` and
+    ``_predict_impl``.
     """
 
     @classmethod
@@ -58,14 +59,6 @@ class BaseClassifier:
     def get_params(self, deep: bool = True) -> dict:
         return {name: getattr(self, name) for name in self._param_names()}
 
-    def set_params(self, **params):
-        valid = set(self._param_names())
-        for key, value in params.items():
-            if key not in valid:
-                raise ValueError(f"invalid parameter {key!r} for {type(self).__name__}")
-            setattr(self, key, value)
-        return self
-
     def clone(self):
         """Unfitted copy with identical hyperparameters."""
         return type(self)(**self.get_params())
@@ -73,6 +66,20 @@ class BaseClassifier:
     def __repr__(self):
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
         return f"{type(self).__name__}({args})"
+
+    def fit(self, X, y):
+        """Train on (X, y); a single-class batch gives a constant classifier."""
+        self._validate_params()
+        X = as_point_matrix(X, name="X")
+        y = as_binary_labels(y, n=X.shape[0], name="y")
+        self.n_features_in_ = X.shape[1]
+        self.constant_ = int(y[0]) if y.min() == y.max() else None
+        self._fit_impl(X, y)
+        return self
+
+    def _fit_impl(self, X: np.ndarray, y: np.ndarray) -> None:
+        """Set the fitted attributes; ``constant_`` is already set."""
+        raise NotImplementedError
 
     def _check_X(self, X) -> np.ndarray:
         check_fitted(self)
@@ -129,28 +136,18 @@ class LogisticClassifier(BaseClassifier):
         if self.l2 < 0:
             raise InvalidInputError("l2 must be >= 0")
 
-    def fit(self, X, y):
-        self._validate_params()
-        X = as_point_matrix(X, name="X")
-        y = as_binary_labels(y, n=X.shape[0], name="y")
+    def _fit_impl(self, X, y):
         n, d = X.shape
-        self.n_features_in_ = d
-        if y.min() == y.max():
-            self.constant_ = int(y[0])
-            self.coef_ = np.zeros(d)
-            self.intercept_ = 0.0
-            return self
-        self.constant_ = None
         w = np.zeros(d)
         b = 0.0
-        yf = y.astype(np.float64)
-        for _ in range(self.epochs):
-            residual = _sigmoid(X @ w + b) - yf
-            w -= self.learning_rate * (X.T @ residual / n + self.l2 * w)
-            b -= self.learning_rate * float(residual.mean())
+        if self.constant_ is None:
+            yf = y.astype(np.float64)
+            for _ in range(self.epochs):
+                residual = _sigmoid(X @ w + b) - yf
+                w -= self.learning_rate * (X.T @ residual / n + self.l2 * w)
+                b -= self.learning_rate * float(residual.mean())
         self.coef_ = w
         self.intercept_ = b
-        return self
 
     def _predict_impl(self, X: np.ndarray) -> np.ndarray:
         # probability 0.5 (margin exactly 0) resolves to class 0
@@ -305,20 +302,13 @@ class ForestClassifier(BaseClassifier):
         if not 0.0 < self.feature_fraction <= 1.0:
             raise InvalidInputError("feature_fraction must be in (0, 1]")
 
-    def fit(self, X, y):
-        self._validate_params()
-        X = as_point_matrix(X, name="X")
-        y = as_binary_labels(y, n=X.shape[0], name="y")
-        n, d = X.shape
-        self.n_features_in_ = d
-        if y.min() == y.max():
-            self.constant_ = int(y[0])
-            self.trees_ = []
-            return self
-        self.constant_ = None
+    def _fit_impl(self, X, y):
+        self.trees_ = []
+        if self.constant_ is not None:
+            return
+        n = X.shape[0]
         needs_rng = self.bootstrap or self.feature_fraction < 1.0
         rng = np.random.default_rng(self.seed) if needs_rng else None
-        self.trees_ = []
         for _ in range(self.n_trees):
             if self.bootstrap:
                 idx = rng.integers(0, n, size=n)
@@ -327,7 +317,6 @@ class ForestClassifier(BaseClassifier):
                 Xb, yb = X, y
             tree = _CartTree(self.max_depth).fit(Xb, yb, self.feature_fraction, rng)
             self.trees_.append(tree)
-        return self
 
     def _predict_impl(self, X: np.ndarray) -> np.ndarray:
         votes = np.zeros(X.shape[0], dtype=np.int64)

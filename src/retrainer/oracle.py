@@ -14,13 +14,12 @@ negative staleness entries are handled like any other value.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .costmatrix import CostMatrix, Strategy, format_value
+from .costmatrix import CostMatrix, Strategy, format_value, write_csv
 
 
 @dataclass(frozen=True)
@@ -39,12 +38,9 @@ class DPTable:
         return float(self.values[-1].min())
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "p", "value"])
-            for t in range(self.n):
-                for p in range(self.n):
-                    writer.writerow([self.start + t, self.start + p, format_value(self.values[t, p])])
+        cells = ((t, p) for t in range(self.n) for p in range(self.n))
+        rows = ([self.start + t, self.start + p, format_value(self.values[t, p])] for t, p in cells)
+        write_csv(path, ["t", "p", "value"], rows)
 
 
 def memoize_dp(c: CostMatrix) -> DPTable:

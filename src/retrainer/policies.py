@@ -158,19 +158,14 @@ class DriftDetectorPolicy(RetrainPolicy):
 
     Error bits are fed in stream order; any detection inside the batch means
     Retrain, and the detector restarts from scratch after a retrain. Neither
-    the queries nor the retraining cost influence the decision.
+    the queries nor the retraining cost influence the decision. Subclasses
+    build ``detector_`` in ``__init__``; a reset detector equals a fresh one.
     """
 
     requires_errors = True
 
-    def __init__(self):
-        self.detector_ = self._make_detector()
-
-    def _make_detector(self):
-        raise NotImplementedError
-
     def reset(self):
-        self.detector_ = self._make_detector()
+        self.detector_.reset()
 
     def decide(self, t, t_prime, *, staleness=None, errors=None, kappa=None) -> Decision:
         drifted = False
@@ -190,10 +185,7 @@ class DdmPolicy(DriftDetectorPolicy):
     def __init__(self, min_samples: int = 30, drift_sigma: float = 3.0):
         self.min_samples = int(min_samples)
         self.drift_sigma = float(drift_sigma)
-        super().__init__()
-
-    def _make_detector(self):
-        return DdmDetector(self.min_samples, self.drift_sigma)
+        self.detector_ = DdmDetector(self.min_samples, self.drift_sigma)
 
     def get_params(self):
         return {"min_samples": self.min_samples, "drift_sigma": self.drift_sigma}
@@ -205,10 +197,7 @@ class AdwinPolicy(DriftDetectorPolicy):
     def __init__(self, delta: float = 0.002, max_buckets: int = 5):
         self.delta = float(delta)
         self.max_buckets = int(max_buckets)
-        super().__init__()
-
-    def _make_detector(self):
-        return AdwinDetector(self.delta, self.max_buckets)
+        self.detector_ = AdwinDetector(self.delta, self.max_buckets)
 
     def get_params(self):
         return {"delta": self.delta, "max_buckets": self.max_buckets}

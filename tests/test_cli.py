@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -109,9 +110,30 @@ def test_run_subcommand_policy_resolution(runner, config_path):
     # a valid policy missing from the config runs with its defaults
     result = runner.invoke(main, ["run", "--config", str(config_path), "--policy", "markov"])
     assert result.exit_code == 0, result.output
-    # an unknown name surfaces as an error
+    # an unknown name fails the way the sweep reports a failing policy
     result = runner.invoke(main, ["run", "--config", str(config_path), "--policy", "bogus"])
     assert result.exit_code != 0
+    assert isinstance(result.exception, RuntimeError)
+    assert str(result.exception).startswith("policy=bogus kappa=1.0 seed=0: unknown policy 'bogus'")
+
+
+RUN_FIELDS = ("strategy_cost", "oracle_cost", "scpe", "n_retrains", "query_accuracy", "strategy")
+
+
+@pytest.mark.parametrize("policy", ["threshold", "never", "adwin"])
+def test_run_prints_the_sweep_row(runner, config_path, tmp_path, policy):
+    result = runner.invoke(main, ["sweep", "--config", str(config_path)])
+    assert result.exit_code == 0, result.output
+    with open(tmp_path / "results.csv", newline="") as fh:
+        rows = {(r["policy"], r["kappa"], r["seed"]): r for r in csv.DictReader(fh)}
+    for kappa, seed in (("3.0", "1"), ("1.0", "0")):
+        result = runner.invoke(
+            main, ["run", "--config", str(config_path), "--policy", policy, "--kappa", kappa, "--seed", seed]
+        )
+        assert result.exit_code == 0, result.output
+        printed = dict(line.split(": ", 1) for line in result.output.splitlines())
+        row = rows[(policy, kappa, seed)]
+        assert {f: printed[f] for f in RUN_FIELDS} == {f: row[f] for f in RUN_FIELDS}
 
 
 def test_sweep_and_report_subcommands(runner, config_path, tmp_path):

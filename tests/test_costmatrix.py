@@ -9,19 +9,25 @@ from helpers import (
     reachable_strategies,
     relative_staleness,
 )
+from hypothesis import given, settings, strategies as st
 
 from retrainer import (
     ContractViolationError,
     CostMatrix,
+    CumulativeThresholdPolicy,
     DataBatch,
     InvalidInputError,
+    MarkovPolicy,
+    PeriodicPolicy,
     QueryBatch,
     Strategy,
     StreamSpec,
+    ThresholdPolicy,
     cumulative_cost_trace,
     fit_model,
     generate_stream,
     oracle_strategy,
+    replay_policy,
     strategy_cost,
     validate_strategy,
 )
@@ -245,14 +251,29 @@ class TestTrace:
         assert trace.shape == (6,)
         assert np.all(np.diff(trace) >= 0)  # nonnegative entries -> monotone
 
-    def test_last_point_is_the_sequential_sum(self):
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**20),
+        n=st.integers(1, 200),
+        start=st.integers(0, 30),
+        kappa=st.floats(0.0, 2.0),
+        tau=st.floats(-1.0, 1.0),
+        period=st.integers(1, 12),
+    )
+    def test_last_point_is_the_sequential_sum(self, seed, n, start, kappa, tau, period):
         # the DP adds the oracle's terms in batch order, as the trace does;
         # strategy_cost adds them pairwise, so only closeness holds there
-        c = random_cost_matrix(np.random.default_rng(9), 200, kappa=0.05)
+        c = random_cost_matrix(np.random.default_rng(seed), n, kappa=kappa, start=start)
         s, oracle_cost = oracle_strategy(c)
-        trace = cumulative_cost_trace(s, c)
-        assert trace[-1] == oracle_cost
-        assert math.isclose(trace[-1], strategy_cost(s, c), rel_tol=1e-12)
+        assert cumulative_cost_trace(s, c)[-1] == oracle_cost
+        replayed = [
+            replay_policy(policy, c)
+            for policy in (ThresholdPolicy(tau), CumulativeThresholdPolicy(tau), PeriodicPolicy(period), MarkovPolicy())
+        ]
+        for s in [s, *replayed]:
+            trace = cumulative_cost_trace(s, c)
+            assert trace[-1] == naive_strategy_cost(s, c)
+            assert math.isclose(trace[-1], strategy_cost(s, c), rel_tol=1e-12, abs_tol=1e-9)
 
     def test_trace_is_cumsum_of_terms(self):
         c = random_cost_matrix(np.random.default_rng(8), 5, kappa=0.5)

@@ -6,6 +6,7 @@ import pytest
 from helpers import brute_force_optimum
 
 from retrainer import (
+    CsvStream,
     DataBatch,
     InvalidInputError,
     QueryBatch,
@@ -240,9 +241,7 @@ class TestRunSweep:
         path = tmp_path / "stream.csv"
         save_stream_csv(path, data, queries)
         cfg = RunConfig(
-            stream=None,
-            csv_path=str(path),
-            n_batches=8,
+            stream=CsvStream(str(path), 8),
             t_offline=2,
             t_online=7,
             kappas=[1.0],
@@ -343,3 +342,39 @@ class TestRunConfig:
         path.write_text(json.dumps(raw))
         cfg2 = RunConfig.load(path)
         assert cfg2.kappas == cfg.kappas
+
+    def csv_raw(self, **stream):
+        return {
+            "stream": {"dataset": "csv", "path": "data/stream.csv", **stream},
+            "t_offline": 3,
+            "t_online": 9,
+            "kappas": [1],
+            "policies": [{"name": "never"}],
+        }
+
+    def test_from_dict_csv_stream(self):
+        cfg = RunConfig.from_dict(self.csv_raw(n_batches=10, queries_per_batch=4))
+        assert cfg.stream == CsvStream("data/stream.csv", 10, 4)
+        assert cfg.stream.name == "stream"
+
+    def test_csv_stream_needs_n_batches(self):
+        with pytest.raises(InvalidInputError, match="n_batches"):
+            RunConfig.from_dict(self.csv_raw())
+        with pytest.raises(InvalidInputError, match="n_batches"):
+            CsvStream("stream.csv", 0)
+        with pytest.raises(InvalidInputError, match="t_online"):
+            RunConfig.from_dict(self.csv_raw(n_batches=9))
+
+    @pytest.mark.parametrize("key", ["stream", "t_offline", "t_online", "kappas", "policies"])
+    def test_from_dict_missing_key_is_named(self, key):
+        raw = self.csv_raw(n_batches=10)
+        del raw[key]
+        with pytest.raises(InvalidInputError, match=repr(key)):
+            RunConfig.from_dict(raw)
+
+    def test_top_level_csv_keys_are_not_read(self):
+        raw = self.csv_raw(n_batches=10)
+        del raw["stream"]
+        raw.update(csv_path="data/stream.csv", n_batches=10)
+        with pytest.raises(InvalidInputError, match="'stream'"):
+            RunConfig.from_dict(raw)

@@ -152,7 +152,3 @@ def test_get_params_roundtrip_clone():
     clone = proto.clone()
     assert clone.get_params() == proto.get_params()
     assert clone is not proto
-    proto.set_params(n_trees=3)
-    assert proto.n_trees == 3
-    with pytest.raises(ValueError):
-        proto.set_params(nope=1)

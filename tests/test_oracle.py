@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -7,8 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from retrainer import (
     CostMatrix,
+    CumulativeThresholdPolicy,
+    MarkovPolicy,
+    NeverRetrainPolicy,
+    PeriodicPolicy,
+    ThresholdPolicy,
     memoize_dp,
+    optimize_offline,
     oracle_strategy,
+    replay_policy,
     strategy_cost,
 )
 
@@ -116,28 +124,31 @@ def test_oracle_is_lower_bound_for_reachable_strategies(seed, n, kappa):
         assert cost <= strategy_cost(s, c) + 1e-9
 
 
-def test_oracle_lower_bound_against_random_strategies_and_policies():
-    from retrainer import (
-        CumulativeThresholdPolicy,
-        MarkovPolicy,
-        NeverRetrainPolicy,
-        PeriodicPolicy,
-        ThresholdPolicy,
-        replay_policy,
-    )
-
-    rng = np.random.default_rng(11)
-    c = random_cost_matrix(rng, 10, kappa=0.4)
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**20),
+    n=st.integers(2, 9),
+    start=st.integers(1, 40),
+    kappa=st.sampled_from([0.0, 0.4, 2.0]),
+    tau=st.floats(-1.0, 1.0) | st.sampled_from([-math.inf, math.inf]),
+    tau_cum=st.floats(-2.0, 2.0),
+    period=st.integers(1, 10),
+    offset=st.integers(0, 9),
+)
+def test_oracle_lower_bound_against_random_strategies_and_policies(
+    seed, n, start, kappa, tau, tau_cum, period, offset
+):
+    c = random_cost_matrix(np.random.default_rng(seed), n, kappa=kappa, start=start)
     _, opt = oracle_strategy(c)
-    strategies = [s for _, s in zip(range(100), reachable_strategies(0, 9))]
     policies = [
-        ThresholdPolicy(0.2),
-        ThresholdPolicy(math.inf),
-        CumulativeThresholdPolicy(0.5),
-        PeriodicPolicy(3),
+        ThresholdPolicy(tau),
+        CumulativeThresholdPolicy(tau_cum),
+        PeriodicPolicy(period, offset),
         NeverRetrainPolicy(),
         MarkovPolicy(),
     ]
+    policies += [optimize_offline(family, c) for family in ("threshold", "cumulative", "periodic")]
+    strategies = list(islice(reachable_strategies(c.start, c.end), 100))
     strategies += [replay_policy(p, c) for p in policies]
     for s in strategies:
         assert opt <= strategy_cost(s, c) + 1e-9
