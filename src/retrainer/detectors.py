@@ -117,12 +117,6 @@ class AdwinDetector:
             self.rows_[level + 1].append(merged)
             level += 1
 
-    def _buckets_oldest_first(self):
-        for level in range(len(self.rows_) - 1, -1, -1):
-            size = float(1 << level)
-            for s in self.rows_[level]:
-                yield size, s
-
     def _drop_oldest(self) -> None:
         level = len(self.rows_) - 1
         while not self.rows_[level]:
@@ -142,22 +136,27 @@ class AdwinDetector:
         return shrunk
 
     def _cut_once(self) -> bool:
+        # Scans buckets oldest first: the highest level, each level oldest bucket first.
         width = self.width_
+        total = self.total_
+        rows = self.rows_
         delta_prime = self.delta / width
         log_term = math.log(4.0 / delta_prime)
         n0 = 0.0
         sum0 = 0.0
-        for size, s in self._buckets_oldest_first():
-            n0 += size
-            sum0 += s
-            n1 = width - n0
-            if n1 <= 0:
-                break
-            mu0 = sum0 / n0
-            mu1 = (self.total_ - sum0) / n1
-            m = 1.0 / (1.0 / n0 + 1.0 / n1)
-            eps_cut = math.sqrt(log_term / (2.0 * m))
-            if abs(mu0 - mu1) >= eps_cut:
-                self._drop_oldest()
-                return True
+        for level in range(len(rows) - 1, -1, -1):
+            size = float(1 << level)
+            for s in rows[level]:
+                n0 += size
+                sum0 += s
+                n1 = width - n0
+                if n1 <= 0:
+                    return False
+                mu0 = sum0 / n0
+                mu1 = (total - sum0) / n1
+                m = 1.0 / (1.0 / n0 + 1.0 / n1)
+                eps_cut = math.sqrt(log_term / (2.0 * m))
+                if abs(mu0 - mu1) >= eps_cut:
+                    self._drop_oldest()
+                    return True
         return False

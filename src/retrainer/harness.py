@@ -12,6 +12,11 @@ the sweep
 3. replays each policy on the online matrix (``replay_policy``, with the
    cached error vectors for the drift detectors), pricing its strategy on
    that matrix and scoring prequential query accuracy from the same cache.
+   A policy that does not read kappa (``requires_kappa`` unset: all but
+   markov) gives the same strategy under every kappa, so it is replayed and
+   scored once per seed and set of parameters, then re-priced on each
+   kappa's matrix; calibrated policies whose parameters come out equal
+   under two kappas share that replay too.
 
 ``run_sweep`` is the only code that turns a policy into a result row; the
 CLI ``run`` command prints the row of a sweep narrowed to one (policy,
@@ -26,8 +31,9 @@ files.
 from __future__ import annotations
 
 import csv
+import inspect
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +131,18 @@ class CsvStream:
         return Path(self.path).stem
 
 
+CONFIG_KEYS = ("stream", "t_offline", "t_online", "kappas", "policies", "model", "gamma", "seeds", "output")
+CSV_STREAM_KEYS = ("dataset", "path", "n_batches", "queries_per_batch")
+POLICY_KEYS = ("name", "params")
+
+
+def _check_keys(raw: dict, known, level: str) -> None:
+    """Reject a key that this level of a run config does not read, naming the key and the level."""
+    for key in raw:
+        if key not in known:
+            raise InvalidInputError(f"unknown {level} key {key!r}; expected one of {sorted(known)}")
+
+
 def _required(raw: dict, key: str):
     try:
         return raw.pop(key)
@@ -164,12 +182,17 @@ class RunConfig:
         self.seeds = [int(s) for s in self.seeds]
         if self.model_kind not in MODEL_KINDS:
             raise InvalidInputError(f"unknown model kind {self.model_kind!r}")
+        model_keys = inspect.signature(MODEL_KINDS[self.model_kind]).parameters
+        _check_keys(self.model_params, model_keys, f"{self.model_kind} model")
         if self.gamma is not None and not self.gamma > 0:
             raise InvalidInputError("gamma must be > 0 when given")
-        self.policies = [
-            p if isinstance(p, PolicySpec) else PolicySpec(p["name"], p.get("params", {}))
-            for p in self.policies
-        ]
+        specs = []
+        for p in self.policies:
+            if not isinstance(p, PolicySpec):
+                _check_keys(p, POLICY_KEYS, "policy entry")
+                p = PolicySpec(p["name"], p.get("params", {}))
+            specs.append(p)
+        self.policies = specs
 
     def costs_for_seed(self, seed: int) -> tuple[list[DataBatch], list[QueryBatch], StreamCosts]:
         """The seed's stream and the cost cache over it, with the model seed offset by ``seed``."""
@@ -186,14 +209,16 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
+        _check_keys(raw, CONFIG_KEYS, "run config")
         raw = dict(raw)
         stream_raw = dict(_required(raw, "stream"))
         if stream_raw.get("dataset") == "csv":
+            _check_keys(stream_raw, CSV_STREAM_KEYS, "csv stream")
             stream = CsvStream(
                 _required(stream_raw, "path"), stream_raw.get("n_batches"), stream_raw.get("queries_per_batch")
             )
         else:
-            stream_raw.pop("path", None)
+            _check_keys(stream_raw, [f.name for f in fields(StreamSpec)], "stream")
             if "circle_schedule" in stream_raw and stream_raw["circle_schedule"] is None:
                 stream_raw.pop("circle_schedule")
             stream = StreamSpec(**stream_raw)
@@ -383,12 +408,14 @@ def run_sweep(cfg: RunConfig, cost_cache: dict | None = None) -> list[RunResult]
             costs = entry[2]
             if cost_cache is not None:
                 cost_cache[seed] = entry
+        # (name, sorted params) -> (strategy, query accuracy) of policies that do not read kappa
+        kappa_blind: dict[tuple, tuple[Strategy, float]] = {}
         for kappa in cfg.kappas:
             offline_c = costs.cost_matrix(0, cfg.t_offline, kappa) if calibrates else None
             online_c = costs.cost_matrix(on_start, on_end, kappa)
             opt_strategy, opt_cost = oracle_strategy(online_c)
 
-            def row(policy: str, strategy: Strategy, cost: float, params: dict) -> RunResult:
+            def row(policy: str, strategy: Strategy, cost: float, accuracy: float, params: dict) -> RunResult:
                 return RunResult(
                     dataset=cfg.stream.name,
                     policy=policy,
@@ -398,17 +425,25 @@ def run_sweep(cfg: RunConfig, cost_cache: dict | None = None) -> list[RunResult]
                     oracle_cost=opt_cost,
                     scpe=scpe(cost, opt_cost) if opt_cost != 0 else None,
                     n_retrains=strategy.n_retrains,
-                    query_accuracy=evaluate_prequential(strategy, costs),
+                    query_accuracy=accuracy,
                     strategy=strategy,
                     params=params,
                 )
 
-            results.append(row("oracle", opt_strategy, opt_cost, {}))
+            results.append(row("oracle", opt_strategy, opt_cost, evaluate_prequential(opt_strategy, costs), {}))
             for spec in cfg.policies:
                 try:
                     policy = spec.build(offline_c)
-                    strat = replay_policy(policy, online_c, costs.errors)
-                    results.append(row(spec.name, strat, strategy_cost(strat, online_c), policy.get_params()))
+                    params = policy.get_params()
+                    key = None if policy.requires_kappa else (spec.name, tuple(sorted(params.items())))
+                    replayed = kappa_blind.get(key)
+                    if replayed is None:
+                        strat = replay_policy(policy, online_c, costs.errors)
+                        replayed = (strat, evaluate_prequential(strat, costs))
+                        if key is not None:
+                            kappa_blind[key] = replayed
+                    strat, accuracy = replayed
+                    results.append(row(spec.name, strat, strategy_cost(strat, online_c), accuracy, params))
                 except UndefinedMetricError:
                     raise
                 except Exception as exc:

@@ -8,7 +8,10 @@ start, then per batch feeds each policy the inputs it declares:
   read from the cost matrix (threshold, cumulative and markov policies);
 * ``requires_errors`` -- the model's per-sample 0/1 errors on the current
   data batch, in stream order, from an ``errors(t_model, t_data)`` source
-  (drift detector policies).
+  (drift detector policies);
+* ``requires_kappa`` -- the retraining cost of the current batch, read from
+  the matrix diagonal (the markov policy). A policy without it gets no
+  ``kappa`` and so replays to the same strategy under every retraining cost.
 
 An online run is a replay on the online cost matrix, with
 ``StreamCosts.errors`` as the detectors' error source; the matrix and the
@@ -52,6 +55,7 @@ class RetrainPolicy:
     name = "base"
     requires_staleness = False
     requires_errors = False
+    requires_kappa = False
 
     def reset(self) -> None:
         """Clear any per-run mutable state."""
@@ -148,6 +152,7 @@ class MarkovPolicy(RetrainPolicy):
 
     name = "markov"
     requires_staleness = True
+    requires_kappa = True
 
     def decide(self, t, t_prime, *, staleness=None, errors=None, kappa=None) -> Decision:
         return Decision.KEEP if staleness < kappa else Decision.RETRAIN
@@ -232,7 +237,10 @@ def replay_policy(policy: RetrainPolicy, c: CostMatrix, errors=None) -> Strategy
 
     The matrix rows supply every staleness value the policy can ask for, so
     no model is fit for them. Detector policies read per-sample errors from
-    ``errors(t_model, t_data)`` and cannot be replayed without it.
+    ``errors(t_model, t_data)`` and cannot be replayed without it. Only a
+    policy that declares ``requires_kappa`` is passed ``kappa``, so one that
+    reads it without declaring it fails here instead of being replayed once
+    for every retraining cost by ``run_sweep``.
     """
     if policy.requires_errors and errors is None:
         raise InvalidInputError(
@@ -245,7 +253,9 @@ def replay_policy(policy: RetrainPolicy, c: CostMatrix, errors=None) -> Strategy
     served = np.empty(c.n, dtype=np.int64)
     for j in range(c.n):
         t, t_prime = c.start + j, c.start + rel_prime
-        inputs = {"kappa": float(c.kappa[j])}
+        inputs = {}
+        if policy.requires_kappa:
+            inputs["kappa"] = float(c.kappa[j])
         if policy.requires_staleness:
             inputs["staleness"] = float(psi[rel_prime, j])
         if policy.requires_errors:

@@ -12,6 +12,7 @@ from itertools import product
 import numpy as np
 
 from retrainer import (
+    AdwinDetector,
     ContractViolationError,
     CostMatrix,
     CumulativeThresholdPolicy,
@@ -201,6 +202,42 @@ def reference_optimize_offline(family, c):
             if best is None or key < best[0]:
                 best = (key, period, offset)
     return PeriodicPolicy(best[1], best[2])
+
+
+# ---------------------------------------------------------------------------
+# Reference ADWIN scan: the cut test walks the buckets through a generator,
+# oldest first, as the detector once did. The library's inlined scan must
+# make the same decisions and leave the same window after every bit.
+# ---------------------------------------------------------------------------
+
+
+class ReferenceAdwinDetector(AdwinDetector):
+    def _buckets_oldest_first(self):
+        for level in range(len(self.rows_) - 1, -1, -1):
+            size = float(1 << level)
+            for s in self.rows_[level]:
+                yield size, s
+
+    def _cut_once(self) -> bool:
+        width = self.width_
+        delta_prime = self.delta / width
+        log_term = math.log(4.0 / delta_prime)
+        n0 = 0.0
+        sum0 = 0.0
+        for size, s in self._buckets_oldest_first():
+            n0 += size
+            sum0 += s
+            n1 = width - n0
+            if n1 <= 0:
+                break
+            mu0 = sum0 / n0
+            mu1 = (self.total_ - sum0) / n1
+            m = 1.0 / (1.0 / n0 + 1.0 / n1)
+            eps_cut = math.sqrt(log_term / (2.0 * m))
+            if abs(mu0 - mu1) >= eps_cut:
+                self._drop_oldest()
+                return True
+        return False
 
 
 # ---------------------------------------------------------------------------

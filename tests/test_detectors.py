@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from helpers import ReferenceAdwinDetector
+from hypothesis import given, settings, strategies as st
 
 from retrainer import AdwinDetector, DdmDetector, InvalidInputError
 
@@ -136,3 +138,22 @@ class TestAdwin:
             AdwinDetector(delta=0.0)
         with pytest.raises(InvalidInputError):
             AdwinDetector(delta=1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**20),
+        n=st.integers(1, 3000),
+        rates=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+        delta=st.sampled_from([1e-4, 0.002, 0.05, 0.5, 0.99]),
+        max_buckets=st.integers(1, 7),
+    )
+    def test_scan_matches_reference_generator_scan(self, seed, n, rates, delta, max_buckets):
+        # piecewise-constant error rates, so some examples drift and some do not
+        rng = np.random.default_rng(seed)
+        segment = -(-n // len(rates))
+        bits = [int(rng.random() < rates[i // segment]) for i in range(n)]
+        det, ref = AdwinDetector(delta, max_buckets), ReferenceAdwinDetector(delta, max_buckets)
+        for bit in bits:
+            assert det.update(bit) == ref.update(bit)
+            assert det.rows_ == ref.rows_
+            assert (det.width_, det.total_) == (ref.width_, ref.total_)

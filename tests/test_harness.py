@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from helpers import brute_force_optimum
+from helpers import brute_force_optimum, random_cost_matrix
 
 from retrainer import (
     CsvStream,
     DataBatch,
     InvalidInputError,
+    MarkovPolicy,
     QueryBatch,
     RunConfig,
     Strategy,
@@ -18,14 +19,18 @@ from retrainer import (
     evaluate_prequential,
     generate_stream,
     load_csv_stream,
+    make_policy,
     render_summary,
+    replay_policy,
     report,
     results_from_csv,
     results_to_csv,
     run_sweep,
     save_stream_csv,
     scpe,
+    strategy_cost,
 )
+from retrainer import harness
 from retrainer.costmatrix import StreamCosts
 from retrainer.harness import PolicySpec
 from retrainer.models import LogisticClassifier
@@ -254,6 +259,46 @@ class TestRunSweep:
         assert results[0].dataset == "stream"
 
 
+class TestKappaBlindReplays:
+    POLICIES = [{"name": "adwin"}, {"name": "ddm"}, {"name": "never"}, {"name": "markov"}]
+
+    def config(self):
+        return small_config(kappas=[1.0, 4.0, 20.0], policies=self.POLICIES)
+
+    def test_policies_that_ignore_kappa_replay_once_per_seed(self, monkeypatch):
+        calls = {}
+
+        def counting(policy, c, errors=None):
+            calls[policy.name] = calls.get(policy.name, 0) + 1
+            return replay_policy(policy, c, errors)
+
+        monkeypatch.setattr(harness, "replay_policy", counting)
+        results = run_sweep(self.config())
+        assert len(results) == 2 * 3 * (1 + 4)
+        assert calls == {"adwin": 2, "ddm": 2, "never": 2, "markov": 2 * 3}
+
+    def test_reused_rows_match_a_fresh_replay_on_their_kappa(self):
+        cfg, cache = self.config(), {}
+        on_start, on_end = cfg.t_offline + 1, cfg.t_online
+        for row in run_sweep(cfg, cost_cache=cache):
+            if row.policy == "oracle":
+                continue
+            costs = cache[row.seed][2]
+            c = costs.cost_matrix(on_start, on_end, row.kappa)
+            assert row.strategy_cost == strategy_cost(row.strategy, c)
+            fresh = replay_policy(make_policy(row.policy, **row.params), c, costs.errors)
+            assert np.array_equal(fresh.served_by, row.strategy.served_by)
+            assert row.query_accuracy == evaluate_prequential(fresh, costs)
+
+    def test_undeclared_kappa_read_fails_in_replay(self):
+        class HiddenKappa(MarkovPolicy):
+            requires_kappa = False
+
+        c = random_cost_matrix(np.random.default_rng(0), 5, 2.0)
+        with pytest.raises(TypeError):
+            replay_policy(HiddenKappa(), c)
+
+
 class TestReport:
     def test_single_row_mean_is_identity(self):
         results = run_sweep(small_config(seeds=[0], kappas=[1.0]))
@@ -294,6 +339,10 @@ class TestReport:
         lines = text.splitlines()
         assert lines[0].startswith("dataset")
         assert len(lines) == 2 + 4  # header, rule, oracle + 3 policies
+
+
+GAUSS_STREAM = {"dataset": "gauss", "n_batches": 10}
+CSV_STREAM = {"dataset": "csv", "path": "data/stream.csv", "n_batches": 10}
 
 
 class TestRunConfig:
@@ -377,4 +426,27 @@ class TestRunConfig:
         del raw["stream"]
         raw.update(csv_path="data/stream.csv", n_batches=10)
         with pytest.raises(InvalidInputError, match="'stream'"):
+            RunConfig.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "level, key, stream, where",
+        [
+            ("run config", "gama", GAUSS_STREAM, lambda raw: raw),
+            ("stream", "path", GAUSS_STREAM, lambda raw: raw["stream"]),
+            ("csv stream", "seed", CSV_STREAM, lambda raw: raw["stream"]),
+            ("logistic model", "epocs", GAUSS_STREAM, lambda raw: raw["model"]),
+            ("policy entry", "parms", GAUSS_STREAM, lambda raw: raw["policies"][0]),
+        ],
+    )
+    def test_unknown_key_is_named_with_its_level(self, level, key, stream, where):
+        raw = {
+            "stream": dict(stream),
+            "t_offline": 3,
+            "t_online": 9,
+            "kappas": [1],
+            "policies": [{"name": "never"}],
+            "model": {"kind": "logistic"},
+        }
+        where(raw)[key] = 0.5
+        with pytest.raises(InvalidInputError, match=f"unknown {level} key {key!r}"):
             RunConfig.from_dict(raw)
