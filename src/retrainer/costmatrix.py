@@ -56,9 +56,32 @@ def rbf_weights(Q, X, gamma: float) -> np.ndarray:
     Q = as_point_matrix(Q, name="Q")
     X = as_point_matrix(X, name="X")
     check_same_dim(Q.shape[1], X.shape[1], name="X")
-    sq = np.sum(Q * Q, axis=1)[:, None] + np.sum(X * X, axis=1)[None, :] - 2.0 * (Q @ X.T)
+    return _rbf(Q, _sq_norms(Q), X, _sq_norms(X), gamma)
+
+
+def _sq_norms(P: np.ndarray) -> np.ndarray:
+    return np.sum(P * P, axis=1)
+
+
+def _rbf(Q, qq, X, xx, gamma: float, cols=None) -> np.ndarray:
+    """The RBF kernel of validated points, given their squared norms.
+
+    With ``cols`` it covers only those points of X, and ``xx`` holds their
+    norms. The cross product still spans all of X and its columns are
+    gathered, because BLAS may round a product over X[cols] differently;
+    every later step is elementwise, so each similarity keeps the bits it
+    has in the full kernel. The steps run in place, so at most the cross
+    product and one result array are alive at once."""
+    G = Q @ X.T
+    if cols is not None:
+        G = np.take(G, cols, axis=1)
+    G *= 2.0
+    sq = qq[:, None] + xx[None, :]
+    sq -= G
+    del G
     np.maximum(sq, 0.0, out=sq)
-    return np.exp(-gamma * sq)
+    sq *= -gamma
+    return np.exp(sq, out=sq)
 
 
 @dataclass(frozen=True)
@@ -242,6 +265,13 @@ class StreamCosts:
     It is zero when the data distribution is static (retraining would
     reproduce the same model), and can be negative.
 
+    The training term reads the kernel only at the points its model gets
+    wrong, and is exactly 0.0 for a model without training errors. That is
+    exact, not an approximation: every other point adds sim * 0 = 0.0 to the
+    dot product. The BLAS cross product still covers the whole batch, its
+    erring columns are gathered, and the dot still runs over the whole error
+    vector, so each product and each partial sum keeps its bits.
+
     Streams are passed as sequences of batches; batches are indexed by their
     own ``t`` field, so partial streams work as long as the batches needed by
     a request are present and contiguous in dimensionality.
@@ -320,18 +350,41 @@ class StreamCosts:
             gamma = self.kernel.gamma
             out = np.full((n, n), math.inf)
             np.fill_diagonal(out, 0.0)
+            erring: dict[int, tuple | None] = {}  # row i -> its training term's scratch
             for j in range(1, n):
                 t = start + j
                 Q, now = self.query_batch(t).X, self.data_batch(t)
                 w_now = rbf_weights(Q, now.X, gamma).sum(axis=0)
+                qq = _sq_norms(Q)
                 for i in range(j):
-                    train = self.data_batch(start + i)
-                    w_train = rbf_weights(Q, train.X, gamma).sum(axis=0)
-                    out[i, j] = float(w_now @ self.errors(start + i, t)) / now.size - float(
-                        w_train @ self.errors(start + i, start + i)
-                    ) / train.size
+                    a = float(w_now @ self.errors(start + i, t)) / now.size
+                    if i not in erring:
+                        erring[i] = self._erring_points(start + i)
+                    if erring[i] is None:
+                        out[i, j] = a  # the training term is exactly 0.0
+                        continue
+                    X, e_train, cols, xx = erring[i]
+                    w_train = np.zeros(X.shape[0])
+                    w_train[cols] = _rbf(Q, qq, X, xx, gamma, cols).sum(axis=0)
+                    out[i, j] = a - float(w_train @ e_train) / X.shape[0]
             self._staleness_base[key] = out
         return self._staleness_base[key]
+
+    def _erring_points(self, t: int) -> tuple | None:
+        """Scratch for the training term of model t: (D_t's points, the model's
+        errors there, the erring columns, their squared norms), or None when
+        the model makes no training errors.
+
+        A lone erring point is gathered twice: numpy sums a one-column block
+        pairwise, but a wider one row by row, as it sums the full kernel of a
+        batch of two or more points (a one-point batch is one class, so its
+        model never errs there)."""
+        X, e_train = self.data_batch(t).X, self.errors(t, t)
+        wrong = np.flatnonzero(e_train)
+        if wrong.size == 0:
+            return None
+        cols = wrong if wrong.size > 1 else wrong.repeat(2)
+        return X, e_train, cols, _sq_norms(X)[cols]
 
     def cost_matrix(self, start: int, end: int, kappa) -> CostMatrix:
         return CostMatrix(start, self.staleness_matrix(start, end), 0.0).with_kappa(kappa)

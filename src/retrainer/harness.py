@@ -43,7 +43,7 @@ from .datagen import StreamSpec, generate_stream
 from .errors import InvalidInputError, StreamParseError, UndefinedMetricError
 from .models import MODEL_KINDS, make_model
 from .oracle import oracle_strategy
-from .policies import RetrainPolicy, make_policy, optimize_offline, replay_policy
+from .policies import POLICY_KINDS, RetrainPolicy, make_policy, optimize_offline, replay_policy
 from .streams import DataBatch, QueryBatch
 
 OPTIMIZABLE = ("threshold", "cumulative", "periodic")
@@ -101,6 +101,9 @@ class PolicySpec:
                 raise InvalidInputError(f"policy params must be a dict or 'optimize', got {self.params!r}")
             if self.name not in OPTIMIZABLE:
                 raise InvalidInputError(f"policy {self.name!r} has no optimizable parameters")
+        elif self.params and self.name in POLICY_KINDS:  # an unknown name fails when the sweep builds it
+            keys = inspect.signature(POLICY_KINDS[self.name]).parameters
+            _check_keys(self.params, keys, f"{self.name} policy params")
 
     @property
     def optimize(self) -> bool:

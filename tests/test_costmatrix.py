@@ -124,6 +124,64 @@ class TestBuild:
                 assert psi[i, j] == expected
 
 
+def assert_matches_definition(costs, data, queries, model):
+    """Every entry of the whole stream's matrix == the full-kernel reference."""
+    n = len(data)
+    psi = costs.staleness_matrix(0, n - 1)
+    for j in range(n):
+        for i in range(j):
+            expected = relative_staleness(queries[j], data[j], data[i], fit_model(data[i], model), costs.kernel)
+            assert psi[i, j] == expected
+
+
+class TestTrainingTermSubset:
+    """The training term is read only at the model's erring points; every
+    entry must still equal the full-kernel definition bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dataset=st.sampled_from(["covcon", "gauss"]),
+        model=st.sampled_from(
+            [LogisticClassifier(learning_rate=0.5, epochs=50), ForestClassifier(n_trees=5, max_depth=4)]
+        ),
+        n_batches=st.integers(2, 5),
+        batch_size=st.integers(2, 120),
+        n_queries=st.integers(1, 40),
+        seed=st.integers(0, 2**16),
+        one_class=st.one_of(st.none(), st.tuples(st.integers(0, 4), st.integers(0, 1))),
+    )
+    def test_every_entry_matches_the_full_kernel(
+        self, dataset, model, n_batches, batch_size, n_queries, seed, one_class
+    ):
+        spec = StreamSpec(
+            dataset=dataset,
+            n_batches=n_batches,
+            batch_size=batch_size,
+            queries_per_batch=min(n_queries, batch_size),
+            seed=seed,
+        )
+        data, queries = generate_stream(spec)
+        if one_class is not None:  # a single-class batch trains a constant classifier
+            t, label = one_class[0] % n_batches, one_class[1]
+            data[t] = DataBatch(t, data[t].X, np.full(data[t].size, label))
+        assert_matches_definition(StreamCosts(data, queries, model), data, queries, model)
+
+    @pytest.mark.parametrize("n_queries", [1, 30])
+    @pytest.mark.parametrize("n_wrong", [0, 1, 2, 3])
+    def test_rows_with_few_training_errors(self, n_wrong, n_queries):
+        """Row 0's model is trained on ``n_wrong`` positives among negatives
+        and predicts negatives throughout, so it errs on exactly those points;
+        a single erring point is the one-column case."""
+        rng, n = np.random.default_rng(n_wrong), 6
+        data = [DataBatch(t, rng.normal(size=(150, 8)), np.zeros(150, dtype=int)) for t in range(n)]
+        data[0] = DataBatch(0, data[0].X, (np.arange(150) < n_wrong).astype(int))
+        queries = [QueryBatch(t, rng.normal(size=(n_queries, 8))) for t in range(n)]
+        model = LogisticClassifier(learning_rate=0.5, epochs=50)
+        costs = StreamCosts(data, queries, model)
+        assert int(costs.errors(0, 0).sum()) == n_wrong
+        assert_matches_definition(costs, data, queries, model)
+
+
 class TestInvariants:
     @pytest.mark.parametrize(
         "entries, kappa",

@@ -345,6 +345,11 @@ GAUSS_STREAM = {"dataset": "gauss", "n_batches": 10}
 CSV_STREAM = {"dataset": "csv", "path": "data/stream.csv", "n_batches": 10}
 
 
+def adwin_params(raw):
+    raw["policies"] = [{"name": "adwin", "params": {}}]
+    return raw["policies"][0]["params"]
+
+
 class TestRunConfig:
     def test_validation(self):
         with pytest.raises(InvalidInputError):
@@ -436,6 +441,7 @@ class TestRunConfig:
             ("csv stream", "seed", CSV_STREAM, lambda raw: raw["stream"]),
             ("logistic model", "epocs", GAUSS_STREAM, lambda raw: raw["model"]),
             ("policy entry", "parms", GAUSS_STREAM, lambda raw: raw["policies"][0]),
+            ("adwin policy params", "dleta", GAUSS_STREAM, adwin_params),
         ],
     )
     def test_unknown_key_is_named_with_its_level(self, level, key, stream, where):
