@@ -44,11 +44,10 @@ from .harness import (
     summary_to_csv,
 )
 from .models import ForestClassifier, LogisticClassifier, fit_model, make_model
-from .oracle import DPTable, memoize_dp, oracle_strategy
+from .oracle import memoize_dp, oracle_strategy
 from .policies import (
     AdwinPolicy,
     CumulativeThresholdPolicy,
-    Decision,
     DdmPolicy,
     MarkovPolicy,
     NeverRetrainPolicy,
@@ -70,11 +69,9 @@ __all__ = [
     "CostMatrix",
     "CsvStream",
     "CumulativeThresholdPolicy",
-    "DPTable",
     "DataBatch",
     "DdmDetector",
     "DdmPolicy",
-    "Decision",
     "ForestClassifier",
     "InvalidInputError",
     "KernelConfig",

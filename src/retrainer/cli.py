@@ -108,7 +108,10 @@ def oracle_cmd(config_path, kappa, seed, out, table_out):
         served = ([t, strategy.serving(t)] for t in range(strategy.start, strategy.end + 1))
         write_csv(out, ["t", "served_by"], served)
     if table_out:
-        memoize_dp(matrix).to_csv(table_out)
+        V = memoize_dp(matrix)
+        cells = ((t, p) for t in range(matrix.n) for p in range(matrix.n))
+        rows = ([matrix.start + t, matrix.start + p, format_value(V[t, p])] for t, p in cells)
+        write_csv(table_out, ["t", "p", "value"], rows)
 
 
 @main.command("run")
@@ -120,7 +123,7 @@ def oracle_cmd(config_path, kappa, seed, out, table_out):
 def run_cmd(config_path, policy_name, kappa, seed, trace_out):
     """Run one policy online and print its row of the sweep."""
     cfg = RunConfig.load(config_path)
-    spec = next((p for p in cfg.policies if p.name == policy_name), PolicySpec(policy_name))
+    spec = next((p for p in cfg.policies if p.name == policy_name), None) or PolicySpec(policy_name)
     cfg = replace(_narrow(cfg, seed, kappa), policies=[spec])
     cache: dict = {}
     _, row = run_sweep(cfg, cache)

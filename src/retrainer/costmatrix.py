@@ -239,7 +239,7 @@ def format_value(x: float) -> str:
 
 def write_csv(path, header, rows) -> None:
     """Write a header line and then the rows; every CSV the package writes
-    goes through here, except ``save_stream_csv``'s stream files."""
+    goes through here."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -43,10 +43,8 @@ from .datagen import StreamSpec, generate_stream
 from .errors import InvalidInputError, StreamParseError, UndefinedMetricError
 from .models import MODEL_KINDS, make_model
 from .oracle import oracle_strategy
-from .policies import POLICY_KINDS, RetrainPolicy, make_policy, optimize_offline, replay_policy
+from .policies import CALIBRATABLE, POLICY_KINDS, RetrainPolicy, make_policy, optimize_offline, replay_policy
 from .streams import DataBatch, QueryBatch
-
-OPTIMIZABLE = ("threshold", "cumulative", "periodic")
 
 RESULT_COLUMNS = (
     "dataset",
@@ -96,14 +94,21 @@ class PolicySpec:
     params: dict | str = field(default_factory=dict)
 
     def __post_init__(self):
+        cls = POLICY_KINDS.get(self.name)
+        if cls is None:
+            raise InvalidInputError(f"unknown policy {self.name!r}; expected one of {sorted(POLICY_KINDS)}")
         if isinstance(self.params, str):
             if self.params != "optimize":
                 raise InvalidInputError(f"policy params must be a dict or 'optimize', got {self.params!r}")
-            if self.name not in OPTIMIZABLE:
+            if self.name not in CALIBRATABLE:
                 raise InvalidInputError(f"policy {self.name!r} has no optimizable parameters")
-        elif self.params and self.name in POLICY_KINDS:  # an unknown name fails when the sweep builds it
-            keys = inspect.signature(POLICY_KINDS[self.name]).parameters
-            _check_keys(self.params, keys, f"{self.name} policy params")
+            return
+        # a class without its own __init__ takes no parameters
+        keys = inspect.signature(cls).parameters if "__init__" in vars(cls) else {}
+        _check_keys(self.params, keys, f"{self.name} policy params")
+        for key, param in keys.items():
+            if param.default is param.empty and key not in self.params:
+                raise InvalidInputError(f"{self.name} policy params are missing {key!r}")
 
     @property
     def optimize(self) -> bool:
@@ -377,20 +382,20 @@ def save_stream_csv(path, data, queries) -> None:
     batch; query labels are required)."""
     if not data:
         raise InvalidInputError("nothing to save: empty data stream")
-    d = data[0].dim
     query_by_t = {q.t: q for q in queries}
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"f{i}" for i in range(d)] + ["label", "is_query"])
+
+    def rows():
         for batch in data:
             for x, y in zip(batch.X, batch.y):
-                writer.writerow([batch.t] + [format_value(v) for v in x] + [int(y), 0])
+                yield [batch.t] + [format_value(v) for v in x] + [int(y), 0]
             q = query_by_t.get(batch.t)
             if q is not None:
                 if q.eval_labels is None:
                     raise InvalidInputError(f"query batch {q.t} has no labels to save")
                 for x, y in zip(q.X, q.eval_labels):
-                    writer.writerow([batch.t] + [format_value(v) for v in x] + [int(y), 1])
+                    yield [batch.t] + [format_value(v) for v in x] + [int(y), 1]
+
+    write_csv(path, ["t"] + [f"f{i}" for i in range(data[0].dim)] + ["label", "is_query"], rows())
 
 
 def run_sweep(cfg: RunConfig, cost_cache: dict | None = None) -> list[RunResult]:
@@ -492,7 +497,7 @@ def results_from_csv(path) -> list[dict]:
     return out
 
 
-_POLICY_ORDER = ("oracle", "threshold", "cumulative", "periodic", "never", "markov", "adwin", "ddm")
+_POLICY_ORDER = ("oracle", *POLICY_KINDS)
 
 
 def _policy_rank(name: str) -> tuple:

@@ -15,36 +15,15 @@ negative staleness entries are handled like any other value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .costmatrix import CostMatrix, Strategy, format_value, write_csv
+from .costmatrix import CostMatrix, Strategy
 
 
-@dataclass(frozen=True)
-class DPTable:
-    """Memoized best-cost table; ``values[t, p]`` uses range-relative indices."""
-
-    start: int
-    values: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def optimal_cost(self) -> float:
-        return float(self.values[-1].min())
-
-    def to_csv(self, path) -> None:
-        cells = ((t, p) for t in range(self.n) for p in range(self.n))
-        rows = ([self.start + t, self.start + p, format_value(self.values[t, p])] for t, p in cells)
-        write_csv(path, ["t", "p", "value"], rows)
-
-
-def memoize_dp(c: CostMatrix) -> DPTable:
-    """Fill the best-cost table from a cost matrix.
+def memoize_dp(c: CostMatrix) -> np.ndarray:
+    """Fill the (n, n) best-cost table from a cost matrix; ``V[t, p]`` uses
+    range-relative indices.
 
     The first column is the never-retrain prefix: cumulative costs of serving
     every batch with the model from the range start. Interior cells either
@@ -60,7 +39,7 @@ def memoize_dp(c: CostMatrix) -> DPTable:
         if t > 1:
             V[t, 1:t] = E[1:t, t] + prev[1:t]
         V[t, t] = E[t, t] + prev[:t].min()
-    return DPTable(c.start, V)
+    return V
 
 
 def oracle_strategy(c: CostMatrix) -> tuple[Strategy, float]:
@@ -71,11 +50,11 @@ def oracle_strategy(c: CostMatrix) -> tuple[Strategy, float]:
     ends the segment before it. Argmin ties resolve to the smallest batch
     index.
     """
-    table = memoize_dp(c)
+    V = memoize_dp(c)
     served = np.empty(c.n, dtype=np.int64)
     end = c.n
     while end > 0:
-        p = int(np.argmin(table.values[end - 1]))
+        p = int(np.argmin(V[end - 1]))
         served[p:end] = c.start + p
         end = p
-    return Strategy(c.start, c.end, served), table.optimal_cost
+    return Strategy(c.start, c.end, served), float(V[-1].min())

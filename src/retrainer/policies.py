@@ -1,8 +1,9 @@
 """Online retraining policies and their offline calibration.
 
-A policy looks at one batch at a time and answers Keep or Retrain. The one
-decision loop (``replay_policy``) starts from the model trained at the range
-start, then per batch feeds each policy the inputs it declares:
+A policy looks at one batch at a time and decides Keep or Retrain:
+``decide`` returns True to retrain. The one decision loop starts from the
+model trained at the range start, then per batch feeds each policy the
+inputs it declares:
 
 * ``requires_staleness`` -- the relative staleness of the current model,
   read from the cost matrix (threshold, cumulative and markov policies);
@@ -13,28 +14,26 @@ start, then per batch feeds each policy the inputs it declares:
   the matrix diagonal (the markov policy). A policy without it gets no
   ``kappa`` and so replays to the same strategy under every retraining cost.
 
-An online run is a replay on the online cost matrix, with
-``StreamCosts.errors`` as the detectors' error source; the matrix and the
-error vectors both come from the same ``StreamCosts`` cache.
+``replay_policy`` runs one policy through that loop. An online run is a
+replay on the online cost matrix, with ``StreamCosts.errors`` as the
+detectors' error source; the matrix and the error vectors both come from the
+same ``StreamCosts`` cache.
 
 Policies that keep mutable state reset it when they decide to retrain, so a
 single instance can be reused across runs via ``reset()``.
 
-``optimize_offline`` calibrates the threshold, cumulative and periodic
-families against a prebuilt cost matrix, never refitting a model: one pass
-over the matrix columns evaluates a block of candidates together, holding
-each one's serving row (and accumulator) in numpy vectors and making
-``decide``'s comparisons, so each cost equals ``strategy_cost`` of the
-replayed strategy exactly. Candidate thresholds are the realized staleness
-values (cumulative sums for the cumulative family) with -inf/+inf sentinels.
-The sentinels guarantee the result is never worse than never-retraining or
-retrain-every-batch where the family can express them, and equal-cost ties
-prefer the largest (most conservative) threshold.
+The threshold, cumulative and periodic rules are written with numpy
+comparisons, so one instance built from arrays of parameters decides for a
+whole block of candidates at once; ``get_params`` of a single policy returns
+Python numbers. ``optimize_offline`` calibrates these families against a
+prebuilt cost matrix, never refitting a model: it runs blocks of candidates
+through the same loop and prices each candidate's serving row the way
+``strategy_cost`` prices the replayed strategy, so the costs are equal
+exactly.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 
 import numpy as np
@@ -42,11 +41,6 @@ import numpy as np
 from .costmatrix import CostMatrix, Strategy
 from .detectors import AdwinDetector, DdmDetector
 from .errors import InvalidInputError
-
-
-class Decision(enum.Enum):
-    KEEP = "keep"
-    RETRAIN = "retrain"
 
 
 class RetrainPolicy:
@@ -60,7 +54,8 @@ class RetrainPolicy:
     def reset(self) -> None:
         """Clear any per-run mutable state."""
 
-    def decide(self, t: int, t_prime: int, *, staleness=None, errors=None, kappa=None) -> Decision:
+    def decide(self, t: int, *, staleness=None, errors=None, kappa=None):
+        """True to retrain at batch ``t``, False to keep the current model."""
         raise NotImplementedError
 
     def get_params(self) -> dict:
@@ -83,13 +78,17 @@ class ThresholdPolicy(RetrainPolicy):
     requires_staleness = True
 
     def __init__(self, tau: float):
-        self.tau = float(tau)
+        self.tau = np.asarray(tau, dtype=np.float64)
 
-    def decide(self, t, t_prime, *, staleness=None, errors=None, kappa=None) -> Decision:
-        return Decision.KEEP if staleness < self.tau else Decision.RETRAIN
+    def decide(self, t, *, staleness=None, errors=None, kappa=None):
+        return np.logical_not(staleness < self.tau)
 
     def get_params(self):
-        return {"tau": self.tau}
+        return {"tau": float(self.tau)}
+
+    @classmethod
+    def calibration_grid(cls, c: CostMatrix) -> dict:
+        return {"tau": _sentinel_grid(c.staleness_entries()[np.triu_indices(c.n, k=1)])}
 
 
 class CumulativeThresholdPolicy(RetrainPolicy):
@@ -100,21 +99,26 @@ class CumulativeThresholdPolicy(RetrainPolicy):
     requires_staleness = True
 
     def __init__(self, tau_cum: float):
-        self.tau_cum = float(tau_cum)
-        self.cumulative_ = 0.0
+        self.tau_cum = np.asarray(tau_cum, dtype=np.float64)
+        self.reset()
 
     def reset(self):
-        self.cumulative_ = 0.0
+        self.cumulative_ = np.zeros(self.tau_cum.shape)
 
-    def decide(self, t, t_prime, *, staleness=None, errors=None, kappa=None) -> Decision:
+    def decide(self, t, *, staleness=None, errors=None, kappa=None):
         self.cumulative_ += staleness
-        if self.cumulative_ < self.tau_cum:
-            return Decision.KEEP
-        self.cumulative_ = 0.0
-        return Decision.RETRAIN
+        retrain = np.logical_not(self.cumulative_ < self.tau_cum)
+        self.cumulative_[retrain] = 0.0
+        return retrain
 
     def get_params(self):
-        return {"tau_cum": self.tau_cum}
+        return {"tau_cum": float(self.tau_cum)}
+
+    @classmethod
+    def calibration_grid(cls, c: CostMatrix) -> dict:
+        psi = c.staleness_entries()
+        rows = (psi[i, i + 1 :] for i in range(c.n))
+        return {"tau_cum": _sentinel_grid(np.concatenate([np.cumsum(row[np.isfinite(row)]) for row in rows]))}
 
 
 class PeriodicPolicy(RetrainPolicy):
@@ -123,18 +127,25 @@ class PeriodicPolicy(RetrainPolicy):
     name = "periodic"
 
     def __init__(self, period: int, offset: int = 0):
-        if period < 1:
+        if np.any(np.less(period, 1)):
             raise InvalidInputError("period must be >= 1")
-        if offset < 0:
+        if np.any(np.less(offset, 0)):
             raise InvalidInputError("offset must be >= 0")
-        self.period = int(period)
-        self.offset = int(offset)
+        self.period = np.asarray(period, dtype=np.int64)
+        self.offset = np.asarray(offset, dtype=np.int64)
 
-    def decide(self, t, t_prime, *, staleness=None, errors=None, kappa=None) -> Decision:
-        return Decision.RETRAIN if (t - self.offset) % self.period == 0 else Decision.KEEP
+    def decide(self, t, *, staleness=None, errors=None, kappa=None):
+        return (t - self.offset) % self.period == 0
 
     def get_params(self):
-        return {"period": self.period, "offset": self.offset}
+        return {"period": int(self.period), "offset": int(self.offset)}
+
+    @classmethod
+    def calibration_grid(cls, c: CostMatrix) -> dict:
+        """Periods 1..max(1, c.end) (the absolute matrix end), largest
+        first, each with every offset 0..period-1, smallest first."""
+        periods = np.arange(max(1, c.end), 0, -1)
+        return {"period": np.repeat(periods, periods), "offset": np.concatenate([np.arange(p) for p in periods])}
 
 
 class NeverRetrainPolicy(RetrainPolicy):
@@ -142,8 +153,8 @@ class NeverRetrainPolicy(RetrainPolicy):
 
     name = "never"
 
-    def decide(self, t, t_prime, *, staleness=None, errors=None, kappa=None) -> Decision:
-        return Decision.KEEP
+    def decide(self, t, *, staleness=None, errors=None, kappa=None):
+        return False
 
 
 class MarkovPolicy(RetrainPolicy):
@@ -154,8 +165,8 @@ class MarkovPolicy(RetrainPolicy):
     requires_staleness = True
     requires_kappa = True
 
-    def decide(self, t, t_prime, *, staleness=None, errors=None, kappa=None) -> Decision:
-        return Decision.KEEP if staleness < kappa else Decision.RETRAIN
+    def decide(self, t, *, staleness=None, errors=None, kappa=None):
+        return not staleness < kappa
 
 
 class DriftDetectorPolicy(RetrainPolicy):
@@ -172,16 +183,12 @@ class DriftDetectorPolicy(RetrainPolicy):
     def reset(self):
         self.detector_.reset()
 
-    def decide(self, t, t_prime, *, staleness=None, errors=None, kappa=None) -> Decision:
-        drifted = False
+    def decide(self, t, *, staleness=None, errors=None, kappa=None):
         for bit in errors:
             if self.detector_.update(int(bit)):
-                drifted = True
-                break
-        if drifted:
-            self.reset()
-            return Decision.RETRAIN
-        return Decision.KEEP
+                self.reset()
+                return True
+        return False
 
 
 class DdmPolicy(DriftDetectorPolicy):
@@ -232,6 +239,9 @@ def make_policy(name: str, **params) -> RetrainPolicy:
     return cls(**params)
 
 
+CALIBRATABLE = {cls.name: cls for cls in (ThresholdPolicy, CumulativeThresholdPolicy, PeriodicPolicy)}
+
+
 def replay_policy(policy: RetrainPolicy, c: CostMatrix, errors=None) -> Strategy:
     """Run the decision loop against a prebuilt cost matrix.
 
@@ -247,102 +257,81 @@ def replay_policy(policy: RetrainPolicy, c: CostMatrix, errors=None) -> Strategy
             f"policy {policy.name!r} consumes per-sample errors and cannot be "
             "replayed from a cost matrix alone"
         )
-    psi = c.staleness_entries()
+    return Strategy(c.start, c.end, c.start + _serving_rows(policy, c, (), errors))
+
+
+def _serving_rows(policy: RetrainPolicy, c: CostMatrix, shape: tuple, errors=None) -> np.ndarray:
+    """The decision loop: the range-relative training batch of the model
+    serving each batch of ``c``, shape (n, *shape) for a policy whose
+    parameters are arrays of ``shape`` (() for a single policy)."""
+    psi = c.staleness_entries() if policy.requires_staleness else None
     policy.reset()
-    rel_prime = 0
-    served = np.empty(c.n, dtype=np.int64)
+    rel = np.zeros(shape, dtype=np.int64)
+    served = np.empty((c.n, *shape), dtype=np.int64)
     for j in range(c.n):
-        t, t_prime = c.start + j, c.start + rel_prime
         inputs = {}
         if policy.requires_kappa:
             inputs["kappa"] = float(c.kappa[j])
         if policy.requires_staleness:
-            inputs["staleness"] = float(psi[rel_prime, j])
+            inputs["staleness"] = psi[rel, j]
         if policy.requires_errors:
-            inputs["errors"] = errors(t_prime, t)
-        if policy.decide(t, t_prime, **inputs) is Decision.RETRAIN:
-            rel_prime = j
-        served[j] = c.start + rel_prime
-    return Strategy(c.start, c.end, served)
+            inputs["errors"] = errors(c.start + int(rel), c.start + j)
+        rel[policy.decide(c.start + j, **inputs)] = j
+        served[j] = rel
+    return served
 
 
-_BLOCK = 256  # candidates per pass; bounds the (block, n) work arrays
+_BLOCK = 256  # candidates per pass; bounds the (n, block) work arrays
 
 
-def _candidate_costs(family: str, params: np.ndarray, c: CostMatrix) -> list[float]:
-    """Cost over ``c`` of each candidate of ``family`` (a threshold, or a
-    (period, offset) row), equal to ``strategy_cost`` of its replay exactly."""
-    psi = c.staleness_entries()
-    costs: list[float] = []
-    for lo in range(0, len(params), _BLOCK):
-        p = params[lo : lo + _BLOCK]
-        rel, acc = np.zeros(len(p), dtype=np.int64), np.zeros(len(p))
-        terms = np.empty((len(p), c.n))
-        for j in range(c.n):
-            if family == "threshold":
-                retrain = ~(psi[rel, j] < p)
-            elif family == "cumulative":
-                acc += psi[rel, j]
-                retrain = ~(acc < p)
-                acc[retrain] = 0.0
-            else:
-                retrain = (c.start + j - p[:, 1]) % p[:, 0] == 0
-            rel[retrain] = j
-            terms[:, j] = c.entries[rel, j]
-        costs.extend(terms.sum(axis=1).tolist())
+def _candidate_costs(cls: type, params: dict, c: CostMatrix) -> np.ndarray:
+    """Cost over ``c`` of each candidate ``cls(**params)`` holds (one per
+    index of the equal-length arrays in ``params``), equal to
+    ``strategy_cost`` of its replay exactly: each serving row is summed
+    along a C-contiguous row, as ``strategy_cost``'s ``np.sum`` does."""
+    size = len(next(iter(params.values())))
+    costs = np.empty(size)
+    cols = np.arange(c.n)
+    for lo in range(0, size, _BLOCK):
+        hi = min(lo + _BLOCK, size)
+        served = _serving_rows(cls(**{name: values[lo:hi] for name, values in params.items()}), c, (hi - lo,))
+        costs[lo:hi] = np.ascontiguousarray(c.entries[served.T, cols]).sum(axis=1)
     return costs
 
 
-def _threshold_candidates(values: np.ndarray) -> np.ndarray:
-    finite = np.unique(values[np.isfinite(values)])
-    return np.concatenate(([-math.inf], finite, [math.inf]))
-
-
-def _search_threshold(family: str, candidates: np.ndarray, c: CostMatrix) -> float:
-    """Grid search over the candidates; ties resolve to the largest threshold.
-
-    Past the first batch, whose decision changes nothing, a replay compares
-    the threshold only against candidates or against values that take the
-    same branch for every finite threshold. So a threshold strictly between
-    two adjacent candidates replays like the larger one, and the grid is
-    exhaustive. Preferring the largest tied threshold means the
-    +inf sentinel wins whenever never retraining is already offline-optimal,
-    so policies calibrated under a huge retraining cost stay retrain-free
-    online instead of inheriting a knife-edge finite threshold.
-    """
-    costs = _candidate_costs(family, candidates, c)
-    best_tau, _ = min(zip(candidates.tolist(), costs), key=lambda item: (item[1], -item[0]))
-    return best_tau
+def _sentinel_grid(values: np.ndarray) -> np.ndarray:
+    """The distinct finite values, largest first, between +inf and -inf."""
+    return np.concatenate(([math.inf], np.unique(values[np.isfinite(values)])[::-1], [-math.inf]))
 
 
 def optimize_offline(family: str, c: CostMatrix) -> RetrainPolicy:
     """Pick the policy parameters that minimize the strategy cost over the
     offline matrix.
 
-    ``family`` is 'threshold', 'cumulative' or 'periodic'. A matrix whose
-    staleness entries are all zero short-circuits the threshold families to
-    +inf (never retrain). The periodic search is exhaustive over periods
-    1..max(1, c.end) (the absolute matrix end) with every offset
-    0..period-1; its ties prefer the largest period, then the smallest
-    offset.
+    ``family`` is one of ``CALIBRATABLE``: 'threshold', 'cumulative' or
+    'periodic'. The search is exhaustive over the family's
+    ``calibration_grid`` and the first candidate of least cost wins, so
+    ties go to the grid order.
+
+    Threshold candidates are the realized staleness values (cumulative sums
+    for the cumulative family) between the +inf and -inf sentinels, largest
+    first. Past the first batch, whose decision changes nothing, a replay
+    compares the threshold only against candidates or against values that
+    take the same branch for every finite threshold, so a threshold strictly
+    between two adjacent candidates replays like the larger one and the
+    grid is exhaustive. The sentinels keep the result no worse than never
+    retraining or retraining every batch, and since ties prefer the largest
+    threshold, +inf wins whenever never retraining is already
+    offline-optimal: a policy calibrated under a huge retraining cost stays
+    retrain-free online instead of inheriting a knife-edge finite threshold.
+    Periodic ties prefer the largest period, then the smallest offset.
     """
-    psi = c.staleness_entries()
-    if family in ("threshold", "cumulative"):
-        make = ThresholdPolicy if family == "threshold" else CumulativeThresholdPolicy
-        values = psi[np.triu_indices(c.n, k=1)]
-        if not np.any(values != 0.0):
-            return make(math.inf)
-        if family == "cumulative":
-            rows = (psi[i, i + 1 :] for i in range(c.n - 1))
-            values = np.concatenate([np.cumsum(row[np.isfinite(row)]) for row in rows])
-        return make(_search_threshold(family, _threshold_candidates(values), c))
-
-    if family == "periodic":
-        pairs = [(p, offset) for p in range(1, max(1, c.end) + 1) for offset in range(p)]
-        costs = _candidate_costs(family, np.array(pairs), c)
-        _, (period, offset) = min(zip(costs, pairs), key=lambda it: (it[0], -it[1][0], it[1][1]))
-        return PeriodicPolicy(period, offset)
-
-    raise InvalidInputError(
-        f"unknown optimizable family {family!r}; expected 'threshold', 'cumulative' or 'periodic'"
-    )
+    try:
+        cls = CALIBRATABLE[family]
+    except KeyError:
+        raise InvalidInputError(
+            f"unknown optimizable family {family!r}; expected one of {list(CALIBRATABLE)}"
+        ) from None
+    grid = cls.calibration_grid(c)
+    best = int(np.argmin(_candidate_costs(cls, grid, c)))
+    return cls(**{name: values[best] for name, values in grid.items()})

@@ -117,7 +117,7 @@ def test_criterion_1_oracle_optimality():
             n = int(rng.integers(2, 13))
             kappa = kappas[trial % 3]
             matrix = random_cost_matrix(rng, n, kappa=kappa)
-            dp_cost = memoize_dp(matrix).optimal_cost
+            dp_cost = memoize_dp(matrix)[-1].min()
             best_cost, _ = brute_force_optimum(matrix)
             c.check(
                 abs(dp_cost - best_cost) <= 1e-9,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from retrainer import CostMatrix, load_csv_stream, results_from_csv
+from retrainer import CostMatrix, InvalidInputError, RunConfig, load_csv_stream, results_from_csv
 from retrainer.cli import main
 
 
@@ -106,15 +106,20 @@ def test_run_subcommand_with_trace(runner, config_path, tmp_path):
     assert len(lines) == 1 + 9
 
 
-def test_run_subcommand_policy_resolution(runner, config_path):
+def test_run_subcommand_policy_resolution(runner, config_path, monkeypatch):
     # a valid policy missing from the config runs with its defaults
     result = runner.invoke(main, ["run", "--config", str(config_path), "--policy", "markov"])
     assert result.exit_code == 0, result.output
-    # an unknown name fails the way the sweep reports a failing policy
+    # an unknown name fails when the policy is named, before any stream is built
+
+    def no_costs(self, seed):
+        raise AssertionError("costs_for_seed was called")
+
+    monkeypatch.setattr(RunConfig, "costs_for_seed", no_costs)
     result = runner.invoke(main, ["run", "--config", str(config_path), "--policy", "bogus"])
     assert result.exit_code != 0
-    assert isinstance(result.exception, RuntimeError)
-    assert str(result.exception).startswith("policy=bogus kappa=1.0 seed=0: unknown policy 'bogus'")
+    assert isinstance(result.exception, InvalidInputError)
+    assert "'bogus'" in str(result.exception)
 
 
 RUN_FIELDS = ("strategy_cost", "oracle_cost", "scpe", "n_retrains", "query_accuracy", "strategy")

@@ -456,3 +456,23 @@ class TestRunConfig:
         where(raw)[key] = 0.5
         with pytest.raises(InvalidInputError, match=f"unknown {level} key {key!r}"):
             RunConfig.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"name": "adwn"}, "unknown policy 'adwn'"),
+            ({"name": "threshold"}, "threshold policy params are missing 'tau'"),
+            ({"name": "threshold", "params": {}}, "threshold policy params are missing 'tau'"),
+        ],
+    )
+    def test_policy_entry_fails_at_load(self, entry, message):
+        raw = {
+            "stream": dict(GAUSS_STREAM),
+            "t_offline": 3,
+            "t_online": 9,
+            "kappas": [1],
+            "policies": [{"name": "never"}, entry],
+            "model": {"kind": "logistic"},
+        }
+        with pytest.raises(InvalidInputError, match=message):
+            RunConfig.from_dict(raw)

@@ -1,11 +1,14 @@
-"""Every module of the package and of the test suite uses each name it imports.
+"""Every module of the package and of the test suite uses each name it
+imports, and every module-level private function or constant of the package
+is used somewhere in the package or the tests.
 
 A stdlib ``ast`` scan, so the check runs wherever the tests run. Package
-``__init__.py`` files are skipped (their imports are re-exports), and so is
-``from __future__``.
+``__init__.py`` files are skipped by the import check (their imports are
+re-exports), and so is ``from __future__``.
 """
 
 import ast
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -35,3 +38,48 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [f"line {line}: {name}" for name, line in imported_names(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def module_privates(tree):
+    """(name, line) of each module-level ``_name`` function, class or constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+def referenced_names(tree):
+    """Names read, attributes accessed and names imported anywhere in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+PACKAGE = sorted((ROOT / "src" / "retrainer").glob("*.py"))
+
+
+@cache
+def names_used_anywhere() -> frozenset:
+    used = set()
+    for path in [*PACKAGE, *(ROOT / "tests").glob("*.py")]:
+        used.update(referenced_names(ast.parse(path.read_text(), filename=str(path))))
+    return frozenset(used)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unreferenced_private_helpers(path):
+    used = names_used_anywhere()
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unused = [f"line {line}: {name}" for name, line in module_privates(tree) if name not in used]
+    assert not unused, f"{path.name} defines private names nothing references: {', '.join(unused)}"

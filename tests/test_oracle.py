@@ -1,9 +1,11 @@
+import json
 import math
 from itertools import islice
 
 import numpy as np
 import pytest
 from helpers import brute_force_optimum, random_cost_matrix, reachable_strategies
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from retrainer import (
@@ -12,6 +14,7 @@ from retrainer import (
     MarkovPolicy,
     NeverRetrainPolicy,
     PeriodicPolicy,
+    RunConfig,
     ThresholdPolicy,
     memoize_dp,
     optimize_offline,
@@ -19,6 +22,8 @@ from retrainer import (
     replay_policy,
     strategy_cost,
 )
+from retrainer.cli import main
+from retrainer.costmatrix import format_value
 
 
 def matrix_from(entries, kappa):
@@ -28,23 +33,23 @@ def matrix_from(entries, kappa):
 class TestMemoizeDp:
     def test_single_batch(self):
         c = matrix_from([[2.5]], [2.5])
-        table = memoize_dp(c)
-        assert table.values[0, 0] == 2.5
-        assert table.optimal_cost == 2.5
+        V = memoize_dp(c)
+        assert V[0, 0] == 2.5
+        assert V[-1].min() == 2.5
 
     def test_two_batch_hand_case(self):
         # keeping costs 5, retraining costs 1: retrain wins
         c = matrix_from([[1.0, 5.0], [math.inf, 1.0]], [1.0, 1.0])
-        table = memoize_dp(c)
-        assert table.values[1, 0] == 6.0
-        assert table.values[1, 1] == 2.0
+        V = memoize_dp(c)
+        assert V[1, 0] == 6.0
+        assert V[1, 1] == 2.0
         assert oracle_strategy(c)[0].retrain_batches == (0, 1)
 
     def test_two_batch_keep_case(self):
         # keeping costs 0.25 < kappa: keep wins
         c = matrix_from([[1.0, 0.25], [math.inf, 1.0]], [1.0, 1.0])
-        table = memoize_dp(c)
-        assert table.optimal_cost == 1.25
+        V = memoize_dp(c)
+        assert V[-1].min() == 1.25
         assert oracle_strategy(c)[0].retrain_batches == (0,)
 
     def test_random_matrices_match_brute_force(self):
@@ -53,7 +58,7 @@ class TestMemoizeDp:
             n = int(rng.integers(2, 11))
             c = random_cost_matrix(rng, n, kappa=float(rng.uniform(0, 2)))
             best_cost, _ = brute_force_optimum(c)
-            assert memoize_dp(c).optimal_cost == pytest.approx(best_cost, abs=1e-9)
+            assert memoize_dp(c)[-1].min() == pytest.approx(best_cost, abs=1e-9)
 
 
 class TestOracleRetrains:
@@ -155,10 +160,23 @@ def test_oracle_lower_bound_against_random_strategies_and_policies(
 
 
 def test_dp_table_csv_export(tmp_path):
-    c = random_cost_matrix(np.random.default_rng(12), 4, kappa=1.0, start=2)
-    table = memoize_dp(c)
+    raw = {
+        "stream": {"dataset": "gauss", "n_batches": 6, "batch_size": 30, "queries_per_batch": 3, "seed": 12},
+        "t_offline": 1,
+        "t_online": 5,
+        "kappas": [1.0],
+        "policies": [{"name": "never"}],
+        "model": {"kind": "logistic", "epochs": 20},
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
     path = tmp_path / "table.csv"
-    table.to_csv(path)
+    result = CliRunner().invoke(main, ["oracle", "--config", str(config), "--table-out", str(path)])
+    assert result.exit_code == 0, result.output
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,p,value"
     assert len(lines) == 1 + 16
+    c = RunConfig.from_dict(raw).costs_for_seed(0)[2].cost_matrix(2, 5, 1.0)
+    V = memoize_dp(c)
+    expected = [f"{2 + t},{2 + p},{format_value(V[t, p])}" for t in range(4) for p in range(4)]
+    assert lines[1:] == expected

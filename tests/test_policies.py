@@ -16,7 +16,6 @@ from retrainer import (
     CostMatrix,
     CumulativeThresholdPolicy,
     DataBatch,
-    Decision,
     DdmPolicy,
     InvalidInputError,
     MarkovPolicy,
@@ -32,9 +31,7 @@ from retrainer import (
 )
 from retrainer.costmatrix import StreamCosts
 from retrainer.models import ForestClassifier, LogisticClassifier
-from retrainer.policies import _candidate_costs
-
-KEEP, RETRAIN = Decision.KEEP, Decision.RETRAIN
+from retrainer.policies import _BLOCK, _candidate_costs, _serving_rows
 
 
 def drifting_stream(n=12, n_points=40, n_queries=8, seed=0):
@@ -67,18 +64,18 @@ def run_online(policy, data, queries, kappa, model=MODEL, *, start=0, end=None, 
 
 class TestThresholdDecision:
     def test_boundary_value_retrains(self):
-        assert ThresholdPolicy(0.5).decide(3, 1, staleness=0.5) is RETRAIN
+        assert ThresholdPolicy(0.5).decide(3, staleness=0.5)
 
     def test_below_threshold_keeps(self):
-        assert ThresholdPolicy(0.5).decide(3, 1, staleness=0.499) is KEEP
+        assert not ThresholdPolicy(0.5).decide(3, staleness=0.499)
 
     def test_infinite_threshold_never_retrains(self):
         pol = ThresholdPolicy(math.inf)
-        assert pol.decide(3, 1, staleness=1e12) is KEEP
+        assert not pol.decide(3, staleness=1e12)
 
     def test_negative_infinity_always_retrains(self):
         pol = ThresholdPolicy(-math.inf)
-        assert pol.decide(3, 1, staleness=-1e12) is RETRAIN
+        assert pol.decide(3, staleness=-1e12)
 
 
 class TestCumulativeDecision:
@@ -97,33 +94,33 @@ class TestCumulativeDecision:
         pol = CumulativeThresholdPolicy(math.inf)
         pol.reset()
         for t in range(100):
-            assert pol.decide(t, 0, staleness=1e6) is KEEP
+            assert not pol.decide(t, staleness=1e6)
 
     def test_negative_staleness_never_accumulates_past_threshold(self):
         pol = CumulativeThresholdPolicy(0.5)
         pol.reset()
         for t in range(50):
-            assert pol.decide(t, 0, staleness=-0.2) is KEEP
+            assert not pol.decide(t, staleness=-0.2)
 
     def test_accumulator_resets_on_retrain(self):
         pol = CumulativeThresholdPolicy(1.0)
         pol.reset()
-        assert pol.decide(1, 0, staleness=0.6) is KEEP
-        assert pol.decide(2, 0, staleness=0.6) is RETRAIN
+        assert not pol.decide(1, staleness=0.6)
+        assert pol.decide(2, staleness=0.6)
         assert pol.cumulative_ == 0.0
-        assert pol.decide(3, 2, staleness=0.6) is KEEP
+        assert not pol.decide(3, staleness=0.6)
 
 
 class TestPeriodicDecision:
     def test_period_one_always_retrains(self):
         pol = PeriodicPolicy(1)
-        assert all(pol.decide(t, 0) is RETRAIN for t in range(20))
+        assert all(pol.decide(t) for t in range(20))
 
     def test_off_phase_keeps(self):
-        assert PeriodicPolicy(10, 0).decide(25, 0) is KEEP
+        assert not PeriodicPolicy(10, 0).decide(25)
 
     def test_on_phase_retrains(self):
-        assert PeriodicPolicy(10, 5).decide(25, 0) is RETRAIN
+        assert PeriodicPolicy(10, 5).decide(25)
 
     def test_invalid_params(self):
         with pytest.raises(InvalidInputError):
@@ -139,15 +136,15 @@ class TestMarkovDecision:
         kappa=st.floats(0, 5, allow_nan=False),
     )
     def test_matches_threshold_at_kappa(self, staleness, kappa):
-        markov = MarkovPolicy().decide(4, 2, staleness=staleness, kappa=kappa)
-        threshold = ThresholdPolicy(kappa).decide(4, 2, staleness=staleness)
-        assert markov is threshold
+        markov = MarkovPolicy().decide(4, staleness=staleness, kappa=kappa)
+        threshold = ThresholdPolicy(kappa).decide(4, staleness=staleness)
+        assert markov == threshold
 
     def test_boundary_retrains(self):
-        assert MarkovPolicy().decide(1, 0, staleness=0.0, kappa=0.0) is RETRAIN
+        assert MarkovPolicy().decide(1, staleness=0.0, kappa=0.0)
 
     def test_negative_staleness_keeps(self):
-        assert MarkovPolicy().decide(1, 0, staleness=-0.5, kappa=1.0) is KEEP
+        assert not MarkovPolicy().decide(1, staleness=-0.5, kappa=1.0)
 
 
 class TestRunPolicy:
@@ -217,8 +214,8 @@ class TestRunPolicy:
 
     def test_replay_feeds_detectors_the_serving_models_errors(self):
         class ErrorsSeen(AdwinPolicy):
-            def decide(self, t, t_prime, *, staleness=None, errors=None, kappa=None):
-                return RETRAIN if errors.sum() > 0 else KEEP
+            def decide(self, t, *, staleness=None, errors=None, kappa=None):
+                return errors.sum() > 0
 
         def errors(t_model, t_data):
             return np.array([float(t_data - t_model >= 2)])
@@ -376,21 +373,10 @@ class TestBatchedCalibration:
         ),
     )
     def test_every_cost_equals_replayed_strategy_cost(self, c, extra):
-        psi = c.staleness_entries()
-        upper = psi[np.triu_indices(c.n, k=1)]
-        sums = [np.cumsum(psi[i, i + 1 :]) for i in range(c.n - 1)]
-        taus = np.concatenate([[-math.inf, math.inf], upper, *sums, extra])
-        for family, make in (
-            ("threshold", ThresholdPolicy),
-            ("cumulative", CumulativeThresholdPolicy),
-        ):
-            costs = _candidate_costs(family, taus, c)
-            assert costs == [replay_cost(make(tau), c) for tau in taus]
-        pairs = np.array(
-            [(p, o) for p in range(1, max(1, c.end) + 1) for o in range(p)], dtype=np.int64
-        )
-        costs = _candidate_costs("periodic", pairs, c)
-        assert costs == [replay_cost(PeriodicPolicy(int(p), int(o)), c) for p, o in pairs]
+        for cls, grid in candidate_grids(c, extra):
+            costs = _candidate_costs(cls, grid, c).tolist()
+            assert costs == [replay_cost(policy, c) for policy in candidates(cls, grid)]
+            assert_block_matches_replays(cls, grid, c)
 
     def test_blocks_larger_than_one_pass(self):
         # more candidates than one block holds, on a matrix longer than the
@@ -398,8 +384,53 @@ class TestBatchedCalibration:
         rng = np.random.default_rng(11)
         c = random_cost_matrix(rng, 150, kappa=0.7, start=2)
         taus = np.concatenate([[-math.inf, math.inf], rng.uniform(-3.0, 20.0, 600)])
-        costs = _candidate_costs("cumulative", taus, c)
-        assert costs == [replay_cost(CumulativeThresholdPolicy(tau), c) for tau in taus]
+        grid = {"tau_cum": taus}
+        costs = _candidate_costs(CumulativeThresholdPolicy, grid, c).tolist()
+        assert costs == [replay_cost(policy, c) for policy in candidates(CumulativeThresholdPolicy, grid)]
+
+    def test_block_wider_than_one_pass_replays_every_candidate(self):
+        rng = np.random.default_rng(12)
+        c = random_cost_matrix(rng, 140, kappa=0.4, start=1)
+        width = _BLOCK + 44
+        periods = rng.integers(1, c.end + 1, width)
+        grids = [
+            (ThresholdPolicy, {"tau": rng.uniform(-1.0, 2.0, width)}),
+            (CumulativeThresholdPolicy, {"tau_cum": rng.uniform(-3.0, 20.0, width)}),
+            (PeriodicPolicy, {"period": periods, "offset": rng.integers(0, periods)}),
+        ]
+        for cls, grid in grids:
+            assert_block_matches_replays(cls, grid, c)
+
+
+def candidate_grids(c, extra):
+    """Each calibratable family with a grid of candidates: the thresholds
+    include every staleness value, every cumulative sum, the sentinels and
+    ``extra``; the periods are the whole periodic search."""
+    psi = c.staleness_entries()
+    upper = psi[np.triu_indices(c.n, k=1)]
+    sums = [np.cumsum(psi[i, i + 1 :]) for i in range(c.n - 1)]
+    taus = np.concatenate([[-math.inf, math.inf], upper, *sums, extra])
+    pairs = np.array([(p, o) for p in range(1, max(1, c.end) + 1) for o in range(p)], dtype=np.int64)
+    return [
+        (ThresholdPolicy, {"tau": taus}),
+        (CumulativeThresholdPolicy, {"tau_cum": taus}),
+        (PeriodicPolicy, {"period": pairs[:, 0], "offset": pairs[:, 1]}),
+    ]
+
+
+def candidates(cls, grid):
+    """One policy per index of the grid's parameter arrays."""
+    names = list(grid)
+    return [cls(**dict(zip(names, values))) for values in zip(*(grid[k].tolist() for k in names))]
+
+
+def assert_block_matches_replays(cls, grid, c):
+    """Every column of one block's serving rows is that candidate's replay."""
+    size = len(next(iter(grid.values())))
+    served = _serving_rows(cls(**grid), c, (size,))
+    assert served.shape == (c.n, size)
+    for i, policy in enumerate(candidates(cls, grid)):
+        assert np.array_equal(c.start + served[:, i], replay_policy(policy, c).served_by), policy
 
 
 class TestDriftScenarioPolicies:
