@@ -97,12 +97,12 @@ class PolicySpec:
         cls = POLICY_KINDS.get(self.name)
         if cls is None:
             raise InvalidInputError(f"unknown policy {self.name!r}; expected one of {sorted(POLICY_KINDS)}")
-        if isinstance(self.params, str):
-            if self.params != "optimize":
-                raise InvalidInputError(f"policy params must be a dict or 'optimize', got {self.params!r}")
+        if self.params == "optimize":
             if self.name not in CALIBRATABLE:
                 raise InvalidInputError(f"policy {self.name!r} has no optimizable parameters")
             return
+        if not isinstance(self.params, dict):
+            raise InvalidInputError(f"{self.name} policy params must be a dict or 'optimize', got {self.params!r}")
         # a class without its own __init__ takes no parameters
         keys = inspect.signature(cls).parameters if "__init__" in vars(cls) else {}
         _check_keys(self.params, keys, f"{self.name} policy params")
@@ -192,12 +192,17 @@ class RunConfig:
             raise InvalidInputError(f"unknown model kind {self.model_kind!r}")
         model_keys = inspect.signature(MODEL_KINDS[self.model_kind]).parameters
         _check_keys(self.model_params, model_keys, f"{self.model_kind} model")
+        make_model(self.model_kind, **self.model_params)._validate_params()
         if self.gamma is not None and not self.gamma > 0:
             raise InvalidInputError("gamma must be > 0 when given")
         specs = []
         for p in self.policies:
             if not isinstance(p, PolicySpec):
+                if not isinstance(p, dict):
+                    raise InvalidInputError(f"policy entry must be an object with a 'name', got {p!r}")
                 _check_keys(p, POLICY_KEYS, "policy entry")
+                if "name" not in p:
+                    raise InvalidInputError("policy entry is missing 'name'")
                 p = PolicySpec(p["name"], p.get("params", {}))
             specs.append(p)
         self.policies = specs

@@ -9,7 +9,10 @@ tooling without pulling in an ML framework:
   updates keep training deterministic for the small per-batch datasets this
   package targets.
 * ``ForestClassifier`` -- bagging of greedy CART trees grown on Gini
-  impurity with midpoint thresholds.
+  impurity with midpoint thresholds. Fit ends by compiling the trees into a
+  vote table over the grid their thresholds cut each feature into; predict
+  looks each point's cell up in it. Every comparison a tree makes is constant
+  within a cell, so the table gives the tree walk's votes bit for bit.
 
 Determinism contract: fitting the same data with the same hyperparameters
 (including ``seed``) produces a model with bit-identical predictions. To keep
@@ -154,6 +157,15 @@ class LogisticClassifier(BaseClassifier):
         return (X @ self.coef_ + self.intercept_ > 0).astype(np.int64)
 
 
+# A forest builds its vote table only when the grid has at most this many
+# cells per tree node; past that, predict walks the trees. The table, one bit
+# per cell, then adds at most 8 bytes per node to the 40 its tree arrays
+# hold (callers cache a fitted model per batch), and it costs less to build
+# than one walk over 1000 points. The 2-feature built-in streams reach at
+# most 31 cells per node.
+_TABLE_CELLS_PER_NODE = 64
+
+
 class _CartTree:
     """Greedy CART tree on Gini impurity, stored as flat node arrays.
 
@@ -161,6 +173,10 @@ class _CartTree:
     threshold at the midpoint between consecutive sorted values. Ties in
     impurity resolve to the lowest feature index and then the smallest
     threshold, so tree structure is a pure function of the data.
+
+    Each feature is argsorted once per tree (stably). A child's per-feature
+    order is its parent's filtered by the split, which is exactly what a
+    stable argsort of the child's rows gives, because ties stay in row order.
     """
 
     __slots__ = ("feature", "threshold", "left", "right", "value", "max_depth")
@@ -174,7 +190,9 @@ class _CartTree:
         self.value: list[int] = []
 
     def fit(self, X: np.ndarray, y: np.ndarray, feature_fraction: float, rng: np.random.Generator | None):
-        self._grow(X, y, depth=0, feature_fraction=feature_fraction, rng=rng)
+        Xt = np.ascontiguousarray(X.T)
+        orders = np.argsort(Xt, axis=1, kind="stable")
+        self._grow(Xt, y, orders, depth=0, feature_fraction=feature_fraction, rng=rng)
         self.feature = np.asarray(self.feature, dtype=np.int64)
         self.threshold = np.asarray(self.threshold, dtype=np.float64)
         self.left = np.asarray(self.left, dtype=np.int64)
@@ -190,42 +208,43 @@ class _CartTree:
         self.value.append(0)
         return len(self.feature) - 1
 
-    def _grow(self, X, y, depth, feature_fraction, rng) -> int:
+    def _grow(self, Xt, y, orders, depth, feature_fraction, rng) -> int:
+        """Grow the subtree over the rows in ``orders`` (row f: the rows sorted by feature f)."""
         node = self._add_node()
-        n = y.size
-        ones = int(y.sum())
+        n = orders.shape[1]
+        ones = int(y[orders[0]].sum())
         majority = 1 if 2 * ones > n else 0
         self.value[node] = majority
         self.left[node] = node
         self.right[node] = node
         if depth >= self.max_depth or ones == 0 or ones == n:
             return node
-        d = X.shape[1]
+        d = Xt.shape[0]
         if feature_fraction >= 1.0 or rng is None:
             candidates = np.arange(d)
         else:
             k = max(1, math.ceil(feature_fraction * d))
             candidates = np.sort(rng.choice(d, size=k, replace=False))
-        split = self._best_split(X, y, candidates)
+        split = self._best_split(Xt, y, orders, candidates)
         if split is None:
             return node
         feat, thr = split
-        mask = X[:, feat] <= thr
+        # every row of orders holds the node's rows, so each keeps as many as go left
+        go_left = (Xt[feat] <= thr)[orders]
         self.feature[node] = int(feat)
         self.threshold[node] = float(thr)
-        self.left[node] = self._grow(X[mask], y[mask], depth + 1, feature_fraction, rng)
-        self.right[node] = self._grow(X[~mask], y[~mask], depth + 1, feature_fraction, rng)
+        self.left[node] = self._grow(Xt, y, orders[go_left].reshape(d, -1), depth + 1, feature_fraction, rng)
+        self.right[node] = self._grow(Xt, y, orders[~go_left].reshape(d, -1), depth + 1, feature_fraction, rng)
         return node
 
     @staticmethod
-    def _best_split(X, y, candidates) -> tuple[int, float] | None:
-        n = y.size
+    def _best_split(Xt, y, orders, candidates) -> tuple[int, float] | None:
+        n = orders.shape[1]
         best_gini = math.inf
         best = None
         for feat in candidates:
-            vals = X[:, feat]
-            order = np.argsort(vals, kind="stable")
-            sv = vals[order]
+            order = orders[feat]
+            sv = Xt[feat][order]
             ones = np.cumsum(y[order])
             boundaries = np.nonzero(sv[1:] > sv[:-1])[0]
             if boundaries.size == 0:
@@ -278,6 +297,22 @@ class ForestClassifier(BaseClassifier):
         Seeds the bootstrap / feature subsampling generator.
 
     Ties in the vote (possible with an even tree count) resolve to class 0.
+
+    Attributes (after fit)
+    ----------------------
+    trees_ : list of _CartTree
+        Empty when the training batch contained a single class.
+    cuts_ : list of ndarray, or None
+        Per feature, the sorted distinct thresholds of all trees on it.
+    table_ : ndarray of uint8, or None
+        The forest's vote per cell of the grid the cuts draw, one bit per
+        cell (C order, little-endian bits within a byte). A point's code
+        on feature f is the number of cuts below its value, so ``x_f <= thr``
+        holds exactly when the code is at most the index of ``thr``: every
+        comparison of every tree is constant within a cell, and the table
+        gives the walk's vote bit for bit. None (predict walks the trees)
+        when the forest has no trees or its grid has more than 64 cells per
+        tree node, which keeps the table within a fifth of the trees' size.
     """
 
     def __init__(
@@ -304,6 +339,7 @@ class ForestClassifier(BaseClassifier):
 
     def _fit_impl(self, X, y):
         self.trees_ = []
+        self.cuts_ = self.table_ = None
         if self.constant_ is not None:
             return
         n = X.shape[0]
@@ -317,12 +353,67 @@ class ForestClassifier(BaseClassifier):
                 Xb, yb = X, y
             tree = _CartTree(self.max_depth).fit(Xb, yb, self.feature_fraction, rng)
             self.trees_.append(tree)
+        self._build_table()
+
+    def _build_table(self) -> None:
+        """Set ``cuts_`` and ``table_`` when the grid has at most ``_TABLE_CELLS_PER_NODE`` cells per node."""
+        feature = np.concatenate([tree.feature for tree in self.trees_])
+        threshold = np.concatenate([tree.threshold for tree in self.trees_])
+        cuts = []
+        for f in range(self.n_features_in_):
+            # np.unique would do, but its first call imports numpy.ma
+            on_f = np.sort(threshold[feature == f])
+            distinct = np.ones(on_f.size, dtype=bool)
+            distinct[1:] = on_f[1:] != on_f[:-1]
+            cuts.append(on_f[distinct])
+        shape = [c.size + 1 for c in cuts]
+        if math.prod(shape) > _TABLE_CELLS_PER_NODE * feature.size:
+            return
+        # a point goes left at a node exactly when its code is below the node's `bound`
+        bound = np.zeros(feature.size, dtype=np.int64)
+        for f, c in enumerate(cuts):
+            on_f = feature == f
+            bound[on_f] = np.searchsorted(c, threshold[on_f]) + 1
+        votes = np.zeros(shape, dtype=np.min_scalar_type(self.n_trees))
+        offset = 0
+        for tree in self.trees_:
+            size = tree.feature.size
+            feat, left, right = tree.feature.tolist(), tree.left.tolist(), tree.right.tolist()
+            value, cut = tree.value.tolist(), bound[offset : offset + size].tolist()
+            offset += size
+            # paint each leaf's box of codes [lo, hi) with an explicit stack
+            stack = [(0, [0] * len(shape), shape)]
+            while stack:
+                node, lo, hi = stack.pop()
+                f = feat[node]
+                if f < 0:
+                    if value[node]:
+                        votes[tuple(map(slice, lo, hi))] += 1
+                    continue
+                k = cut[node]
+                if lo[f] < k:
+                    left_hi = list(hi)
+                    left_hi[f] = min(hi[f], k)
+                    stack.append((left[node], lo, left_hi))
+                if hi[f] > k:
+                    right_lo = list(lo)
+                    right_lo[f] = max(lo[f], k)
+                    stack.append((right[node], right_lo, hi))
+        self.cuts_ = cuts
+        # 2 * votes > n_trees, without doubling a narrow integer; one bit per cell
+        self.table_ = np.packbits(votes > self.n_trees // 2, axis=None, bitorder="little")
 
     def _predict_impl(self, X: np.ndarray) -> np.ndarray:
-        votes = np.zeros(X.shape[0], dtype=np.int64)
-        for tree in self.trees_:
-            votes += tree.predict(X)
-        return (2 * votes > self.n_trees).astype(np.int64)
+        if self.table_ is None:
+            votes = np.zeros(X.shape[0], dtype=np.int64)
+            for tree in self.trees_:
+                votes += tree.predict(X)
+            return (2 * votes > self.n_trees).astype(np.int64)
+        cell = np.zeros(X.shape[0], dtype=np.intp)
+        for f, cuts in enumerate(self.cuts_):
+            cell *= cuts.size + 1
+            cell += np.searchsorted(cuts, X[:, f])
+        return (self.table_[cell >> 3] >> (cell & 7)) & 1
 
 
 def fit_model(batch: DataBatch, model: BaseClassifier) -> BaseClassifier:

@@ -26,7 +26,7 @@ from retrainer import (
     strategy_cost,
 )
 from retrainer.costmatrix import rbf_weights
-from retrainer.models import LogisticClassifier
+from retrainer.models import LogisticClassifier, _CartTree
 from retrainer.validation import check_same_dim
 
 
@@ -238,6 +238,119 @@ class ReferenceAdwinDetector(AdwinDetector):
                 self._drop_oldest()
                 return True
         return False
+
+
+# ---------------------------------------------------------------------------
+# Reference forest: every node argsorts its own rows, and predict walks each
+# tree one level at a time and counts the votes, as the forest once did. The
+# library's presorted growth must give the same tree arrays, and its vote
+# table the same predictions.
+# ---------------------------------------------------------------------------
+
+
+class ReferenceCartTree(_CartTree):
+    __slots__ = ()
+
+    def fit(self, X, y, feature_fraction, rng):
+        self._grow(X, y, 0, feature_fraction, rng)
+        self.feature = np.asarray(self.feature, dtype=np.int64)
+        self.threshold = np.asarray(self.threshold, dtype=np.float64)
+        self.left = np.asarray(self.left, dtype=np.int64)
+        self.right = np.asarray(self.right, dtype=np.int64)
+        self.value = np.asarray(self.value, dtype=np.int64)
+        return self
+
+    def _grow(self, X, y, depth, feature_fraction, rng):
+        node = self._add_node()
+        n = y.size
+        ones = int(y.sum())
+        self.value[node] = 1 if 2 * ones > n else 0
+        self.left[node] = node
+        self.right[node] = node
+        if depth >= self.max_depth or ones == 0 or ones == n:
+            return node
+        d = X.shape[1]
+        if feature_fraction >= 1.0 or rng is None:
+            candidates = np.arange(d)
+        else:
+            k = max(1, math.ceil(feature_fraction * d))
+            candidates = np.sort(rng.choice(d, size=k, replace=False))
+        split = self._best_split(X, y, candidates)
+        if split is None:
+            return node
+        feat, thr = split
+        mask = X[:, feat] <= thr
+        self.feature[node] = int(feat)
+        self.threshold[node] = float(thr)
+        self.left[node] = self._grow(X[mask], y[mask], depth + 1, feature_fraction, rng)
+        self.right[node] = self._grow(X[~mask], y[~mask], depth + 1, feature_fraction, rng)
+        return node
+
+    @staticmethod
+    def _best_split(X, y, candidates):
+        n = y.size
+        best_gini = math.inf
+        best = None
+        for feat in candidates:
+            vals = X[:, feat]
+            order = np.argsort(vals, kind="stable")
+            sv = vals[order]
+            ones = np.cumsum(y[order])
+            boundaries = np.nonzero(sv[1:] > sv[:-1])[0]
+            if boundaries.size == 0:
+                continue
+            n_left = boundaries + 1.0
+            ones_left = ones[boundaries].astype(np.float64)
+            n_right = n - n_left
+            ones_right = ones[-1] - ones_left
+            gini_left = 1.0 - (ones_left / n_left) ** 2 - ((n_left - ones_left) / n_left) ** 2
+            gini_right = 1.0 - (ones_right / n_right) ** 2 - ((n_right - ones_right) / n_right) ** 2
+            weighted = (n_left * gini_left + n_right * gini_right) / n
+            k = int(np.argmin(weighted))
+            if weighted[k] < best_gini:
+                best_gini = float(weighted[k])
+                cut = boundaries[k]
+                best = (int(feat), 0.5 * (sv[cut] + sv[cut + 1]))
+        return best
+
+
+def reference_forest_trees(forest, X, y):
+    """The trees ``forest``'s hyperparameters grow on (X, y), each node argsorting its rows."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if y.min() == y.max():
+        return []
+    n = X.shape[0]
+    needs_rng = forest.bootstrap or forest.feature_fraction < 1.0
+    rng = np.random.default_rng(forest.seed) if needs_rng else None
+    trees = []
+    for _ in range(forest.n_trees):
+        idx = rng.integers(0, n, size=n) if forest.bootstrap else np.arange(n)
+        trees.append(ReferenceCartTree(forest.max_depth).fit(X[idx], y[idx], forest.feature_fraction, rng))
+    return trees
+
+
+def reference_tree_predict(tree, X):
+    idx = np.zeros(X.shape[0], dtype=np.int64)
+    rows = np.arange(X.shape[0])
+    for _ in range(tree.max_depth):
+        feat = tree.feature[idx]
+        internal = feat >= 0
+        if not internal.any():
+            break
+        xf = X[rows, np.where(internal, feat, 0)]
+        go_left = xf <= tree.threshold[idx]
+        nxt = np.where(go_left, tree.left[idx], tree.right[idx])
+        idx = np.where(internal, nxt, idx)
+    return tree.value[idx]
+
+
+def reference_forest_predict(trees, n_trees, X):
+    """Majority vote of the walked trees; a tie resolves to class 0."""
+    votes = np.zeros(X.shape[0], dtype=np.int64)
+    for tree in trees:
+        votes += reference_tree_predict(tree, X)
+    return (2 * votes > n_trees).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

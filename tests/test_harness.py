@@ -463,6 +463,9 @@ class TestRunConfig:
             ({"name": "adwn"}, "unknown policy 'adwn'"),
             ({"name": "threshold"}, "threshold policy params are missing 'tau'"),
             ({"name": "threshold", "params": {}}, "threshold policy params are missing 'tau'"),
+            ({"params": {}}, "policy entry is missing 'name'"),
+            ("never", "policy entry must be an object with a 'name', got 'never'"),
+            ({"name": "threshold", "params": None}, "threshold policy params must be a dict or 'optimize', got None"),
         ],
     )
     def test_policy_entry_fails_at_load(self, entry, message):
@@ -473,6 +476,26 @@ class TestRunConfig:
             "kappas": [1],
             "policies": [{"name": "never"}, entry],
             "model": {"kind": "logistic"},
+        }
+        with pytest.raises(InvalidInputError, match=message):
+            RunConfig.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            ({"kind": "forest", "n_trees": 0}, "n_trees must be >= 1"),
+            ({"kind": "forest", "feature_fraction": 1.5}, "feature_fraction must be in"),
+            ({"kind": "logistic", "epochs": 0}, "epochs must be >= 1"),
+        ],
+    )
+    def test_model_hyperparameters_fail_at_load(self, model, message):
+        raw = {
+            "stream": dict(GAUSS_STREAM),
+            "t_offline": 3,
+            "t_online": 9,
+            "kappas": [1],
+            "policies": [{"name": "never"}],
+            "model": model,
         }
         with pytest.raises(InvalidInputError, match=message):
             RunConfig.from_dict(raw)

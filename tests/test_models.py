@@ -1,9 +1,14 @@
+import gc
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from helpers import reference_forest_predict, reference_forest_trees
 from hypothesis import given, settings, strategies as st
 
-from retrainer import DataBatch, InvalidInputError, fit_model
-from retrainer.models import ForestClassifier, LogisticClassifier, _CartTree
+from retrainer import DataBatch, InvalidInputError, fit_model, models
+from retrainer.models import _TABLE_CELLS_PER_NODE, ForestClassifier, LogisticClassifier, _CartTree
 
 
 def separable_batch():
@@ -129,6 +134,103 @@ class TestForest:
         y = (x > 0.5).astype(int)
         tree = _CartTree(3).fit(X, y, feature_fraction=1.0, rng=None)
         assert tree.feature[0] == 0
+
+
+class TestForestAgainstReference:
+    """Presorted growth and the vote table against per-node argsorts and the tree walk."""
+
+    @staticmethod
+    def probes(trees, X, rng):
+        # per feature: every cut and its nextafter neighbours, the training values and a few others
+        cols = []
+        for f in range(X.shape[1]):
+            cuts = np.concatenate([t.threshold[t.feature == f] for t in trees] + [np.empty(0)])
+            pool = np.concatenate(
+                [cuts, np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf), X[:, f], rng.normal(size=8)]
+            )
+            cols.append(rng.choice(pool, size=4 * pool.size + 50))
+        size = min(c.size for c in cols)
+        return np.vstack([X, np.column_stack([c[:size] for c in cols])])
+
+    def assert_matches_reference(self, forest, X, y, rng):
+        model = forest.fit(X, y)
+        trees = reference_forest_trees(forest, X, y)
+        assert len(model.trees_) == len(trees)
+        for got, want in zip(model.trees_, trees):
+            for name in ("feature", "threshold", "left", "right", "value"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        P = self.probes(trees, X, rng)
+        assert np.array_equal(model.predict(P), reference_forest_predict(trees, forest.n_trees, P))
+        return model
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        d=st.sampled_from([1, 2, 3, 5]),
+        n=st.integers(2, 80),
+        tied=st.booleans(),
+        bootstrap=st.booleans(),
+        feature_fraction=st.sampled_from([1.0, 0.6, 0.3]),
+        n_trees=st.integers(1, 9),
+        max_depth=st.integers(1, 8),
+        # a looser cap keeps the table path in play for 3- and 5-feature grids
+        cells_per_node=st.sampled_from([_TABLE_CELLS_PER_NODE, 4096]),
+    )
+    def test_trees_and_predictions_match(
+        self, seed, d, n, tied, bootstrap, feature_fraction, n_trees, max_depth, cells_per_node
+    ):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, d))
+        if tied:
+            X = np.round(X, 1)
+        y = (X @ rng.normal(size=d) + rng.normal(scale=0.5, size=n) > 0).astype(np.int64)
+        y[:2] = (0, 1)  # both classes, so the forest grows trees
+        forest = ForestClassifier(n_trees, max_depth, feature_fraction, bootstrap, seed=seed)
+        with mock.patch.object(models, "_TABLE_CELLS_PER_NODE", cells_per_node):
+            self.assert_matches_reference(forest, X, y, rng)
+
+    def test_wide_forest_walks_its_trees(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(300, 30))
+        y = (X[:, :5].sum(axis=1) > 0).astype(np.int64)
+        model = self.assert_matches_reference(ForestClassifier(n_trees=10, max_depth=8), X, y, rng)
+        assert model.table_ is None
+
+    def test_table_is_uint8_over_the_cut_grid(self):
+        model = fit_model(xor_batch(), ForestClassifier(n_trees=9, max_depth=4, seed=2))
+        assert model.table_.dtype == np.uint8
+        cells = math.prod(c.size + 1 for c in model.cuts_)
+        assert model.table_.size == -(-cells // 8)  # one bit per cell
+        assert cells <= _TABLE_CELLS_PER_NODE * sum(t.feature.size for t in model.trees_)
+
+    def test_table_is_capped_by_the_forest_size(self):
+        # 3 features, 200 points: a grid of about 10**6 cells over about 900 nodes
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(200, 3))
+        y = (X.sum(axis=1) + rng.normal(scale=0.3, size=200) > 0).astype(np.int64)
+        model = self.assert_matches_reference(ForestClassifier(n_trees=25, max_depth=8), X, y, rng)
+        assert model.table_ is None and model.cuts_ is None
+        with mock.patch.object(models, "_TABLE_CELLS_PER_NODE", 2048):
+            model = self.assert_matches_reference(ForestClassifier(n_trees=25, max_depth=8), X, y, rng)
+        assert model.table_ is not None
+
+    def test_single_class_has_no_trees(self):
+        batch = DataBatch(0, [[0.0, 1.0], [2.0, 3.0]], [1, 1])
+        model = fit_model(batch, ForestClassifier(n_trees=5, max_depth=3))
+        assert model.trees_ == []
+        assert model.table_ is None
+        assert np.all(model.predict(PROBE) == 1)
+
+    def test_fit_leaves_no_reference_cycles(self):
+        # a cycle would keep each fit's vote counts alive until the collector runs
+        batch = xor_batch()
+        gc.collect()
+        gc.disable()
+        try:
+            fit_model(batch, ForestClassifier(n_trees=9, max_depth=5, seed=4))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 @settings(max_examples=25, deadline=None)
