@@ -19,7 +19,6 @@ from .costmatrix import (
     validate_strategy,
 )
 from .datagen import StreamSpec, concept_label, gen_batch, generate_stream, make_queries
-from .detectors import AdwinDetector, DdmDetector
 from .errors import (
     ContractViolationError,
     InvalidInputError,
@@ -63,14 +62,12 @@ from .streams import DataBatch, QueryBatch
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdwinDetector",
     "AdwinPolicy",
     "ContractViolationError",
     "CostMatrix",
     "CsvStream",
     "CumulativeThresholdPolicy",
     "DataBatch",
-    "DdmDetector",
     "DdmPolicy",
     "ForestClassifier",
     "InvalidInputError",

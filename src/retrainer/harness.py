@@ -109,6 +109,10 @@ class PolicySpec:
         for key, param in keys.items():
             if param.default is param.empty and key not in self.params:
                 raise InvalidInputError(f"{self.name} policy params are missing {key!r}")
+        try:
+            cls(**self.params)  # the constructor's own checks run at load
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"{self.name} policy params: {exc}") from exc
 
     @property
     def optimize(self) -> bool:
@@ -457,8 +461,6 @@ def run_sweep(cfg: RunConfig, cost_cache: dict | None = None) -> list[RunResult]
                             kappa_blind[key] = replayed
                     strat, accuracy = replayed
                     results.append(row(spec.name, strat, strategy_cost(strat, online_c), accuracy, params))
-                except UndefinedMetricError:
-                    raise
                 except Exception as exc:
                     raise RuntimeError(
                         f"policy={spec.name} kappa={kappa} seed={seed}: {exc}"

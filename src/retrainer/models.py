@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .streams import DataBatch
-from .validation import as_binary_labels, as_point_matrix, check_fitted, check_same_dim
+from .validation import as_binary_labels, as_count, as_point_matrix, check_fitted, check_number, check_same_dim
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -132,11 +132,12 @@ class LogisticClassifier(BaseClassifier):
         self.seed = seed
 
     def _validate_params(self):
-        if self.learning_rate <= 0:
+        check_number(self.learning_rate, "learning_rate")
+        if not self.learning_rate > 0:
             raise InvalidInputError("learning_rate must be > 0")
-        if self.epochs < 1:
-            raise InvalidInputError("epochs must be >= 1")
-        if self.l2 < 0:
+        as_count(self.epochs, "epochs", 1)
+        check_number(self.l2, "l2")
+        if not self.l2 >= 0:
             raise InvalidInputError("l2 must be >= 0")
 
     def _fit_impl(self, X, y):
@@ -330,10 +331,9 @@ class ForestClassifier(BaseClassifier):
         self.seed = seed
 
     def _validate_params(self):
-        if self.n_trees < 1:
-            raise InvalidInputError("n_trees must be >= 1")
-        if self.max_depth < 1:
-            raise InvalidInputError("max_depth must be >= 1")
+        as_count(self.n_trees, "n_trees", 1)
+        as_count(self.max_depth, "max_depth", 1)
+        check_number(self.feature_fraction, "feature_fraction")
         if not 0.0 < self.feature_fraction <= 1.0:
             raise InvalidInputError("feature_fraction must be in (0, 1]")
 

@@ -9,7 +9,8 @@ inputs it declares:
   read from the cost matrix (threshold, cumulative and markov policies);
 * ``requires_errors`` -- the model's per-sample 0/1 errors on the current
   data batch, in stream order, from an ``errors(t_model, t_data)`` source
-  (drift detector policies);
+  (the ADWIN and DDM drift detectors, each of which is its own policy: it
+  holds the detector state and consumes the bits one at a time);
 * ``requires_kappa`` -- the retraining cost of the current batch, read from
   the matrix diagonal (the markov policy). A policy without it gets no
   ``kappa`` and so replays to the same strategy under every retraining cost.
@@ -39,8 +40,8 @@ import math
 import numpy as np
 
 from .costmatrix import CostMatrix, Strategy
-from .detectors import AdwinDetector, DdmDetector
 from .errors import InvalidInputError
+from .validation import as_count
 
 
 class RetrainPolicy:
@@ -79,6 +80,8 @@ class ThresholdPolicy(RetrainPolicy):
 
     def __init__(self, tau: float):
         self.tau = np.asarray(tau, dtype=np.float64)
+        if np.isnan(self.tau).any():
+            raise InvalidInputError("tau must not be NaN")
 
     def decide(self, t, *, staleness=None, errors=None, kappa=None):
         return np.logical_not(staleness < self.tau)
@@ -100,6 +103,8 @@ class CumulativeThresholdPolicy(RetrainPolicy):
 
     def __init__(self, tau_cum: float):
         self.tau_cum = np.asarray(tau_cum, dtype=np.float64)
+        if np.isnan(self.tau_cum).any():
+            raise InvalidInputError("tau_cum must not be NaN")
         self.reset()
 
     def reset(self):
@@ -127,12 +132,8 @@ class PeriodicPolicy(RetrainPolicy):
     name = "periodic"
 
     def __init__(self, period: int, offset: int = 0):
-        if np.any(np.less(period, 1)):
-            raise InvalidInputError("period must be >= 1")
-        if np.any(np.less(offset, 0)):
-            raise InvalidInputError("offset must be >= 0")
-        self.period = np.asarray(period, dtype=np.int64)
-        self.offset = np.asarray(offset, dtype=np.int64)
+        self.period = as_count(period, "period", 1)
+        self.offset = as_count(offset, "offset", 0)
 
     def decide(self, t, *, staleness=None, errors=None, kappa=None):
         return (t - self.offset) % self.period == 0
@@ -170,49 +171,181 @@ class MarkovPolicy(RetrainPolicy):
 
 
 class DriftDetectorPolicy(RetrainPolicy):
-    """Adapter from a per-sample drift detector to a per-batch decision.
+    """A per-sample drift detector, which is itself the per-batch policy.
 
-    Error bits are fed in stream order; any detection inside the batch means
-    Retrain, and the detector restarts from scratch after a retrain. Neither
-    the queries nor the retraining cost influence the decision. Subclasses
-    build ``detector_`` in ``__init__``; a reset detector equals a fresh one.
+    A subclass holds the detector's state: ``update(error)`` consumes one 0/1
+    error bit (1 = misclassified) and returns True on a drift, and
+    ``reset()`` restarts the detector, so a reset policy equals a fresh one.
+    ``decide`` feeds the batch's error bits in stream order; any detection
+    inside the batch means Retrain, and the detector restarts from scratch
+    after a retrain. Neither the queries nor the retraining cost influence
+    the decision.
     """
 
     requires_errors = True
 
-    def reset(self):
-        self.detector_.reset()
-
     def decide(self, t, *, staleness=None, errors=None, kappa=None):
         for bit in errors:
-            if self.detector_.update(int(bit)):
+            if self.update(bit):
                 self.reset()
                 return True
         return False
 
 
 class DdmPolicy(DriftDetectorPolicy):
+    """Running error-rate monitor with a drift band.
+
+    Tracks the error rate p and its standard error s = sqrt(p(1-p)/n) after
+    every observation, remembering the smallest seen p + s. A drift is
+    signaled when the current statistic reaches the recorded minimum plus
+    ``drift_sigma`` standard errors. Statistics reset after a drift.
+
+    No decision is made before ``min_samples`` observations, and a statistic
+    that merely equals its recorded minimum (e.g. a constant error stream)
+    never counts as drift.
+    """
+
     name = "ddm"
 
     def __init__(self, min_samples: int = 30, drift_sigma: float = 3.0):
-        self.min_samples = int(min_samples)
+        self.min_samples = int(as_count(min_samples, "min_samples", 1))
         self.drift_sigma = float(drift_sigma)
-        self.detector_ = DdmDetector(self.min_samples, self.drift_sigma)
+        if not self.drift_sigma > 0:
+            raise InvalidInputError("drift_sigma must be > 0")
+        self.reset()
 
     def get_params(self):
         return {"min_samples": self.min_samples, "drift_sigma": self.drift_sigma}
 
+    def reset(self) -> None:
+        self.n_ = 0
+        self.error_count_ = 0
+        self.p_min_ = math.inf
+        self.s_min_ = math.inf
+
+    def update(self, error: int) -> bool:
+        """Consume one error bit; True when a drift is detected."""
+        error = int(error)
+        if error not in (0, 1):
+            raise InvalidInputError(f"error bit must be 0 or 1, got {error}")
+        self.n_ += 1
+        self.error_count_ += error
+        if self.n_ < self.min_samples:
+            return False
+        p = self.error_count_ / self.n_
+        s = math.sqrt(p * (1.0 - p) / self.n_)
+        if p + s < self.p_min_ + self.s_min_:
+            self.p_min_ = p
+            self.s_min_ = s
+        level = p + s
+        baseline = self.p_min_ + self.s_min_
+        if level >= self.p_min_ + self.drift_sigma * self.s_min_ and level > baseline:
+            self.reset()
+            return True
+        return False
+
 
 class AdwinPolicy(DriftDetectorPolicy):
+    """Adaptive sliding window over the error stream.
+
+    The window is kept as an exponential histogram: level i holds buckets of
+    2^i observations, at most ``max_buckets`` per level; overflowing levels
+    merge their two oldest buckets one level up. After every insertion, each
+    admissible cut of the window into an old part (n0, mean mu0) and a recent
+    part (n1, mean mu1) is tested against
+
+        eps_cut = sqrt(ln(4 / delta') / (2 m)),   m = 1 / (1/n0 + 1/n1),
+
+    with delta' = delta / window_length. A cut with |mu0 - mu1| >= eps_cut is
+    a drift: the oldest bucket is dropped and the scan repeats until the
+    window is consistent again.
+    """
+
     name = "adwin"
 
     def __init__(self, delta: float = 0.002, max_buckets: int = 5):
         self.delta = float(delta)
-        self.max_buckets = int(max_buckets)
-        self.detector_ = AdwinDetector(self.delta, self.max_buckets)
+        self.max_buckets = int(as_count(max_buckets, "max_buckets", 1))
+        if not 0.0 < self.delta < 1.0:
+            raise InvalidInputError("delta must be in (0, 1)")
+        self.reset()
 
     def get_params(self):
         return {"delta": self.delta, "max_buckets": self.max_buckets}
+
+    def reset(self) -> None:
+        self.rows_: list[list[float]] = [[]]  # per level, oldest bucket sum first
+        self.width_ = 0
+        self.total_ = 0.0
+
+    @property
+    def mean_(self) -> float:
+        return self.total_ / self.width_ if self.width_ else 0.0
+
+    def update(self, error: int) -> bool:
+        """Consume one error bit; True when the window shrank (drift)."""
+        error = int(error)
+        if error not in (0, 1):
+            raise InvalidInputError(f"error bit must be 0 or 1, got {error}")
+        self._insert(float(error))
+        return self._shrink()
+
+    def _insert(self, value: float) -> None:
+        self.rows_[0].append(value)
+        self.width_ += 1
+        self.total_ += value
+        level = 0
+        while len(self.rows_[level]) > self.max_buckets:
+            if level + 1 == len(self.rows_):
+                self.rows_.append([])
+            merged = self.rows_[level].pop(0) + self.rows_[level].pop(0)
+            # the merged pair is newer than everything already at level+1
+            self.rows_[level + 1].append(merged)
+            level += 1
+
+    def _drop_oldest(self) -> None:
+        level = len(self.rows_) - 1
+        while not self.rows_[level]:
+            level -= 1
+        dropped = self.rows_[level].pop(0)
+        self.width_ -= 1 << level
+        self.total_ -= dropped
+        while len(self.rows_) > 1 and not self.rows_[-1]:
+            self.rows_.pop()
+
+    def _shrink(self) -> bool:
+        shrunk = False
+        while self.width_ >= 2:
+            if not self._cut_once():
+                break
+            shrunk = True
+        return shrunk
+
+    def _cut_once(self) -> bool:
+        # Scans buckets oldest first: the highest level, each level oldest bucket first.
+        width = self.width_
+        total = self.total_
+        rows = self.rows_
+        delta_prime = self.delta / width
+        log_term = math.log(4.0 / delta_prime)
+        n0 = 0.0
+        sum0 = 0.0
+        for level in range(len(rows) - 1, -1, -1):
+            size = float(1 << level)
+            for s in rows[level]:
+                n0 += size
+                sum0 += s
+                n1 = width - n0
+                if n1 <= 0:
+                    return False
+                mu0 = sum0 / n0
+                mu1 = (total - sum0) / n1
+                m = 1.0 / (1.0 / n0 + 1.0 / n1)
+                eps_cut = math.sqrt(log_term / (2.0 * m))
+                if abs(mu0 - mu1) >= eps_cut:
+                    self._drop_oldest()
+                    return True
+        return False
 
 
 POLICY_KINDS = {

@@ -6,6 +6,8 @@ code never has to re-check dtype or layout.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import InvalidInputError, NotFittedError
@@ -36,6 +38,24 @@ def as_binary_labels(y, n: int | None = None, name: str = "y") -> np.ndarray:
     if arr.size and not np.isin(arr, (0, 1)).all():
         raise InvalidInputError(f"{name} must contain only 0/1 labels")
     return np.ascontiguousarray(arr)
+
+
+def as_count(value, name: str, low: int) -> np.ndarray:
+    """Coerce an integer, or an array of integers, to int64 with every entry
+    >= ``low``. Floats, bools and strings are refused even when integral, so
+    a count of 2.5 is never truncated to 2."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iu":
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if np.any(arr < low):
+        raise InvalidInputError(f"{name} must be >= {low}")
+    return arr.astype(np.int64, copy=False)
+
+
+def check_number(value, name: str) -> None:
+    """Refuse a value that is not a real number; bools are refused too."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidInputError(f"{name} must be a number, got {value!r}")
 
 
 def check_same_dim(d_expected: int, d_got: int, name: str = "input") -> None:

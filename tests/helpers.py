@@ -12,7 +12,7 @@ from itertools import product
 import numpy as np
 
 from retrainer import (
-    AdwinDetector,
+    AdwinPolicy,
     ContractViolationError,
     CostMatrix,
     CumulativeThresholdPolicy,
@@ -211,7 +211,7 @@ def reference_optimize_offline(family, c):
 # ---------------------------------------------------------------------------
 
 
-class ReferenceAdwinDetector(AdwinDetector):
+class ReferenceAdwinDetector(AdwinPolicy):
     def _buckets_oldest_first(self):
         for level in range(len(self.rows_) - 1, -1, -1):
             size = float(1 << level)

@@ -25,9 +25,9 @@ from helpers import (
 )
 
 from retrainer import (
-    AdwinDetector,
+    AdwinPolicy,
     CumulativeThresholdPolicy,
-    DdmDetector,
+    DdmPolicy,
     KernelConfig,
     MarkovPolicy,
     NeverRetrainPolicy,
@@ -295,7 +295,7 @@ def test_criterion_7_staleness_micro_oracles():
 def test_criterion_8_detector_sanity():
     with Criterion(8, "detectors flag their canonical shifts and stay quiet on constant streams", 5) as c:
         rng = np.random.default_rng(42)
-        ddm = DdmDetector()
+        ddm = DdmPolicy()
         hit = None
         for i in range(1000):
             if ddm.update(int(rng.random() < (0.1 if i < 500 else 0.9))):
@@ -303,7 +303,7 @@ def test_criterion_8_detector_sanity():
                 break
         c.check(hit is not None and hit >= 500, f"ddm fired at {hit}")
 
-        adwin = AdwinDetector(delta=0.002)
+        adwin = AdwinPolicy(delta=0.002)
         hit = None
         for i in range(2000):
             if adwin.update(0 if i < 1000 else 1):
@@ -312,9 +312,9 @@ def test_criterion_8_detector_sanity():
         c.check(hit is not None and hit >= 1000, f"adwin fired at {hit}")
         c.check(hit is not None and adwin.width_ < (hit + 1) // 2, "adwin window did not shrink")
 
-        c.check(not any(DdmDetector().update(0) for _ in range(10_000)), "ddm fired on constant 0s")
-        c.check(not any(DdmDetector().update(1) for _ in range(10_000)), "ddm fired on constant 1s")
-        quiet = AdwinDetector(delta=0.002)
+        c.check(not any(DdmPolicy().update(0) for _ in range(10_000)), "ddm fired on constant 0s")
+        c.check(not any(DdmPolicy().update(1) for _ in range(10_000)), "ddm fired on constant 1s")
+        quiet = AdwinPolicy(delta=0.002)
         c.check(not any(quiet.update(1) for _ in range(10_000)), "adwin fired on a constant stream")
 
 

@@ -5,7 +5,7 @@ import pytest
 from helpers import ReferenceAdwinDetector
 from hypothesis import given, settings, strategies as st
 
-from retrainer import AdwinDetector, DdmDetector, InvalidInputError
+from retrainer import AdwinPolicy, DdmPolicy, InvalidInputError
 
 
 def first_detection(detector, bits):
@@ -17,15 +17,15 @@ def first_detection(detector, bits):
 
 class TestDdm:
     def test_constant_zero_never_drifts(self):
-        assert first_detection(DdmDetector(), [0] * 10_000) is None
+        assert first_detection(DdmPolicy(), [0] * 10_000) is None
 
     def test_constant_one_never_drifts(self):
-        assert first_detection(DdmDetector(), [1] * 10_000) is None
+        assert first_detection(DdmPolicy(), [1] * 10_000) is None
 
     def test_error_rate_jump_detected_in_high_segment(self):
         rng = np.random.default_rng(42)
         bits = [int(rng.random() < (0.1 if i < 500 else 0.9)) for i in range(1000)]
-        hit = first_detection(DdmDetector(), bits)
+        hit = first_detection(DdmPolicy(), bits)
         assert hit is not None and 500 <= hit < 700
 
     def test_detection_index_matches_naive_statistic_trajectory(self):
@@ -48,18 +48,18 @@ class TestDdm:
                 expected = i
                 break
         assert expected is not None
-        assert first_detection(DdmDetector(), bits) == expected
+        assert first_detection(DdmPolicy(), bits) == expected
 
     def test_no_detection_before_min_samples(self):
         bits = [0] * 100 + [1] * 10
         # gate longer than the stream: never fires
-        assert first_detection(DdmDetector(min_samples=200), bits) is None
+        assert first_detection(DdmPolicy(min_samples=200), bits) is None
         # gate passed long before the jump: fires at the first error
-        assert first_detection(DdmDetector(min_samples=30), bits) == 100
+        assert first_detection(DdmPolicy(min_samples=30), bits) == 100
 
     def test_statistics_reset_after_drift(self):
         rng = np.random.default_rng(11)
-        det = DdmDetector()
+        det = DdmPolicy()
         bits = [int(rng.random() < (0.1 if i < 500 else 0.9)) for i in range(1000)]
         hit = first_detection(det, bits)
         assert hit is not None
@@ -67,26 +67,32 @@ class TestDdm:
 
     def test_rejects_non_binary(self):
         with pytest.raises(InvalidInputError):
-            DdmDetector().update(2)
+            DdmPolicy().update(2)
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidInputError):
-            DdmDetector(min_samples=0)
+            DdmPolicy(min_samples=0)
         with pytest.raises(InvalidInputError):
-            DdmDetector(drift_sigma=0)
+            DdmPolicy(drift_sigma=0)
+        with pytest.raises(InvalidInputError):
+            DdmPolicy(drift_sigma=math.nan)
+        for min_samples in (2.7, 30.0, True, "30"):
+            with pytest.raises(InvalidInputError, match="min_samples must be an integer"):
+                DdmPolicy(min_samples=min_samples)
+        assert DdmPolicy(min_samples=np.int64(10)).get_params() == {"min_samples": 10, "drift_sigma": 3.0}
 
 
 class TestAdwin:
     def test_constant_streams_never_drift(self):
         for bit in (0, 1):
-            assert first_detection(AdwinDetector(), [bit] * 10_000) is None
+            assert first_detection(AdwinPolicy(), [bit] * 10_000) is None
 
     def test_alternating_stationary_stream_never_drifts(self):
         bits = [i % 2 for i in range(10_000)]
-        assert first_detection(AdwinDetector(delta=0.002), bits) is None
+        assert first_detection(AdwinPolicy(delta=0.002), bits) is None
 
     def test_mean_shift_detected_and_window_shrinks(self):
-        det = AdwinDetector(delta=0.002)
+        det = AdwinPolicy(delta=0.002)
         bits = [0] * 1000 + [1] * 1000
         hit = first_detection(det, bits)
         assert hit is not None and 1000 <= hit < 1200
@@ -97,7 +103,7 @@ class TestAdwin:
     def test_detection_point_crosses_the_stated_bound(self):
         # derived check: at the detection step, some old/new split of the
         # observed prefix must violate the cut inequality
-        det = AdwinDetector(delta=0.002)
+        det = AdwinPolicy(delta=0.002)
         bits = [0] * 1000 + [1] * 1000
         hit = first_detection(det, bits)
         assert hit is not None
@@ -116,14 +122,14 @@ class TestAdwin:
         assert found
 
     def test_window_tracks_inserted_count_without_drift(self):
-        det = AdwinDetector()
+        det = AdwinPolicy()
         for i in range(257):
             det.update(0)
         assert det.width_ == 257
         assert det.mean_ == 0.0
 
     def test_reset_clears_window(self):
-        det = AdwinDetector()
+        det = AdwinPolicy()
         for i in range(100):
             det.update(i % 2)
         det.reset()
@@ -131,13 +137,18 @@ class TestAdwin:
 
     def test_rejects_non_binary(self):
         with pytest.raises(InvalidInputError):
-            AdwinDetector().update(-1)
+            AdwinPolicy().update(-1)
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidInputError):
-            AdwinDetector(delta=0.0)
+            AdwinPolicy(delta=0.0)
         with pytest.raises(InvalidInputError):
-            AdwinDetector(delta=1.0)
+            AdwinPolicy(delta=1.0)
+        with pytest.raises(InvalidInputError):
+            AdwinPolicy(max_buckets=0)
+        for max_buckets in (2.5, 5.0, False):
+            with pytest.raises(InvalidInputError, match="max_buckets must be an integer"):
+                AdwinPolicy(max_buckets=max_buckets)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -152,7 +163,7 @@ class TestAdwin:
         rng = np.random.default_rng(seed)
         segment = -(-n // len(rates))
         bits = [int(rng.random() < rates[i // segment]) for i in range(n)]
-        det, ref = AdwinDetector(delta, max_buckets), ReferenceAdwinDetector(delta, max_buckets)
+        det, ref = AdwinPolicy(delta, max_buckets), ReferenceAdwinDetector(delta, max_buckets)
         for bit in bits:
             assert det.update(bit) == ref.update(bit)
             assert det.rows_ == ref.rows_

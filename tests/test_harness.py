@@ -466,6 +466,15 @@ class TestRunConfig:
             ({"params": {}}, "policy entry is missing 'name'"),
             ("never", "policy entry must be an object with a 'name', got 'never'"),
             ({"name": "threshold", "params": None}, "threshold policy params must be a dict or 'optimize', got None"),
+            ({"name": "threshold", "params": {"tau": None}}, "threshold policy params: tau must not be NaN"),
+            ({"name": "cumulative", "params": {"tau_cum": math.nan}}, "cumulative policy params: tau_cum must not be NaN"),
+            ({"name": "periodic", "params": {"period": 2.5}}, "periodic policy params: period must be an integer"),
+            ({"name": "periodic", "params": {"period": 3, "offset": True}}, "periodic policy params: offset must be an integer"),
+            ({"name": "ddm", "params": {"min_samples": 2.7}}, "ddm policy params: min_samples must be an integer"),
+            ({"name": "ddm", "params": {"drift_sigma": "wide"}}, "ddm policy params: could not convert"),
+            ({"name": "ddm", "params": {"drift_sigma": None}}, "ddm policy params: float"),
+            ({"name": "adwin", "params": {"delta": 2}}, r"adwin policy params: delta must be in \(0, 1\)"),
+            ({"name": "adwin", "params": {"max_buckets": "5"}}, "adwin policy params: max_buckets must be an integer"),
         ],
     )
     def test_policy_entry_fails_at_load(self, entry, message):
@@ -486,6 +495,14 @@ class TestRunConfig:
             ({"kind": "forest", "n_trees": 0}, "n_trees must be >= 1"),
             ({"kind": "forest", "feature_fraction": 1.5}, "feature_fraction must be in"),
             ({"kind": "logistic", "epochs": 0}, "epochs must be >= 1"),
+            ({"kind": "forest", "n_trees": "5"}, "n_trees must be an integer, got '5'"),
+            ({"kind": "forest", "n_trees": 2.5}, "n_trees must be an integer, got 2.5"),
+            ({"kind": "forest", "max_depth": True}, "max_depth must be an integer, got True"),
+            ({"kind": "forest", "feature_fraction": None}, "feature_fraction must be a number, got None"),
+            ({"kind": "logistic", "epochs": 10.0}, "epochs must be an integer, got 10.0"),
+            ({"kind": "logistic", "learning_rate": "0.1"}, "learning_rate must be a number, got '0.1'"),
+            ({"kind": "logistic", "learning_rate": math.nan}, "learning_rate must be > 0"),
+            ({"kind": "logistic", "l2": False}, "l2 must be a number, got False"),
         ],
     )
     def test_model_hyperparameters_fail_at_load(self, model, message):
@@ -498,4 +515,17 @@ class TestRunConfig:
             "model": model,
         }
         with pytest.raises(InvalidInputError, match=message):
+            RunConfig.from_dict(raw)
+
+    def test_malformed_policy_fails_before_the_stream_is_read(self, tmp_path):
+        # the csv file does not exist: a load that read it would fail with OSError instead
+        raw = {
+            "stream": {"dataset": "csv", "path": str(tmp_path / "absent.csv"), "n_batches": 12},
+            "t_offline": 3,
+            "t_online": 9,
+            "kappas": [1],
+            "policies": [{"name": "adwin", "params": {"delta": 2}}],
+            "model": {"kind": "logistic"},
+        }
+        with pytest.raises(InvalidInputError, match="adwin policy params: delta must be in"):
             RunConfig.from_dict(raw)

@@ -127,6 +127,8 @@ class TestPeriodicDecision:
             PeriodicPolicy(0)
         with pytest.raises(InvalidInputError):
             PeriodicPolicy(3, -1)
+        with pytest.raises(InvalidInputError, match="period must be an integer, got 2.0"):
+            PeriodicPolicy(2.0)
 
 
 class TestMarkovDecision:
