@@ -10,11 +10,9 @@ and evaluates everything prequentially.
 
 from .costmatrix import (
     CostMatrix,
-    KernelConfig,
     Strategy,
     StreamCosts,
     cumulative_cost_trace,
-    default_gamma,
     strategy_cost,
     validate_strategy,
 )
@@ -22,7 +20,6 @@ from .datagen import StreamSpec, concept_label, gen_batch, generate_stream, make
 from .errors import (
     ContractViolationError,
     InvalidInputError,
-    NotFittedError,
     StreamParseError,
     UndefinedMetricError,
 )
@@ -40,9 +37,8 @@ from .harness import (
     run_sweep,
     save_stream_csv,
     scpe,
-    summary_to_csv,
 )
-from .models import ForestClassifier, LogisticClassifier, fit_model, make_model
+from .models import ForestClassifier, LogisticClassifier, fit_model
 from .oracle import memoize_dp, oracle_strategy
 from .policies import (
     AdwinPolicy,
@@ -51,7 +47,6 @@ from .policies import (
     MarkovPolicy,
     NeverRetrainPolicy,
     PeriodicPolicy,
-    RetrainPolicy,
     ThresholdPolicy,
     make_policy,
     optimize_offline,
@@ -71,15 +66,12 @@ __all__ = [
     "DdmPolicy",
     "ForestClassifier",
     "InvalidInputError",
-    "KernelConfig",
     "LogisticClassifier",
     "MarkovPolicy",
     "NeverRetrainPolicy",
-    "NotFittedError",
     "PeriodicPolicy",
     "PolicySpec",
     "QueryBatch",
-    "RetrainPolicy",
     "RunConfig",
     "RunResult",
     "StreamCosts",
@@ -90,13 +82,11 @@ __all__ = [
     "UndefinedMetricError",
     "concept_label",
     "cumulative_cost_trace",
-    "default_gamma",
     "evaluate_prequential",
     "fit_model",
     "gen_batch",
     "generate_stream",
     "load_csv_stream",
-    "make_model",
     "make_policy",
     "make_queries",
     "memoize_dp",
@@ -111,6 +101,5 @@ __all__ = [
     "save_stream_csv",
     "scpe",
     "strategy_cost",
-    "summary_to_csv",
     "validate_strategy",
 ]

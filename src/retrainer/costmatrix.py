@@ -27,28 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, InvalidInputError
+from .errors import ContractViolationError, InvalidInputError, StreamParseError
 from .models import BaseClassifier, fit_model
 from .streams import DataBatch, QueryBatch
 from .validation import as_point_matrix, check_same_dim
-
-
-@dataclass(frozen=True)
-class KernelConfig:
-    """RBF kernel width; gamma is the inverse squared length scale."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if not self.gamma > 0:
-            raise InvalidInputError(f"gamma must be > 0, got {self.gamma}")
-
-
-def default_gamma(dim: int) -> float:
-    """Scale-free default: gamma = 1/d."""
-    if dim < 1:
-        raise InvalidInputError("dimensionality must be >= 1")
-    return 1.0 / dim
 
 
 def rbf_weights(Q, X, gamma: float) -> np.ndarray:
@@ -199,19 +181,27 @@ class CostMatrix:
 
     @classmethod
     def from_csv(cls, path) -> "CostMatrix":
-        """Read ``to_csv`` output; rejects a NaN or a missing cell on or above the diagonal."""
+        """Read ``to_csv`` output; rejects a malformed, NaN or repeated cell
+        (naming its row) and a missing cell on or above the diagonal."""
         cells: dict[tuple[int, int], float] = {}
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header != ["t_prime", "t", "value"]:
                 raise InvalidInputError(f"unexpected matrix CSV header: {header}")
-            for row in reader:
+            for row_no, row in enumerate(reader, start=2):
                 if not row:
                     continue
-                tp, t, value = int(row[0]), int(row[1]), float(row[2])
+                if len(row) != 3:
+                    raise StreamParseError(row_no, f"expected 3 columns, got {len(row)}")
+                try:
+                    tp, t, value = int(row[0]), int(row[1]), float(row[2])
+                except ValueError as exc:
+                    raise StreamParseError(row_no, str(exc)) from None
                 if math.isnan(value):
-                    raise InvalidInputError(f"matrix CSV cell (t_prime={tp}, t={t}) is NaN")
+                    raise StreamParseError(row_no, f"matrix CSV cell (t_prime={tp}, t={t}) is NaN")
+                if (tp, t) in cells:
+                    raise StreamParseError(row_no, f"matrix CSV repeats cell (t_prime={tp}, t={t})")
                 cells[(tp, t)] = value
         if not cells:
             raise InvalidInputError("matrix CSV contains no cells")
@@ -247,7 +237,7 @@ def write_csv(path, header, rows) -> None:
 
 
 class StreamCosts:
-    """Caches everything derivable from (streams, model prototype, kernel).
+    """Caches everything derivable from (streams, model prototype, gamma).
 
     The staleness of a model M with respect to a query q is M's expected
     misclassification in the query's neighborhood:
@@ -255,10 +245,11 @@ class StreamCosts:
         psi(q, D, M) = (1/|D|) * sum over (x, y) in D of
                            sim(q, x) * loss(M, x, y)
 
-    with an RBF similarity sim(q, x) = exp(-gamma * ||q - x||^2) and the 0/1
-    loss. Summing over a query batch Q gives total(Q, D, M). The decision
-    signal is the *relative* staleness: how much worse the model trained at
-    t' does on today's data than on the data it was trained on,
+    with an RBF similarity sim(q, x) = exp(-gamma * ||q - x||^2) (``gamma``
+    defaults to 1/d) and the 0/1 loss. Summing over a query batch Q gives
+    total(Q, D, M). The decision signal is the *relative* staleness: how much
+    worse the model trained at t' does on today's data than on the data it
+    was trained on,
 
         total(Q_t, D_t, M_t') - total(Q_t, D_t', M_t').
 
@@ -282,7 +273,7 @@ class StreamCosts:
         data,
         queries,
         model: BaseClassifier,
-        kernel: KernelConfig | None = None,
+        gamma: float | None = None,
     ):
         self._data: dict[int, DataBatch] = {b.t: b for b in data}
         self._queries: dict[int, QueryBatch] = {b.t: b for b in queries}
@@ -294,7 +285,9 @@ class StreamCosts:
         for q in self._queries.values():
             check_same_dim(dim, q.dim, name=f"QueryBatch[{q.t}]")
         self.model = model
-        self.kernel = kernel if kernel is not None else KernelConfig(default_gamma(dim))
+        self.gamma = 1.0 / dim if gamma is None else gamma
+        if not self.gamma > 0:
+            raise InvalidInputError(f"gamma must be > 0, got {self.gamma}")
         self._models: dict[int, BaseClassifier] = {}
         self._errors: dict[tuple[int, int], np.ndarray] = {}
         self._query_preds: dict[tuple[int, int], np.ndarray] = {}
@@ -347,7 +340,7 @@ class StreamCosts:
             if n < 1:
                 raise InvalidInputError(f"invalid batch range [{start}, {end}]")
             self.data_batch(start)  # the loop below reads no batch when n == 1
-            gamma = self.kernel.gamma
+            gamma = self.gamma
             out = np.full((n, n), math.inf)
             np.fill_diagonal(out, 0.0)
             erring: dict[int, tuple | None] = {}  # row i -> its training term's scratch

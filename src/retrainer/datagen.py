@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .streams import DataBatch, QueryBatch
+from .validation import as_int, check_finite
 
 DATASETS = ("gauss", "circle", "covcon")
 QUERY_MODES = ("D", "S")
@@ -63,16 +64,23 @@ class StreamSpec:
     def __post_init__(self):
         if self.dataset not in DATASETS:
             raise InvalidInputError(f"dataset must be one of {DATASETS}, got {self.dataset!r}")
-        if self.n_batches < 1 or self.batch_size < 1 or self.queries_per_batch < 1:
-            raise InvalidInputError("n_batches, batch_size and queries_per_batch must be >= 1")
+        for name in ("n_batches", "batch_size", "queries_per_batch"):
+            as_int(getattr(self, name), name, 1)
         if self.query_mode not in QUERY_MODES:
             raise InvalidInputError(f"query_mode must be 'D' or 'S', got {self.query_mode!r}")
         if self.query_mode == "D" and self.queries_per_batch > self.batch_size:
             raise InvalidInputError("mode D cannot sample more queries than the batch size")
-        schedule = tuple(tuple(float(v) for v in concept) for concept in self.circle_schedule)
-        if not schedule or any(len(c) != 3 for c in schedule):
+        check_finite(self.covcon_alpha, "covcon_alpha")
+        check_finite(self.gauss_sigma, "gauss_sigma")
+        if self.gauss_sigma < 0:
+            raise InvalidInputError(f"gauss_sigma must be >= 0, got {self.gauss_sigma}")
+        schedule = self.circle_schedule
+        if not schedule or any(np.shape(c) != (3,) for c in schedule):
             raise InvalidInputError("circle_schedule must be a non-empty list of (c1, c2, r)")
-        object.__setattr__(self, "circle_schedule", schedule)
+        for concept in schedule:
+            for v in concept:
+                check_finite(v, "circle_schedule")
+        object.__setattr__(self, "circle_schedule", tuple(tuple(float(v) for v in c) for c in schedule))
 
     def with_seed(self, seed: int) -> "StreamSpec":
         return replace(self, seed=seed)

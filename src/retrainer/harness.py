@@ -33,18 +33,20 @@ from __future__ import annotations
 import csv
 import inspect
 import json
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .costmatrix import CostMatrix, KernelConfig, Strategy, StreamCosts, format_value, strategy_cost, write_csv
+from .costmatrix import CostMatrix, Strategy, StreamCosts, format_value, strategy_cost, write_csv
 from .datagen import StreamSpec, generate_stream
 from .errors import InvalidInputError, StreamParseError, UndefinedMetricError
-from .models import MODEL_KINDS, make_model
+from .models import MODEL_KINDS
 from .oracle import oracle_strategy
 from .policies import CALIBRATABLE, POLICY_KINDS, RetrainPolicy, make_policy, optimize_offline, replay_policy
 from .streams import DataBatch, QueryBatch
+from .validation import as_int, check_finite
 
 RESULT_COLUMNS = (
     "dataset",
@@ -135,8 +137,11 @@ class CsvStream:
     queries_per_batch: int | None = None
 
     def __post_init__(self):
-        if self.n_batches is None or self.n_batches < 1:
-            raise InvalidInputError(f"csv stream {self.path!r} needs n_batches >= 1, got {self.n_batches!r}")
+        if not isinstance(self.path, (str, os.PathLike)):
+            raise InvalidInputError(f"csv stream path must be a string, got {self.path!r}")
+        as_int(self.n_batches, "csv stream n_batches", 1)
+        if self.queries_per_batch is not None:
+            as_int(self.queries_per_batch, "csv stream queries_per_batch", 1)
 
     @property
     def name(self) -> str:
@@ -155,11 +160,11 @@ def _check_keys(raw: dict, known, level: str) -> None:
             raise InvalidInputError(f"unknown {level} key {key!r}; expected one of {sorted(known)}")
 
 
-def _required(raw: dict, key: str):
+def _required(raw: dict, key: str, level: str = "run config"):
     try:
         return raw.pop(key)
     except KeyError:
-        raise InvalidInputError(f"run config is missing {key!r}") from None
+        raise InvalidInputError(f"{level} is missing {key!r}") from None
 
 
 @dataclass
@@ -178,7 +183,9 @@ class RunConfig:
     output: str | None = None
 
     def __post_init__(self):
-        if not 0 <= self.t_offline < self.t_online:
+        as_int(self.t_offline, "t_offline", 0)
+        as_int(self.t_online, "t_online", 0)
+        if not self.t_offline < self.t_online:
             raise InvalidInputError(
                 f"need 0 <= t_offline < t_online, got {self.t_offline}, {self.t_online}"
             )
@@ -186,19 +193,25 @@ class RunConfig:
             raise InvalidInputError(
                 f"t_online {self.t_online} needs {self.t_online + 1} batches, stream has {self.stream.n_batches}"
             )
+        if not isinstance(self.kappas, (list, tuple)) or not self.kappas:
+            raise InvalidInputError(f"kappas must be a non-empty list, got {self.kappas!r}")
+        for k in self.kappas:
+            check_finite(k, "kappas")
         self.kappas = [float(k) for k in self.kappas]
-        if not self.kappas or any(k < 0 for k in self.kappas):
-            raise InvalidInputError("kappas must be a non-empty list of values >= 0")
-        if not self.seeds:
-            raise InvalidInputError("seeds must be non-empty")
-        self.seeds = [int(s) for s in self.seeds]
+        if any(k < 0 for k in self.kappas):
+            raise InvalidInputError("kappas must be >= 0")
+        if not isinstance(self.seeds, (list, tuple)) or not self.seeds:
+            raise InvalidInputError(f"seeds must be a non-empty list, got {self.seeds!r}")
+        self.seeds = [as_int(s, "seeds", 0) for s in self.seeds]
         if self.model_kind not in MODEL_KINDS:
             raise InvalidInputError(f"unknown model kind {self.model_kind!r}")
         model_keys = inspect.signature(MODEL_KINDS[self.model_kind]).parameters
         _check_keys(self.model_params, model_keys, f"{self.model_kind} model")
-        make_model(self.model_kind, **self.model_params)._validate_params()
-        if self.gamma is not None and not self.gamma > 0:
-            raise InvalidInputError("gamma must be > 0 when given")
+        MODEL_KINDS[self.model_kind](**self.model_params)._validate_params()
+        if self.gamma is not None:
+            check_finite(self.gamma, "gamma")
+            if not self.gamma > 0:
+                raise InvalidInputError("gamma must be > 0 when given")
         specs = []
         for p in self.policies:
             if not isinstance(p, PolicySpec):
@@ -220,25 +233,27 @@ class RunConfig:
         else:
             data, queries = generate_stream(self.stream.with_seed(seed))
         params = dict(self.model_params)
-        params["seed"] = int(params.get("seed", 0)) + seed
-        kernel = KernelConfig(self.gamma) if self.gamma is not None else None
-        return data, queries, StreamCosts(data, queries, make_model(self.model_kind, **params), kernel)
+        params["seed"] = params.get("seed", 0) + seed
+        return data, queries, StreamCosts(data, queries, MODEL_KINDS[self.model_kind](**params), self.gamma)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         _check_keys(raw, CONFIG_KEYS, "run config")
         raw = dict(raw)
         stream_raw = dict(_required(raw, "stream"))
-        if stream_raw.get("dataset") == "csv":
+        dataset = _required(stream_raw, "dataset", "stream")
+        if dataset == "csv":
             _check_keys(stream_raw, CSV_STREAM_KEYS, "csv stream")
             stream = CsvStream(
-                _required(stream_raw, "path"), stream_raw.get("n_batches"), stream_raw.get("queries_per_batch")
+                _required(stream_raw, "path", "csv stream"),
+                stream_raw.get("n_batches"),
+                stream_raw.get("queries_per_batch"),
             )
         else:
             _check_keys(stream_raw, [f.name for f in fields(StreamSpec)], "stream")
             if "circle_schedule" in stream_raw and stream_raw["circle_schedule"] is None:
                 stream_raw.pop("circle_schedule")
-            stream = StreamSpec(**stream_raw)
+            stream = StreamSpec(dataset, **stream_raw)
         model_raw = dict(raw.pop("model", {"kind": "forest"}))
         model_kind = model_raw.pop("kind", "forest")
         return cls(

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .streams import DataBatch
-from .validation import as_binary_labels, as_count, as_point_matrix, check_fitted, check_number, check_same_dim
+from .validation import as_binary_labels, as_int, as_point_matrix, check_fitted, check_number, check_same_dim
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -135,10 +135,11 @@ class LogisticClassifier(BaseClassifier):
         check_number(self.learning_rate, "learning_rate")
         if not self.learning_rate > 0:
             raise InvalidInputError("learning_rate must be > 0")
-        as_count(self.epochs, "epochs", 1)
+        as_int(self.epochs, "epochs", 1)
         check_number(self.l2, "l2")
         if not self.l2 >= 0:
             raise InvalidInputError("l2 must be >= 0")
+        as_int(self.seed, "seed", 0)
 
     def _fit_impl(self, X, y):
         n, d = X.shape
@@ -331,11 +332,12 @@ class ForestClassifier(BaseClassifier):
         self.seed = seed
 
     def _validate_params(self):
-        as_count(self.n_trees, "n_trees", 1)
-        as_count(self.max_depth, "max_depth", 1)
+        as_int(self.n_trees, "n_trees", 1)
+        as_int(self.max_depth, "max_depth", 1)
         check_number(self.feature_fraction, "feature_fraction")
         if not 0.0 < self.feature_fraction <= 1.0:
             raise InvalidInputError("feature_fraction must be in (0, 1]")
+        as_int(self.seed, "seed", 0)
 
     def _fit_impl(self, X, y):
         self.trees_ = []
@@ -432,13 +434,3 @@ MODEL_KINDS = {
     "forest": ForestClassifier,
 }
 
-
-def make_model(kind: str, **params) -> BaseClassifier:
-    """Instantiate a model prototype by name ('logistic' or 'forest')."""
-    try:
-        cls = MODEL_KINDS[kind]
-    except KeyError:
-        raise InvalidInputError(
-            f"unknown model kind {kind!r}; expected one of {sorted(MODEL_KINDS)}"
-        ) from None
-    return cls(**params)

@@ -41,7 +41,7 @@ import numpy as np
 
 from .costmatrix import CostMatrix, Strategy
 from .errors import InvalidInputError
-from .validation import as_count
+from .validation import as_count, as_int, as_reals, check_number
 
 
 class RetrainPolicy:
@@ -79,9 +79,7 @@ class ThresholdPolicy(RetrainPolicy):
     requires_staleness = True
 
     def __init__(self, tau: float):
-        self.tau = np.asarray(tau, dtype=np.float64)
-        if np.isnan(self.tau).any():
-            raise InvalidInputError("tau must not be NaN")
+        self.tau = as_reals(tau, "tau")
 
     def decide(self, t, *, staleness=None, errors=None, kappa=None):
         return np.logical_not(staleness < self.tau)
@@ -102,9 +100,7 @@ class CumulativeThresholdPolicy(RetrainPolicy):
     requires_staleness = True
 
     def __init__(self, tau_cum: float):
-        self.tau_cum = np.asarray(tau_cum, dtype=np.float64)
-        if np.isnan(self.tau_cum).any():
-            raise InvalidInputError("tau_cum must not be NaN")
+        self.tau_cum = as_reals(tau_cum, "tau_cum")
         self.reset()
 
     def reset(self):
@@ -208,7 +204,8 @@ class DdmPolicy(DriftDetectorPolicy):
     name = "ddm"
 
     def __init__(self, min_samples: int = 30, drift_sigma: float = 3.0):
-        self.min_samples = int(as_count(min_samples, "min_samples", 1))
+        self.min_samples = as_int(min_samples, "min_samples", 1)
+        check_number(drift_sigma, "drift_sigma")
         self.drift_sigma = float(drift_sigma)
         if not self.drift_sigma > 0:
             raise InvalidInputError("drift_sigma must be > 0")
@@ -264,8 +261,9 @@ class AdwinPolicy(DriftDetectorPolicy):
     name = "adwin"
 
     def __init__(self, delta: float = 0.002, max_buckets: int = 5):
+        check_number(delta, "delta")
         self.delta = float(delta)
-        self.max_buckets = int(as_count(max_buckets, "max_buckets", 1))
+        self.max_buckets = as_int(max_buckets, "max_buckets", 1)
         if not 0.0 < self.delta < 1.0:
             raise InvalidInputError("delta must be in (0, 1)")
         self.reset()

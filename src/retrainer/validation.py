@@ -6,6 +6,7 @@ code never has to re-check dtype or layout.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -52,10 +53,37 @@ def as_count(value, name: str, low: int) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def as_int(value, name: str, low: int) -> int:
+    """One integer >= ``low`` as a Python int, refused as ``as_count`` refuses."""
+    arr = as_count(value, name, low)
+    if arr.ndim:
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    return int(arr)
+
+
+def as_reals(value, name: str) -> np.ndarray:
+    """Coerce a real number, or an array of reals, to float64. NaN, bools,
+    strings and None are refused; infinities pass."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise InvalidInputError(f"{name} must be a number, got {value!r}")
+    arr = arr.astype(np.float64, copy=False)
+    if np.isnan(arr).any():
+        raise InvalidInputError(f"{name} must not be NaN")
+    return arr
+
+
 def check_number(value, name: str) -> None:
     """Refuse a value that is not a real number; bools are refused too."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidInputError(f"{name} must be a number, got {value!r}")
+
+
+def check_finite(value, name: str) -> None:
+    """Refuse a value that is not a finite real number."""
+    check_number(value, name)
+    if not math.isfinite(value):
+        raise InvalidInputError(f"{name} must be finite, got {value!r}")
 
 
 def check_same_dim(d_expected: int, d_got: int, name: str = "input") -> None:

@@ -90,12 +90,12 @@ def as_point(x, dim=None, name="point"):
     return arr
 
 
-def rbf_similarity(q, x, kernel):
+def rbf_similarity(q, x, gamma):
     """exp(-gamma * ||q - x||^2); symmetric, in (0, 1]."""
     q = as_point(q, name="q")
     x = as_point(x, dim=q.size, name="x")
     diff = q - x
-    return float(np.exp(-kernel.gamma * float(diff @ diff)))
+    return float(np.exp(-gamma * float(diff @ diff)))
 
 
 def zero_one_loss(model, x, y):
@@ -108,25 +108,25 @@ def error_vector(model, batch):
     return (model.predict(batch.X) != batch.y).astype(np.float64)
 
 
-def query_staleness(q, data, model, kernel):
+def query_staleness(q, data, model, gamma):
     """Expected loss of one query in the region of the data; in [0, 1]."""
     if data.size == 0:
         raise InvalidInputError("data batch is empty")
     q = as_point(q, dim=data.dim, name="q")
-    sims = rbf_weights(q.reshape(1, -1), data.X, kernel.gamma)[0]
+    sims = rbf_weights(q.reshape(1, -1), data.X, gamma)[0]
     return float(sims @ error_vector(model, data)) / data.size
 
 
-def staleness_total(queries, data, model, kernel):
+def staleness_total(queries, data, model, gamma):
     """Sum of per-query staleness over the batch; in [0, n_queries]."""
     if data.size == 0:
         raise InvalidInputError("data batch is empty")
     check_same_dim(data.dim, queries.dim, name="queries")
-    sims = rbf_weights(queries.X, data.X, kernel.gamma)
+    sims = rbf_weights(queries.X, data.X, gamma)
     return float(sims.sum(axis=0) @ error_vector(model, data)) / data.size
 
 
-def relative_staleness(queries, data_now, data_train, model, kernel):
+def relative_staleness(queries, data_now, data_train, model, gamma):
     """Increase in staleness from the training batch to the current batch.
 
     Requires the model to have been trained on ``data_train`` and that batch
@@ -139,8 +139,8 @@ def relative_staleness(queries, data_now, data_train, model, kernel):
         raise ContractViolationError(
             f"training batch {data_train.t} is newer than current batch {data_now.t}"
         )
-    return staleness_total(queries, data_now, model, kernel) - staleness_total(
-        queries, data_train, model, kernel
+    return staleness_total(queries, data_now, model, gamma) - staleness_total(
+        queries, data_train, model, gamma
     )
 
 

@@ -28,7 +28,6 @@ from retrainer import (
     AdwinPolicy,
     CumulativeThresholdPolicy,
     DdmPolicy,
-    KernelConfig,
     MarkovPolicy,
     NeverRetrainPolicy,
     PeriodicPolicy,
@@ -267,7 +266,7 @@ def test_criterion_6_saturation_at_huge_kappa(covcon_artifacts):
 
 def test_criterion_7_staleness_micro_oracles():
     with Criterion(7, "closed-form staleness values match to 1e-12", 1) as c:
-        k = KernelConfig(1.0)
+        k = 1.0
         constant_one = fit_model(DataBatch(0, [[0.0, 0.0], [1.0, 0.0]], [1, 1]), LogisticClassifier())
         constant_zero = fit_model(DataBatch(0, [[0.0, 0.0], [1.0, 0.0]], [0, 0]), LogisticClassifier())
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from retrainer import (
     PeriodicPolicy,
     QueryBatch,
     Strategy,
+    StreamParseError,
     StreamSpec,
     ThresholdPolicy,
     cumulative_cost_trace,
@@ -119,7 +121,7 @@ class TestBuild:
         for j in range(5):
             for i in range(j):
                 expected = relative_staleness(
-                    queries[j], data[j], data[i], fit_model(data[i], model), costs.kernel
+                    queries[j], data[j], data[i], fit_model(data[i], model), costs.gamma
                 )
                 assert psi[i, j] == expected
 
@@ -130,7 +132,7 @@ def assert_matches_definition(costs, data, queries, model):
     psi = costs.staleness_matrix(0, n - 1)
     for j in range(n):
         for i in range(j):
-            expected = relative_staleness(queries[j], data[j], data[i], fit_model(data[i], model), costs.kernel)
+            expected = relative_staleness(queries[j], data[j], data[i], fit_model(data[i], model), costs.gamma)
             assert psi[i, j] == expected
 
 
@@ -282,6 +284,22 @@ class TestCsvRoundTrip:
         path = tmp_path / "matrix.csv"
         path.write_text("t_prime,t,value\n0,0,1.0\n0,1,nan\n1,1,1.0\n")
         with pytest.raises(InvalidInputError, match=r"\(t_prime=0, t=1\) is NaN"):
+            CostMatrix.from_csv(path)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0,1,abc\n", "row 3: could not convert string to float: 'abc'"),
+            ("0,1\n", "row 3: expected 3 columns, got 2"),
+            ("0,1,0.5,9\n", "row 3: expected 3 columns, got 4"),
+            ("0,1,0.5\n0,1,0.75\n", "row 4: matrix CSV repeats cell (t_prime=0, t=1)"),
+        ],
+        ids=["non-numeric", "short", "long", "repeated"],
+    )
+    def test_malformed_row_rejected_with_its_number(self, tmp_path, body, message):
+        path = tmp_path / "matrix.csv"
+        path.write_text("t_prime,t,value\n0,0,1.0\n" + body + "1,1,1.0\n")
+        with pytest.raises(StreamParseError, match=re.escape(message)):
             CostMatrix.from_csv(path)
 
     @pytest.mark.parametrize("dropped", [(0, 2), (1, 1)])

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -466,15 +467,20 @@ class TestRunConfig:
             ({"params": {}}, "policy entry is missing 'name'"),
             ("never", "policy entry must be an object with a 'name', got 'never'"),
             ({"name": "threshold", "params": None}, "threshold policy params must be a dict or 'optimize', got None"),
-            ({"name": "threshold", "params": {"tau": None}}, "threshold policy params: tau must not be NaN"),
+            ({"name": "threshold", "params": {"tau": None}}, "threshold policy params: tau must be a number, got None"),
             ({"name": "cumulative", "params": {"tau_cum": math.nan}}, "cumulative policy params: tau_cum must not be NaN"),
             ({"name": "periodic", "params": {"period": 2.5}}, "periodic policy params: period must be an integer"),
             ({"name": "periodic", "params": {"period": 3, "offset": True}}, "periodic policy params: offset must be an integer"),
             ({"name": "ddm", "params": {"min_samples": 2.7}}, "ddm policy params: min_samples must be an integer"),
-            ({"name": "ddm", "params": {"drift_sigma": "wide"}}, "ddm policy params: could not convert"),
-            ({"name": "ddm", "params": {"drift_sigma": None}}, "ddm policy params: float"),
+            ({"name": "ddm", "params": {"drift_sigma": "wide"}}, "ddm policy params: drift_sigma must be a number, got 'wide'"),
+            ({"name": "ddm", "params": {"drift_sigma": None}}, "ddm policy params: drift_sigma must be a number, got None"),
             ({"name": "adwin", "params": {"delta": 2}}, r"adwin policy params: delta must be in \(0, 1\)"),
             ({"name": "adwin", "params": {"max_buckets": "5"}}, "adwin policy params: max_buckets must be an integer"),
+            ({"name": "threshold", "params": {"tau": "0.5"}}, "threshold policy params: tau must be a number, got '0.5'"),
+            ({"name": "threshold", "params": {"tau": True}}, "threshold policy params: tau must be a number, got True"),
+            ({"name": "cumulative", "params": {"tau_cum": "1"}}, "cumulative policy params: tau_cum must be a number"),
+            ({"name": "ddm", "params": {"drift_sigma": "3"}}, "ddm policy params: drift_sigma must be a number, got '3'"),
+            ({"name": "adwin", "params": {"delta": "0.01"}}, "adwin policy params: delta must be a number, got '0.01'"),
         ],
     )
     def test_policy_entry_fails_at_load(self, entry, message):
@@ -503,6 +509,9 @@ class TestRunConfig:
             ({"kind": "logistic", "learning_rate": "0.1"}, "learning_rate must be a number, got '0.1'"),
             ({"kind": "logistic", "learning_rate": math.nan}, "learning_rate must be > 0"),
             ({"kind": "logistic", "l2": False}, "l2 must be a number, got False"),
+            ({"kind": "logistic", "seed": "x"}, "seed must be an integer, got 'x'"),
+            ({"kind": "forest", "seed": 2.5}, "seed must be an integer, got 2.5"),
+            ({"kind": "forest", "seed": -1}, "seed must be >= 0"),
         ],
     )
     def test_model_hyperparameters_fail_at_load(self, model, message):
@@ -515,6 +524,57 @@ class TestRunConfig:
             "model": model,
         }
         with pytest.raises(InvalidInputError, match=message):
+            RunConfig.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "where, key, value, message",
+        [
+            ("run", "kappas", ["2"], "kappas must be a number, got '2'"),
+            ("run", "kappas", [True], "kappas must be a number, got True"),
+            ("run", "kappas", [math.nan], "kappas must be finite, got nan"),
+            ("run", "kappas", [1.0, math.inf], "kappas must be finite, got inf"),
+            ("run", "kappas", 2, "kappas must be a non-empty list, got 2"),
+            ("run", "seeds", [2.5], "seeds must be an integer, got 2.5"),
+            ("run", "seeds", ["x"], "seeds must be an integer, got 'x'"),
+            ("run", "seeds", [-1], "seeds must be >= 0"),
+            ("run", "t_offline", 3.5, "t_offline must be an integer, got 3.5"),
+            ("run", "t_offline", "3", "t_offline must be an integer, got '3'"),
+            ("run", "t_online", 9.0, "t_online must be an integer, got 9.0"),
+            ("run", "gamma", True, "gamma must be a number, got True"),
+            ("run", "gamma", "0.5", "gamma must be a number, got '0.5'"),
+            ("run", "gamma", math.inf, "gamma must be finite, got inf"),
+            ("csv", "n_batches", "12", "csv stream n_batches must be an integer, got '12'"),
+            ("csv", "queries_per_batch", 0, "csv stream queries_per_batch must be >= 1"),
+            ("csv", "queries_per_batch", "3", "csv stream queries_per_batch must be an integer, got '3'"),
+            ("csv", "path", 5, "csv stream path must be a string, got 5"),
+            ("csv", "path", None, "csv stream is missing 'path'"),
+            ("gauss", "n_batches", 12.0, "n_batches must be an integer, got 12.0"),
+            ("gauss", "batch_size", "40", "batch_size must be an integer, got '40'"),
+            ("gauss", "covcon_alpha", "2", "covcon_alpha must be a number, got '2'"),
+            ("gauss", "gauss_sigma", -0.1, "gauss_sigma must be >= 0"),
+            ("gauss", "circle_schedule", [[0.5, 0.5, "0.3"]], "circle_schedule must be a number, got '0.3'"),
+            ("gauss", "dataset", None, "stream is missing 'dataset'"),
+        ],
+    )
+    def test_malformed_number_fails_at_load(self, tmp_path, where, key, value, message):
+        # the csv file does not exist and a gauss stream is generated only by run_sweep,
+        # so each failure comes from the load, before any stream is read or generated
+        raw = {
+            "stream": {"dataset": "csv", "path": str(tmp_path / "absent.csv"), "n_batches": 12},
+            "t_offline": 3,
+            "t_online": 9,
+            "kappas": [1],
+            "policies": [{"name": "never"}],
+            "model": {"kind": "logistic"},
+        }
+        if where == "gauss":
+            raw["stream"] = {"dataset": "gauss", "n_batches": 12, "batch_size": 40, "queries_per_batch": 4}
+        target = raw if where == "run" else raw["stream"]
+        if value is None:  # the key is left out
+            del target[key]
+        else:
+            target[key] = value
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
             RunConfig.from_dict(raw)
 
     def test_malformed_policy_fails_before_the_stream_is_read(self, tmp_path):

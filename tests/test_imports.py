@@ -1,6 +1,7 @@
 """Every module of the package and of the test suite uses each name it
-imports, and every module-level private function or constant of the package
-is used somewhere in the package or the tests.
+imports, every module-level private function or constant of the package is
+used somewhere in the package or the tests, and every name the package
+exports is used by the README, the CLI, the benchmark or the tests.
 
 A stdlib ``ast`` scan, so the check runs wherever the tests run. Package
 ``__init__.py`` files are skipped by the import check (their imports are
@@ -8,10 +9,13 @@ re-exports), and so is ``from __future__``.
 """
 
 import ast
+import re
 from functools import cache
 from pathlib import Path
 
 import pytest
+
+import retrainer
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(
@@ -83,3 +87,21 @@ def test_no_unreferenced_private_helpers(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = [f"line {line}: {name}" for name, line in module_privates(tree) if name not in used]
     assert not unused, f"{path.name} defines private names nothing references: {', '.join(unused)}"
+
+
+# The readers of the public API; the CLI is the only package module among them,
+# since the rest of the package imports from its sibling modules.
+API_READERS = [
+    ROOT / "README.md",
+    ROOT / "src" / "retrainer" / "cli.py",
+    *(ROOT / "perfbench").glob("*.py"),
+    *(ROOT / "tests").glob("*.py"),
+]
+
+
+@pytest.mark.parametrize("name", retrainer.__all__)
+def test_exported_name_has_a_reader(name):
+    pattern = re.compile(rf"\b{re.escape(name)}\b")
+    assert any(pattern.search(path.read_text()) for path in API_READERS), (
+        f"retrainer.__all__ exports {name!r}, but no README example, CLI, benchmark or test names it"
+    )

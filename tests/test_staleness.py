@@ -9,15 +9,14 @@ from retrainer import (
     ContractViolationError,
     DataBatch,
     InvalidInputError,
-    KernelConfig,
     QueryBatch,
-    default_gamma,
+    StreamCosts,
     fit_model,
 )
 from retrainer.costmatrix import rbf_weights
 from retrainer.models import LogisticClassifier
 
-K1 = KernelConfig(1.0)
+K1 = 1.0
 
 
 def constant_model(label, dim=2):
@@ -48,12 +47,15 @@ class TestRbf:
             rbf_similarity([0.0], [0.0, 1.0], K1)
 
     def test_gamma_validation_and_default(self):
+        def costs(dim, gamma=None):
+            return StreamCosts([DataBatch(0, np.eye(2, dim), [0, 1])], [], LogisticClassifier(), gamma)
+
         with pytest.raises(InvalidInputError):
-            KernelConfig(0.0)
+            costs(2, 0.0)
         with pytest.raises(InvalidInputError):
-            KernelConfig(-1.0)
-        assert default_gamma(2) == 0.5
-        assert default_gamma(8) == 0.125
+            costs(2, -1.0)
+        assert costs(2).gamma == 0.5
+        assert costs(8).gamma == 0.125
 
 
 class TestZeroOneLoss:
@@ -205,5 +207,5 @@ def test_rbf_weights_matches_pairwise_loop():
     W = rbf_weights(Q, X, 0.7)
     for i in range(4):
         for j in range(6):
-            expected = rbf_similarity(Q[i], X[j], KernelConfig(0.7))
+            expected = rbf_similarity(Q[i], X[j], 0.7)
             assert W[i, j] == pytest.approx(expected, abs=1e-12)
