@@ -160,6 +160,13 @@ def _check_keys(raw: dict, known, level: str) -> None:
             raise InvalidInputError(f"unknown {level} key {key!r}; expected one of {sorted(known)}")
 
 
+def _object(value, level: str) -> dict:
+    """A copy of one level of a run config, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise InvalidInputError(f"{level} must be an object, got {value!r}")
+    return dict(value)
+
+
 def _required(raw: dict, key: str, level: str = "run config"):
     try:
         return raw.pop(key)
@@ -169,7 +176,12 @@ def _required(raw: dict, key: str, level: str = "run config"):
 
 @dataclass
 class RunConfig:
-    """Declarative description of a sweep."""
+    """Declarative description of a sweep.
+
+    Each seed in ``seeds`` replaces a generated stream's own ``seed``
+    (``StreamSpec.with_seed``) and offsets the model seed, so the stream's
+    ``seed`` has no effect on the results.
+    """
 
     stream: StreamSpec | CsvStream
     t_offline: int
@@ -212,6 +224,8 @@ class RunConfig:
             check_finite(self.gamma, "gamma")
             if not self.gamma > 0:
                 raise InvalidInputError("gamma must be > 0 when given")
+        if not isinstance(self.policies, (list, tuple)):
+            raise InvalidInputError(f"policies must be a list of policy entries, got {self.policies!r}")
         specs = []
         for p in self.policies:
             if not isinstance(p, PolicySpec):
@@ -238,9 +252,9 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
+        raw = _object(raw, "run config")
         _check_keys(raw, CONFIG_KEYS, "run config")
-        raw = dict(raw)
-        stream_raw = dict(_required(raw, "stream"))
+        stream_raw = _object(_required(raw, "stream"), "stream")
         dataset = _required(stream_raw, "dataset", "stream")
         if dataset == "csv":
             _check_keys(stream_raw, CSV_STREAM_KEYS, "csv stream")
@@ -254,7 +268,7 @@ class RunConfig:
             if "circle_schedule" in stream_raw and stream_raw["circle_schedule"] is None:
                 stream_raw.pop("circle_schedule")
             stream = StreamSpec(dataset, **stream_raw)
-        model_raw = dict(raw.pop("model", {"kind": "forest"}))
+        model_raw = _object(raw.pop("model", {"kind": "forest"}), "model")
         model_kind = model_raw.pop("kind", "forest")
         return cls(
             stream=stream,

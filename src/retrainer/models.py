@@ -9,10 +9,17 @@ tooling without pulling in an ML framework:
   updates keep training deterministic for the small per-batch datasets this
   package targets.
 * ``ForestClassifier`` -- bagging of greedy CART trees grown on Gini
-  impurity with midpoint thresholds. Fit ends by compiling the trees into a
-  vote table over the grid their thresholds cut each feature into; predict
-  looks each point's cell up in it. Every comparison a tree makes is constant
-  within a cell, so the table gives the tree walk's votes bit for bit.
+  impurity with midpoint thresholds. All trees of a fit grow together, one
+  depth level per pass: every node of the level finds its best cut in one
+  array pass per feature over all trees' rows, so the numpy calls per fit
+  grow with the depth, not with the node count. With ``feature_fraction <
+  1`` each node draws its candidate features from a generator keyed by the
+  seed, its tree and its heap index, so the draw does not depend on the
+  order in which nodes grow. Fit ends by compiling the
+  trees into a vote table over the grid their thresholds cut each feature
+  into; predict looks each point's cell up in it. Every comparison a tree
+  makes is constant within a cell, so the table gives the tree walk's votes
+  bit for bit.
 
 Determinism contract: fitting the same data with the same hyperparameters
 (including ``seed``) produces a model with bit-identical predictions. To keep
@@ -169,101 +176,28 @@ _TABLE_CELLS_PER_NODE = 64
 
 
 class _CartTree:
-    """Greedy CART tree on Gini impurity, stored as flat node arrays.
+    """One greedy CART tree on Gini impurity, stored as flat node arrays in DFS preorder.
 
-    Splits scan every distinct value of each candidate feature and place the
-    threshold at the midpoint between consecutive sorted values. Ties in
-    impurity resolve to the lowest feature index and then the smallest
-    threshold, so tree structure is a pure function of the data.
-
-    Each feature is argsorted once per tree (stably). A child's per-feature
-    order is its parent's filtered by the split, which is exactly what a
-    stable argsort of the child's rows gives, because ties stay in row order.
+    A split scans every distinct value of each candidate feature and puts the
+    threshold at the midpoint between consecutive sorted values; ties in
+    impurity resolve to the lowest feature and then the smallest threshold.
+    A leaf has feature -1 and is its own left and right child; every node's
+    ``value`` is its majority class (a tie resolves to 0). ``_grow_forest``
+    grows all trees of a forest together, level by level, and renumbers
+    each tree's nodes to DFS preorder at the end; with ``feature_fraction <
+    1`` each node's candidate features come from a generator keyed by the
+    forest seed, the tree and the node's heap index.
     """
 
     __slots__ = ("feature", "threshold", "left", "right", "value", "max_depth")
 
-    def __init__(self, max_depth: int):
+    def __init__(self, max_depth, feature, threshold, left, right, value):
         self.max_depth = max_depth
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[int] = []
-
-    def fit(self, X: np.ndarray, y: np.ndarray, feature_fraction: float, rng: np.random.Generator | None):
-        Xt = np.ascontiguousarray(X.T)
-        orders = np.argsort(Xt, axis=1, kind="stable")
-        self._grow(Xt, y, orders, depth=0, feature_fraction=feature_fraction, rng=rng)
-        self.feature = np.asarray(self.feature, dtype=np.int64)
-        self.threshold = np.asarray(self.threshold, dtype=np.float64)
-        self.left = np.asarray(self.left, dtype=np.int64)
-        self.right = np.asarray(self.right, dtype=np.int64)
-        self.value = np.asarray(self.value, dtype=np.int64)
-        return self
-
-    def _add_node(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(0)
-        self.right.append(0)
-        self.value.append(0)
-        return len(self.feature) - 1
-
-    def _grow(self, Xt, y, orders, depth, feature_fraction, rng) -> int:
-        """Grow the subtree over the rows in ``orders`` (row f: the rows sorted by feature f)."""
-        node = self._add_node()
-        n = orders.shape[1]
-        ones = int(y[orders[0]].sum())
-        majority = 1 if 2 * ones > n else 0
-        self.value[node] = majority
-        self.left[node] = node
-        self.right[node] = node
-        if depth >= self.max_depth or ones == 0 or ones == n:
-            return node
-        d = Xt.shape[0]
-        if feature_fraction >= 1.0 or rng is None:
-            candidates = np.arange(d)
-        else:
-            k = max(1, math.ceil(feature_fraction * d))
-            candidates = np.sort(rng.choice(d, size=k, replace=False))
-        split = self._best_split(Xt, y, orders, candidates)
-        if split is None:
-            return node
-        feat, thr = split
-        # every row of orders holds the node's rows, so each keeps as many as go left
-        go_left = (Xt[feat] <= thr)[orders]
-        self.feature[node] = int(feat)
-        self.threshold[node] = float(thr)
-        self.left[node] = self._grow(Xt, y, orders[go_left].reshape(d, -1), depth + 1, feature_fraction, rng)
-        self.right[node] = self._grow(Xt, y, orders[~go_left].reshape(d, -1), depth + 1, feature_fraction, rng)
-        return node
-
-    @staticmethod
-    def _best_split(Xt, y, orders, candidates) -> tuple[int, float] | None:
-        n = orders.shape[1]
-        best_gini = math.inf
-        best = None
-        for feat in candidates:
-            order = orders[feat]
-            sv = Xt[feat][order]
-            ones = np.cumsum(y[order])
-            boundaries = np.nonzero(sv[1:] > sv[:-1])[0]
-            if boundaries.size == 0:
-                continue
-            n_left = boundaries + 1.0
-            ones_left = ones[boundaries].astype(np.float64)
-            n_right = n - n_left
-            ones_right = ones[-1] - ones_left
-            gini_left = 1.0 - (ones_left / n_left) ** 2 - ((n_left - ones_left) / n_left) ** 2
-            gini_right = 1.0 - (ones_right / n_right) ** 2 - ((n_right - ones_right) / n_right) ** 2
-            weighted = (n_left * gini_left + n_right * gini_right) / n
-            k = int(np.argmin(weighted))  # first minimum -> smallest threshold
-            if weighted[k] < best_gini:
-                best_gini = float(weighted[k])
-                cut = boundaries[k]
-                best = (int(feat), 0.5 * (sv[cut] + sv[cut + 1]))
-        return best
+        self.feature = feature
+        self.threshold = threshold
+        self.left = left
+        self.right = right
+        self.value = value
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         idx = np.zeros(X.shape[0], dtype=np.int64)
@@ -280,6 +214,233 @@ class _CartTree:
         return self.value[idx]
 
 
+def _segment_sums(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Sum of ``values`` over each segment [start, start + size)."""
+    total = np.zeros(values.size + 1, dtype=np.int64)
+    np.cumsum(values, out=total[1:])
+    return total[starts + sizes] - total[starts]
+
+
+def _feature_splits(x2, code, seg, starts, before, n_seg, ones_seg):
+    """The best cut on one feature of every segment of the layout ``code`` that has one.
+
+    ``seg`` is each entry's segment; per segment, ``starts`` is its first
+    entry, ``before`` the labels 1 in earlier segments, ``n_seg`` its size
+    and ``ones_seg`` its labels 1 (the last two as floats). Returns the
+    segments with a cut, each one's weighted Gini impurity (the first
+    minimum, so the smallest threshold) and its midpoint threshold.
+    """
+    sv = x2[code]
+    cut_after = sv[1:] > sv[:-1]
+    cut_after[starts[1:] - 1] = False  # never between two segments
+    pos = np.flatnonzero(cut_after)
+    del cut_after
+    if pos.size == 0:
+        return pos, np.empty(0), np.empty(0)
+    seg = seg[pos]
+    ones_left = np.cumsum(code & 1)[pos]
+    ones_left -= before[seg]
+    ones_left = ones_left.astype(np.float64)
+    n_left = (pos - starts[seg] + 1).astype(np.float64)
+    n = n_seg[seg]
+    n_right = n - n_left
+    ones_right = ones_seg[seg] - ones_left
+    # 1 - (ones/n)**2 - ((n - ones)/n)**2 per side, then (n_l*g_l + n_r*g_r)/n
+    weighted = _gini(n_left, ones_left)
+    weighted *= n_left
+    del n_left, ones_left
+    right = _gini(n_right, ones_right)
+    right *= n_right
+    weighted += right
+    weighted /= n
+    del right, n, n_right, ones_right
+    run = np.flatnonzero(np.concatenate(([True], seg[1:] != seg[:-1])))
+    best = np.minimum.reduceat(weighted, run)
+    hit = np.flatnonzero(weighted == np.repeat(best, np.diff(run, append=pos.size)))
+    hit = hit[np.concatenate(([True], seg[hit[1:]] != seg[hit[:-1]]))]
+    cut = pos[hit]
+    return seg[run], best, 0.5 * (sv[cut] + sv[cut + 1])
+
+
+def _gini(n: np.ndarray, ones: np.ndarray) -> np.ndarray:
+    g = ones / n
+    g **= 2
+    np.subtract(1.0, g, out=g)
+    zeros = n - ones
+    zeros /= n
+    zeros **= 2
+    g -= zeros
+    return g
+
+
+def _partition(x2_flat, code, row_offset, threshold, to_left, to_right, out) -> None:
+    """Scatter ``code`` into ``out``: each row after the rows before it that go its way."""
+    go_left = x2_flat[row_offset + code] <= threshold
+    lefts = np.cumsum(go_left)
+    dest = to_right - lefts
+    lefts += to_left
+    np.copyto(dest, lefts, where=go_left)
+    out[dest] = code
+
+
+def _grow_forest(X, y, n_trees, max_depth, feature_fraction, bootstrap, seed) -> list[_CartTree]:
+    """Grow every tree of a forest together, one depth level per pass.
+
+    Each node still to split owns one segment of a layout per feature, in
+    which the rows of its (bootstrap) sample are sorted by that feature; a
+    layout entry is ``2 * row + label``. Per feature, one pass over the layout
+    finds every segment's best cut. A node splits on the lowest feature with
+    a strictly smaller impurity, so ties resolve to the lowest feature and
+    then the smallest threshold, and tree structure is a pure function of the
+    data. A stable partition of every segment then gives the next level's
+    layout, still sorted, without the rows of children that are leaves. Only
+    distinct values matter to a cut, so the order of tied rows does not.
+
+    The forest generator draws only the bootstrap samples, one tree after
+    another. With ``feature_fraction < 1`` a node draws its candidate
+    features from ``np.random.default_rng([seed, tree, heap])``, ``heap``
+    being its heap index (root 0, children 2h + 1 and 2h + 2), so the draw
+    does not depend on the order in which nodes grow.
+    """
+    n, d = X.shape
+    X2 = np.repeat(X.T, 2, axis=1)  # X2[f, code] is row code // 2's value of feature f
+    x2 = X2.ravel()
+    codes = 2 * np.arange(n) + y
+    if bootstrap:
+        rng = np.random.default_rng(seed)
+        counts = np.stack([np.bincount(rng.integers(0, n, size=n), minlength=n) for _ in range(n_trees)])
+    else:
+        counts = np.ones((n_trees, n), dtype=np.int64)
+    k = max(1, math.ceil(feature_fraction * d))
+    # Python ints: a heap index passes 2**63 below depth 63
+    heap = np.zeros(n_trees, dtype=object) if k < d else None
+    tree = np.arange(n_trees)
+    size = np.full(n_trees, n, dtype=np.int64)
+    ones = counts @ y
+    open_ = (ones > 0) & (ones < size)
+    orders = np.empty((d, int(size[open_].sum())), dtype=np.intp)
+    for f in range(d):
+        by_f = np.argsort(X[:, f], kind="stable")
+        orders[f] = np.repeat(np.tile(codes[by_f], int(open_.sum())), counts[open_][:, by_f].ravel())
+    del counts
+    levels = []
+    for depth in range(max_depth + 1):
+        feature = np.full(tree.size, -1, dtype=np.int64)
+        threshold = np.zeros(tree.size)
+        levels.append((tree, size, ones, feature, threshold))
+        if not open_.any():
+            break
+        sizes, seg_ones = size[open_], ones[open_]
+        starts = np.cumsum(sizes) - sizes
+        level = (starts, np.cumsum(seg_ones) - seg_ones, sizes.astype(np.float64), seg_ones.astype(np.float64))
+        seg = np.repeat(np.arange(sizes.size), sizes)
+        candidates = None
+        if heap is not None:
+            candidates = np.zeros((sizes.size, d), dtype=bool)
+            for i, (t, h) in enumerate(zip(tree[open_].tolist(), heap[open_])):
+                candidates[i, np.random.default_rng([seed, t, h]).choice(d, size=k, replace=False)] = True
+        best = np.full(sizes.size, np.inf)
+        feat = np.full(sizes.size, -1, dtype=np.int64)
+        thr = np.zeros(sizes.size)
+        for f in range(d):
+            cut_segs, gini, cut_thr = _feature_splits(X2[f], orders[f], seg, *level)
+            better = gini < best[cut_segs]
+            if candidates is not None:
+                better &= candidates[cut_segs, f]
+            cut_segs = cut_segs[better]
+            best[cut_segs] = gini[better]
+            feat[cut_segs] = f
+            thr[cut_segs] = cut_thr[better]
+        del seg, level, best
+        feature[open_] = feat
+        threshold[open_] = thr
+        split = feat >= 0
+        if not split.any():
+            break
+        if not split.all():  # a node whose rows tie on every candidate feature is a leaf
+            orders = orders[:, np.repeat(split, sizes)]
+        sizes, feat, thr = sizes[split], feat[split], thr[split]
+        starts = np.cumsum(sizes) - sizes
+        row_offset = np.repeat(feat * X2.shape[1], sizes)
+        threshold_rows = np.repeat(thr, sizes)
+        go_left = x2[row_offset + orders[0]] <= threshold_rows
+        n_left = _segment_sums(go_left, starts, sizes)
+        ones_left = _segment_sums(go_left & (orders[0] & 1), starts, sizes)
+        del go_left
+        parents = np.flatnonzero(feature >= 0)
+        tree = np.repeat(tree[parents], 2)
+        size = np.column_stack((n_left, sizes - n_left)).ravel()
+        ones = np.column_stack((ones_left, ones[parents] - ones_left)).ravel()
+        open_ = (ones > 0) & (ones < size) & (depth + 1 < max_depth)
+        if heap is not None:
+            heap = np.column_stack((2 * heap[parents] + 1, 2 * heap[parents] + 2)).ravel()
+        if not open_.any():
+            continue
+        # the children to split next take the front of the new layout, in
+        # order, and the leaves the back; a row goes after the rows of its
+        # segment that go its way before it
+        child = np.argsort(~open_, kind="stable")
+        child_start = np.empty_like(size)
+        child_start[child] = np.cumsum(size[child]) - size[child]
+        lefts_before = np.cumsum(n_left) - n_left
+        to_left = np.repeat(child_start[0::2] - lefts_before - 1, sizes)
+        to_right = np.repeat(child_start[1::2] - starts + lefts_before, sizes)
+        to_right += np.arange(to_right.size)
+        parted = np.empty_like(orders)
+        for f in range(d):
+            _partition(x2, orders[f], row_offset, threshold_rows, to_left, to_right, parted[f])
+        orders = parted[:, : int(size[open_].sum())]
+        del row_offset, threshold_rows, to_left, to_right, parted
+    del orders
+    return _preorder_trees(levels, n_trees, max_depth)
+
+
+def _preorder_trees(levels, n_trees, max_depth) -> list[_CartTree]:
+    """Renumber level-ordered nodes to each tree's DFS preorder and cut the trees apart.
+
+    The children of level L's k-th split node are nodes 2k and 2k + 1 of level L + 1.
+    """
+    subtree = [None] * len(levels)
+    for i in range(len(levels) - 1, -1, -1):
+        feature = levels[i][3]
+        sub = np.ones(feature.size, dtype=np.int64)
+        parents = np.flatnonzero(feature >= 0)
+        if parents.size:
+            sub[parents] += subtree[i + 1][0::2] + subtree[i + 1][1::2]
+        subtree[i] = sub
+    offset = np.cumsum(subtree[0]) - subtree[0]
+    total = int(subtree[0].sum())
+    flat_feature = np.empty(total, dtype=np.int64)
+    flat_threshold = np.empty(total)
+    flat_left = np.empty(total, dtype=np.int64)
+    flat_right = np.empty(total, dtype=np.int64)
+    flat_value = np.empty(total, dtype=np.int64)
+    pre = np.zeros(n_trees, dtype=np.int64)
+    for i, (tree, size, ones, feature, threshold) in enumerate(levels):
+        at = offset[tree] + pre
+        flat_feature[at] = feature
+        flat_threshold[at] = threshold
+        flat_value[at] = 2 * ones > size
+        flat_left[at] = pre
+        flat_right[at] = pre
+        parents = np.flatnonzero(feature >= 0)
+        if parents.size == 0:
+            break
+        left = pre[parents] + 1
+        right = left + subtree[i + 1][0::2]
+        flat_left[at[parents]] = left
+        flat_right[at[parents]] = right
+        pre = np.column_stack((left, right)).ravel()
+    bounds = np.append(offset, total)
+    return [
+        _CartTree(
+            max_depth,
+            *(a[lo:hi] for a in (flat_feature, flat_threshold, flat_left, flat_right, flat_value)),
+        )
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+    ]
+
+
 class ForestClassifier(BaseClassifier):
     """Bagged CART forest with majority voting.
 
@@ -290,13 +451,18 @@ class ForestClassifier(BaseClassifier):
     max_depth : int
         Maximum tree depth; must be >= 1.
     feature_fraction : float in (0, 1]
-        Fraction of features considered at each split. With the value 1 no
-        random feature draw happens at all, so together with
+        Fraction of features considered at each split. Below 1, each node
+        draws ``ceil(feature_fraction * d)`` candidates from its own
+        generator, ``np.random.default_rng([seed, tree, heap])`` with
+        ``heap`` the node's heap index (root 0, children 2h + 1 and 2h + 2),
+        so a node's draw does not depend on the order in which nodes grow.
+        With the value 1 no feature draw happens at all, so together with
         ``bootstrap=False`` the fit is seed-independent.
     bootstrap : bool
         Whether each tree trains on a bootstrap resample of the batch.
     seed : int
-        Seeds the bootstrap / feature subsampling generator.
+        Seeds the bootstrap generator, which draws each tree's sample in
+        turn, and keys the feature draws.
 
     Ties in the vote (possible with an even tree count) resolve to class 0.
 
@@ -344,17 +510,9 @@ class ForestClassifier(BaseClassifier):
         self.cuts_ = self.table_ = None
         if self.constant_ is not None:
             return
-        n = X.shape[0]
-        needs_rng = self.bootstrap or self.feature_fraction < 1.0
-        rng = np.random.default_rng(self.seed) if needs_rng else None
-        for _ in range(self.n_trees):
-            if self.bootstrap:
-                idx = rng.integers(0, n, size=n)
-                Xb, yb = X[idx], y[idx]
-            else:
-                Xb, yb = X, y
-            tree = _CartTree(self.max_depth).fit(Xb, yb, self.feature_fraction, rng)
-            self.trees_.append(tree)
+        self.trees_ = _grow_forest(
+            X, y, self.n_trees, self.max_depth, self.feature_fraction, self.bootstrap, self.seed
+        )
         self._build_table()
 
     def _build_table(self) -> None:

@@ -26,7 +26,7 @@ from retrainer import (
     strategy_cost,
 )
 from retrainer.costmatrix import rbf_weights
-from retrainer.models import LogisticClassifier, _CartTree
+from retrainer.models import LogisticClassifier
 from retrainer.validation import check_same_dim
 
 
@@ -241,18 +241,22 @@ class ReferenceAdwinDetector(AdwinPolicy):
 
 
 # ---------------------------------------------------------------------------
-# Reference forest: every node argsorts its own rows, and predict walks each
-# tree one level at a time and counts the votes, as the forest once did. The
-# library's presorted growth must give the same tree arrays, and its vote
+# Reference forest: each tree grows depth first, every node argsorting its
+# own rows, and predict walks each tree one level at a time and counts the
+# votes, as the forest once did. With feature_fraction < 1 a node draws its
+# candidate features from a generator keyed by (seed, tree, heap index). The
+# library's level-wise growth must give the same tree arrays, and its vote
 # table the same predictions.
 # ---------------------------------------------------------------------------
 
 
-class ReferenceCartTree(_CartTree):
-    __slots__ = ()
+class ReferenceCartTree:
+    def __init__(self, max_depth):
+        self.max_depth = max_depth
+        self.feature, self.threshold, self.left, self.right, self.value = [], [], [], [], []
 
-    def fit(self, X, y, feature_fraction, rng):
-        self._grow(X, y, 0, feature_fraction, rng)
+    def fit(self, X, y, feature_fraction, seed, tree_index):
+        self._grow(X, y, 0, 0, feature_fraction, seed, tree_index)
         self.feature = np.asarray(self.feature, dtype=np.int64)
         self.threshold = np.asarray(self.threshold, dtype=np.float64)
         self.left = np.asarray(self.left, dtype=np.int64)
@@ -260,20 +264,23 @@ class ReferenceCartTree(_CartTree):
         self.value = np.asarray(self.value, dtype=np.int64)
         return self
 
-    def _grow(self, X, y, depth, feature_fraction, rng):
-        node = self._add_node()
+    def _grow(self, X, y, depth, heap, feature_fraction, seed, tree_index):
+        node = len(self.feature)
         n = y.size
         ones = int(y.sum())
-        self.value[node] = 1 if 2 * ones > n else 0
-        self.left[node] = node
-        self.right[node] = node
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(node)
+        self.right.append(node)
+        self.value.append(1 if 2 * ones > n else 0)
         if depth >= self.max_depth or ones == 0 or ones == n:
             return node
         d = X.shape[1]
-        if feature_fraction >= 1.0 or rng is None:
+        k = max(1, math.ceil(feature_fraction * d))
+        if k == d:
             candidates = np.arange(d)
         else:
-            k = max(1, math.ceil(feature_fraction * d))
+            rng = np.random.default_rng([seed, tree_index, heap])
             candidates = np.sort(rng.choice(d, size=k, replace=False))
         split = self._best_split(X, y, candidates)
         if split is None:
@@ -282,8 +289,9 @@ class ReferenceCartTree(_CartTree):
         mask = X[:, feat] <= thr
         self.feature[node] = int(feat)
         self.threshold[node] = float(thr)
-        self.left[node] = self._grow(X[mask], y[mask], depth + 1, feature_fraction, rng)
-        self.right[node] = self._grow(X[~mask], y[~mask], depth + 1, feature_fraction, rng)
+        keys = (feature_fraction, seed, tree_index)
+        self.left[node] = self._grow(X[mask], y[mask], depth + 1, 2 * heap + 1, *keys)
+        self.right[node] = self._grow(X[~mask], y[~mask], depth + 1, 2 * heap + 2, *keys)
         return node
 
     @staticmethod
@@ -321,12 +329,12 @@ def reference_forest_trees(forest, X, y):
     if y.min() == y.max():
         return []
     n = X.shape[0]
-    needs_rng = forest.bootstrap or forest.feature_fraction < 1.0
-    rng = np.random.default_rng(forest.seed) if needs_rng else None
+    rng = np.random.default_rng(forest.seed) if forest.bootstrap else None
     trees = []
-    for _ in range(forest.n_trees):
+    for t in range(forest.n_trees):
         idx = rng.integers(0, n, size=n) if forest.bootstrap else np.arange(n)
-        trees.append(ReferenceCartTree(forest.max_depth).fit(X[idx], y[idx], forest.feature_fraction, rng))
+        tree = ReferenceCartTree(forest.max_depth)
+        trees.append(tree.fit(X[idx], y[idx], forest.feature_fraction, forest.seed, t))
     return trees
 
 

@@ -459,6 +459,48 @@ class TestRunConfig:
             RunConfig.from_dict(raw)
 
     @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("stream", "gauss", "stream must be an object, got 'gauss'"),
+            ("model", "forest", "model must be an object, got 'forest'"),
+            ("policies", 5, "policies must be a list of policy entries, got 5"),
+            ("policies", "never", "policies must be a list of policy entries, got 'never'"),
+        ],
+    )
+    def test_level_that_is_not_an_object_fails_at_load(self, key, value, message):
+        raw = {
+            "stream": dict(GAUSS_STREAM),
+            "t_offline": 3,
+            "t_online": 9,
+            "kappas": [1],
+            "policies": [{"name": "never"}],
+            "model": {"kind": "logistic"},
+        }
+        raw[key] = value
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            RunConfig.from_dict(raw)
+
+    def test_run_config_that_is_not_an_object_fails_at_load(self):
+        with pytest.raises(InvalidInputError, match=re.escape("run config must be an object, got [1]")):
+            RunConfig.from_dict([1])
+
+    def test_stream_seed_is_replaced_by_each_run_seed(self, tmp_path):
+        raw = {
+            "stream": {"dataset": "gauss", "n_batches": 12, "batch_size": 40, "queries_per_batch": 4},
+            "t_offline": 3,
+            "t_online": 11,
+            "kappas": [1, 4],
+            "policies": [{"name": "threshold", "params": "optimize"}, {"name": "never"}],
+            "model": {"kind": "logistic", "epochs": 20},
+            "seeds": [0, 1],
+        }
+        without, with_seed = tmp_path / "without.csv", tmp_path / "with_seed.csv"
+        results_to_csv(run_sweep(RunConfig.from_dict(raw)), without)
+        raw["stream"]["seed"] = 5
+        results_to_csv(run_sweep(RunConfig.from_dict(raw)), with_seed)
+        assert with_seed.read_bytes() == without.read_bytes()
+
+    @pytest.mark.parametrize(
         "entry, message",
         [
             ({"name": "adwn"}, "unknown policy 'adwn'"),

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 from helpers import reference_forest_predict, reference_forest_trees
 from hypothesis import given, settings, strategies as st
 
-from retrainer import DataBatch, InvalidInputError, fit_model, models
-from retrainer.models import _TABLE_CELLS_PER_NODE, ForestClassifier, LogisticClassifier, _CartTree
+from retrainer import DataBatch, InvalidInputError, StreamSpec, fit_model, generate_stream, models
+from retrainer.models import _TABLE_CELLS_PER_NODE, ForestClassifier, LogisticClassifier
 
 
 def separable_batch():
@@ -25,6 +26,11 @@ def xor_batch():
         rows.append(np.array([cx, cy]) + rng.normal(0, 0.08, (25, 2)))
         labels += [label] * 25
     return DataBatch(0, np.vstack(rows), labels)
+
+
+def covcon_batch():
+    data, _ = generate_stream(StreamSpec("covcon", n_batches=2, batch_size=1000, seed=0))
+    return data[1]
 
 
 PROBE = np.array([[x, y] for x in np.linspace(-1, 2, 7) for y in np.linspace(-1, 2, 7)])
@@ -94,7 +100,7 @@ class TestForest:
         forest = fit_model(
             batch, ForestClassifier(n_trees=1, max_depth=12, feature_fraction=1.0, bootstrap=False)
         )
-        tree = _CartTree(12).fit(batch.X, batch.y, feature_fraction=1.0, rng=None)
+        (tree,) = forest.trees_
         assert np.array_equal(forest.predict(PROBE), tree.predict(PROBE))
 
     def test_seed_invariant_without_randomness(self):
@@ -132,12 +138,26 @@ class TestForest:
         x = np.linspace(0, 1, 8)
         X = np.column_stack([x, x])
         y = (x > 0.5).astype(int)
-        tree = _CartTree(3).fit(X, y, feature_fraction=1.0, rng=None)
+        (tree,) = ForestClassifier(n_trees=1, max_depth=3, bootstrap=False).fit(X, y).trees_
         assert tree.feature[0] == 0
+
+    def test_fit_memory_stays_small(self):
+        # the level-wise grower holds a few arrays of all trees' rows at
+        # once (25 trees x 1000 rows); the bound keeps them short-lived
+        batch = covcon_batch()
+        forest = ForestClassifier(n_trees=25, max_depth=8)
+        forest.fit(batch.X, batch.y)
+        tracemalloc.start()
+        try:
+            forest.fit(batch.X, batch.y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
 
 
 class TestForestAgainstReference:
-    """Presorted growth and the vote table against per-node argsorts and the tree walk."""
+    """Level-wise growth and the vote table against depth-first, per-node argsorts and the tree walk."""
 
     @staticmethod
     def probes(trees, X, rng):
@@ -188,6 +208,12 @@ class TestForestAgainstReference:
         forest = ForestClassifier(n_trees, max_depth, feature_fraction, bootstrap, seed=seed)
         with mock.patch.object(models, "_TABLE_CELLS_PER_NODE", cells_per_node):
             self.assert_matches_reference(forest, X, y, rng)
+
+    def test_workload_scale_matches(self):
+        # the covcon workload's forest on one of its batches, tree by tree
+        batch = covcon_batch()
+        forest = ForestClassifier(n_trees=25, max_depth=8)
+        self.assert_matches_reference(forest, batch.X, batch.y, np.random.default_rng(0))
 
     def test_wide_forest_walks_its_trees(self):
         rng = np.random.default_rng(3)
