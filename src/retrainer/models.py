@@ -179,7 +179,8 @@ class _CartTree:
     """One greedy CART tree on Gini impurity, stored as flat node arrays in DFS preorder.
 
     A split scans every distinct value of each candidate feature and puts the
-    threshold at the midpoint between consecutive sorted values; ties in
+    threshold at the midpoint between consecutive sorted values (at the lower
+    value where the midpoint overflows or rounds onto the upper); ties in
     impurity resolve to the lowest feature and then the smallest threshold.
     A leaf has feature -1 and is its own left and right child; every node's
     ``value`` is its majority class (a tie resolves to 0). ``_grow_forest``
@@ -259,7 +260,11 @@ def _feature_splits(x2, code, seg, starts, before, n_seg, ones_seg):
     hit = np.flatnonzero(weighted == np.repeat(best, np.diff(run, append=pos.size)))
     hit = hit[np.concatenate(([True], seg[hit[1:]] != seg[hit[:-1]]))]
     cut = pos[hit]
-    return seg[run], best, 0.5 * (sv[cut] + sv[cut + 1])
+    lo, hi = sv[cut], sv[cut + 1]
+    with np.errstate(over="ignore"):
+        mid = 0.5 * (lo + hi)
+    # a midpoint that overflowed or rounded onto hi would send both values left
+    return seg[run], best, np.where((lo <= mid) & (mid < hi), mid, lo)
 
 
 def _gini(n: np.ndarray, ones: np.ndarray) -> np.ndarray:

@@ -9,8 +9,8 @@ inputs it declares:
   read from the cost matrix (threshold, cumulative and markov policies);
 * ``requires_errors`` -- the model's per-sample 0/1 errors on the current
   data batch, in stream order, from an ``errors(t_model, t_data)`` source
-  (the ADWIN and DDM drift detectors, each of which is its own policy: it
-  holds the detector state and consumes the bits one at a time);
+  (the ADWIN and DDM drift detectors, each of which is its own policy and
+  holds the detector state);
 * ``requires_kappa`` -- the retraining cost of the current batch, read from
   the matrix diagonal (the markov policy). A policy without it gets no
   ``kappa`` and so replays to the same strategy under every retraining cost.
@@ -35,6 +35,7 @@ exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -166,26 +167,50 @@ class MarkovPolicy(RetrainPolicy):
         return not staleness < kappa
 
 
+def _bit(error) -> int:
+    """An error bit as 0 or 1; any value but 0, 1, False and True is refused."""
+    if error not in (0, 1):
+        raise InvalidInputError(f"error bit must be 0 or 1, got {error!r}")
+    return int(error)
+
+
+def _bits(errors) -> np.ndarray:
+    """A batch of error bits as bools, refused whole if ``_bit`` refuses any
+    one of them."""
+    bits = np.asarray(errors)
+    if bits.ndim != 1 or bits.dtype.kind not in "biuf":
+        return np.array([_bit(error) for error in errors], dtype=bool)
+    bad = (bits != 0) & (bits != 1)
+    if bad.any():
+        _bit(bits[bad][0].item())  # raises
+    return bits == 1
+
+
 class DriftDetectorPolicy(RetrainPolicy):
     """A per-sample drift detector, which is itself the per-batch policy.
 
     A subclass holds the detector's state: ``update(error)`` consumes one 0/1
     error bit (1 = misclassified) and returns True on a drift, and
     ``reset()`` restarts the detector, so a reset policy equals a fresh one.
-    ``decide`` feeds the batch's error bits in stream order; any detection
-    inside the batch means Retrain, and the detector restarts from scratch
-    after a retrain. Neither the queries nor the retraining cost influence
-    the decision.
+    ``decide`` checks every error bit of the batch, then feeds them in
+    stream order; any detection inside the batch means Retrain, and the
+    detector restarts from scratch after a retrain. Neither the queries nor
+    the retraining cost influence the decision.
     """
 
     requires_errors = True
 
     def decide(self, t, *, staleness=None, errors=None, kappa=None):
-        for bit in errors:
-            if self.update(bit):
-                self.reset()
-                return True
+        if self._detects(errors):
+            self.reset()
+            return True
         return False
+
+    def _detects(self, errors) -> bool:
+        """True at the first bit of ``errors`` that ``update`` flags. A
+        subclass may decide the batch another way, as long as the decision
+        and the state without a detection are those of this loop."""
+        return any(map(self.update, _bits(errors).tolist()))
 
 
 class DdmPolicy(DriftDetectorPolicy):
@@ -222,9 +247,7 @@ class DdmPolicy(DriftDetectorPolicy):
 
     def update(self, error: int) -> bool:
         """Consume one error bit; True when a drift is detected."""
-        error = int(error)
-        if error not in (0, 1):
-            raise InvalidInputError(f"error bit must be 0 or 1, got {error}")
+        error = _bit(error)
         self.n_ += 1
         self.error_count_ += error
         if self.n_ < self.min_samples:
@@ -242,6 +265,9 @@ class DdmPolicy(DriftDetectorPolicy):
         return False
 
 
+_CUT_TESTS = 1024  # ADWIN cut tests per block of its batch pass; bounds the work arrays
+
+
 class AdwinPolicy(DriftDetectorPolicy):
     """Adaptive sliding window over the error stream.
 
@@ -256,6 +282,12 @@ class AdwinPolicy(DriftDetectorPolicy):
     with delta' = delta / window_length. A cut with |mu0 - mu1| >= eps_cut is
     a drift: the oldest bucket is dropped and the scan repeats until the
     window is consistent again.
+
+    ``update`` runs that scan per bit and shrinks the window. ``decide``
+    runs one exact array pass per batch instead: it gives the decision and,
+    without a detection, the end state of feeding the bits to ``update`` one
+    at a time (a detection resets the detector, so no window ever shrinks
+    inside a batch).
     """
 
     name = "adwin"
@@ -282,11 +314,77 @@ class AdwinPolicy(DriftDetectorPolicy):
 
     def update(self, error: int) -> bool:
         """Consume one error bit; True when the window shrank (drift)."""
-        error = int(error)
-        if error not in (0, 1):
-            raise InvalidInputError(f"error bit must be 0 or 1, got {error}")
-        self._insert(float(error))
+        self._insert(float(_bit(error)))
         return self._shrink()
+
+    def _detects(self, errors) -> bool:
+        # Merges depend on bucket counts only, so a list loop first finds, for
+        # each bucket, the step its end position stops being a cut boundary:
+        # the step it is merged into its newer neighbour (``death``). The end
+        # of the bucket of step k becomes a boundary at step k + 1. Every
+        # (step, live boundary) cut test then runs in numpy, block by block,
+        # with the scan's operations in its order, on exact integers in
+        # float64; eps_cut's log term is math.log's, as in the scan.
+        bits = _bits(errors)
+        steps = bits.size
+        if steps == 0:
+            return False
+        rows = self.rows_
+        width0 = self.width_
+        # the batch-start buckets oldest first, then one level-0 bucket per step
+        sizes = [1 << level for level in range(len(rows) - 1, -1, -1) for _ in rows[level]]
+        n_old = len(sizes)
+        end = np.concatenate((np.cumsum(sizes, dtype=np.float64), width0 + np.arange(1.0, steps + 1)))
+        prefix = np.concatenate(
+            (np.cumsum([s for row in reversed(rows) for s in row]), self.total_ + np.cumsum(bits, dtype=np.float64))
+        )
+        birth = np.concatenate((np.zeros(n_old, np.int64), np.arange(1, steps + 1)))
+        death = np.full(n_old + steps, steps)
+        levels, first = [], n_old
+        for row in rows:
+            first -= len(row)
+            levels.append(list(range(first, first + len(row))))
+        cap = self.max_buckets
+        for k in range(steps):
+            levels[0].append(n_old + k)
+            level = 0
+            while len(levels[level]) > cap:
+                if level + 1 == len(levels):
+                    levels.append([])
+                death[levels[level].pop(0)] = k
+                levels[level + 1].append(levels[level].pop(0))
+                level += 1
+        # A block of steps tests the boundaries live at any of its steps (at most
+        # cap per level, plus one born per step) at every step of the block, so
+        # at most 2 * _CUT_TESTS tests; those of a boundary not live at a step
+        # are masked out.
+        block = max(1, min(_CUT_TESTS // (cap * len(levels)), math.isqrt(_CUT_TESTS)))
+        width, total = end[n_old:], prefix[n_old:]
+        log_term = np.fromiter(
+            (math.log(4.0 / (self.delta / w)) for w in range(width0 + 1, width0 + steps + 1)), np.float64, steps
+        )
+        for k0 in range(0, steps, block):
+            k1 = min(k0 + block, steps)
+            # born before the block's last step, not dead by its first
+            cut = np.flatnonzero(death[: n_old + k1 - 1] > k0)[:, None]
+            k = np.arange(k0, k1)
+            live = (birth[cut] <= k) & (k < death[cut])
+            n0 = end[cut]
+            sum0 = prefix[cut]
+            # below 1 only where the boundary is not born yet
+            n1 = np.maximum(width[k0:k1] - n0, 1.0)
+            mu0 = sum0 / n0
+            mu1 = (total[k0:k1] - sum0) / n1
+            m = 1.0 / (1.0 / n0 + 1.0 / n1)
+            eps_cut = np.sqrt(log_term[k0:k1] / (2.0 * m))
+            if (live & (np.abs(mu0 - mu1) >= eps_cut)).any():
+                return True
+        # no detection: each surviving bucket sums the bits since its older neighbour's end
+        sums = iter(np.diff(prefix[[i for level in reversed(levels) for i in level]], prepend=0.0).tolist())
+        self.rows_ = [list(itertools.islice(sums, len(level))) for level in reversed(levels)][::-1]
+        self.width_ = width0 + steps
+        self.total_ = float(prefix[-1])
+        return False
 
     def _insert(self, value: float) -> None:
         self.rows_[0].append(value)

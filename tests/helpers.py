@@ -318,7 +318,10 @@ class ReferenceCartTree:
             if weighted[k] < best_gini:
                 best_gini = float(weighted[k])
                 cut = boundaries[k]
-                best = (int(feat), 0.5 * (sv[cut] + sv[cut + 1]))
+                lo, hi = sv[cut], sv[cut + 1]
+                with np.errstate(over="ignore"):
+                    mid = 0.5 * (lo + hi)
+                best = (int(feat), mid if lo <= mid < hi else lo)
         return best
 
 

@@ -1,11 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from helpers import ReferenceAdwinDetector
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from retrainer import AdwinPolicy, DdmPolicy, InvalidInputError
+from retrainer.policies import DriftDetectorPolicy
+
+NON_BINARY = (2, -1, 0.5, 1.9, math.nan, "1", None)
 
 
 def first_detection(detector, bits):
@@ -66,8 +70,11 @@ class TestDdm:
         assert det.n_ == 0 and det.p_min_ == math.inf
 
     def test_rejects_non_binary(self):
-        with pytest.raises(InvalidInputError):
-            DdmPolicy().update(2)
+        for bad in NON_BINARY:
+            with pytest.raises(InvalidInputError):
+                DdmPolicy().update(bad)
+            with pytest.raises(InvalidInputError):
+                DdmPolicy().decide(0, errors=[0, 1, bad])
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidInputError):
@@ -136,8 +143,73 @@ class TestAdwin:
         assert det.width_ == 0 and det.total_ == 0.0
 
     def test_rejects_non_binary(self):
-        with pytest.raises(InvalidInputError):
-            AdwinPolicy().update(-1)
+        for bad in NON_BINARY:
+            with pytest.raises(InvalidInputError):
+                AdwinPolicy().update(bad)
+            for errors in ([0, 1, bad], np.array([0, 1, bad])):
+                with pytest.raises(InvalidInputError):
+                    AdwinPolicy().decide(0, errors=errors)
+
+    def test_batch_is_checked_before_any_bit_is_read(self):
+        # the bad bit follows a detection, which the per-bit loop stops at
+        det = AdwinPolicy()
+        det.decide(0, errors=[0] * 100)
+        with pytest.raises(InvalidInputError, match="got 0.5"):
+            det.decide(1, errors=[0] * 1000 + [1] * 1000 + [0.5])
+        assert (det.width_, det.total_) == (100, 0.0)
+
+    def test_decide_is_the_base_class_entry_point(self):
+        # the benchmark's tracer times every detector's batches by wrapping
+        # DriftDetectorPolicy.decide; the batch pass hooks in below it
+        assert AdwinPolicy.decide is DdmPolicy.decide is DriftDetectorPolicy.decide
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**20),
+        sizes=st.lists(st.sampled_from([0, 1, 2, 7, 64, 333, 1000]), min_size=1, max_size=6),
+        rates=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+        delta=st.sampled_from([1e-4, 0.002, 0.05, 0.5, 0.99]),
+        max_buckets=st.integers(1, 7),
+        dtype=st.sampled_from([bool, int, float]),
+        as_list=st.booleans(),
+    )
+    # in these, testing a boundary also on the step it is merged away would
+    # change a decision
+    @example(seed=7, sizes=[64] * 3, rates=[0.3, 0.7], delta=0.99, max_buckets=2, dtype=bool, as_list=False)
+    @example(seed=196, sizes=[64] * 3, rates=[0.3, 0.7], delta=0.99, max_buckets=1, dtype=int, as_list=True)
+    def test_decide_matches_per_bit_updates(self, seed, sizes, rates, delta, max_buckets, dtype, as_list):
+        # one detector per side over several batches, so the window carries
+        # over; the per-bit side stops at a detection and restarts
+        rng = np.random.default_rng(seed)
+        det, ref = AdwinPolicy(delta, max_buckets), AdwinPolicy(delta, max_buckets)
+        for t, size in enumerate(sizes):
+            bits = (rng.random(size) < rates[t % len(rates)]).astype(dtype)
+            detected = False
+            for bit in bits:
+                if ref.update(bit):
+                    ref.reset()
+                    detected = True
+                    break
+            assert det.decide(t, errors=bits.tolist() if as_list else bits) == detected
+            assert det.rows_ == ref.rows_
+            assert (det.width_, det.total_) == (ref.width_, ref.total_)
+
+    def test_decide_memory_stays_small(self):
+        # a 1000-bit batch on a 20k-bit window makes about 60k cut tests;
+        # the pass holds one block of them at a time
+        rng = np.random.default_rng(3)
+        det = AdwinPolicy()
+        for t in range(20):
+            assert not det.decide(t, errors=rng.random(1000) < 0.3)
+        bits = rng.random(1000) < 0.3
+        tracemalloc.start()
+        try:
+            detected = det.decide(20, errors=bits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not detected and det.width_ == 21_000
+        assert peak < 512 * 1024
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidInputError):

@@ -12,6 +12,15 @@ from retrainer import DataBatch, InvalidInputError, StreamSpec, fit_model, gener
 from retrainer.models import _TABLE_CELLS_PER_NODE, ForestClassifier, LogisticClassifier
 
 
+# one feature, sorted; where a midpoint threshold fails, the forest cannot
+# separate the labels even on its training points
+NEIGHBOURS_WITHOUT_A_MIDPOINT = [
+    ([1.0, 1e308, 1.7e308], [0, 0, 1]),  # the top pair's sum overflows to inf
+    ([-1.7e308, -1e308, -1.0], [1, 0, 0]),  # the bottom pair's sum overflows to -inf
+    ([1 + 2**-52, 1 + 2**-51], [0, 1]),  # adjacent floats: the midpoint rounds up to the upper one
+]
+
+
 def separable_batch():
     rng = np.random.default_rng(7)
     X0 = rng.uniform(-0.1, 0.1, (10, 2))
@@ -141,6 +150,12 @@ class TestForest:
         (tree,) = ForestClassifier(n_trees=1, max_depth=3, bootstrap=False).fit(X, y).trees_
         assert tree.feature[0] == 0
 
+    @pytest.mark.parametrize("x, y", NEIGHBOURS_WITHOUT_A_MIDPOINT)
+    def test_threshold_separates_neighbours_without_a_midpoint(self, x, y):
+        X = np.array(x)[:, None]
+        model = ForestClassifier(n_trees=1, max_depth=3, bootstrap=False).fit(X, y)
+        assert model.predict(X).tolist() == y
+
     def test_fit_memory_stays_small(self):
         # the level-wise grower holds a few arrays of all trees' rows at
         # once (25 trees x 1000 rows); the bound keeps them short-lived
@@ -208,6 +223,11 @@ class TestForestAgainstReference:
         forest = ForestClassifier(n_trees, max_depth, feature_fraction, bootstrap, seed=seed)
         with mock.patch.object(models, "_TABLE_CELLS_PER_NODE", cells_per_node):
             self.assert_matches_reference(forest, X, y, rng)
+
+    @pytest.mark.parametrize("x, y", NEIGHBOURS_WITHOUT_A_MIDPOINT)
+    def test_neighbours_without_a_midpoint_match(self, x, y):
+        forest = ForestClassifier(n_trees=3, max_depth=3)
+        self.assert_matches_reference(forest, np.array(x)[:, None], np.array(y), np.random.default_rng(0))
 
     def test_workload_scale_matches(self):
         # the covcon workload's forest on one of its batches, tree by tree
