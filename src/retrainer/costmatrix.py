@@ -13,10 +13,11 @@ either keep the previous model or switch to one trained at the current
 batch. The cost of a strategy is the sum of its matrix entries.
 
 ``StreamCosts`` is the shared computation cache behind matrix builds, policy
-replays and evaluation: per-batch fitted models, per-pair 0/1 error vectors
-and query predictions are computed once and reused, and ``staleness_matrix``
-is the one place staleness is computed. Staleness entries do not depend on
-kappa, so sweeping kappa only rewrites the diagonal.
+replays and evaluation: per-batch fitted models, query predictions and the
+0/1 error vectors of the pairs that drift detectors read are computed once
+and reused, and ``staleness_matrix`` is the one place staleness is computed.
+Staleness entries do not depend on kappa, so sweeping kappa only rewrites
+the diagonal.
 """
 
 from __future__ import annotations
@@ -38,27 +39,23 @@ def rbf_weights(Q, X, gamma: float) -> np.ndarray:
     Q = as_point_matrix(Q, name="Q")
     X = as_point_matrix(X, name="X")
     check_same_dim(Q.shape[1], X.shape[1], name="X")
-    return _rbf(Q, _sq_norms(Q), X, _sq_norms(X), gamma)
+    return _rbf(Q @ X.T, _sq_norms(Q), _sq_norms(X), gamma)
 
 
 def _sq_norms(P: np.ndarray) -> np.ndarray:
     return np.sum(P * P, axis=1)
 
 
-def _rbf(Q, qq, X, xx, gamma: float, cols=None) -> np.ndarray:
-    """The RBF kernel of validated points, given their squared norms.
+def _rbf(G: np.ndarray, qq: np.ndarray, xx: np.ndarray, gamma: float) -> np.ndarray:
+    """The RBF kernel from the cross products ``G`` of queries and points,
+    given their squared norms; ``G`` is overwritten.
 
-    With ``cols`` it covers only those points of X, and ``xx`` holds their
-    norms. The cross product still spans all of X and its columns are
-    gathered, because BLAS may round a product over X[cols] differently;
-    every later step is elementwise, so each similarity keeps the bits it
-    has in the full kernel. The steps run in place, so at most the cross
-    product and one result array are alive at once."""
-    G = Q @ X.T
-    if cols is not None:
-        G = np.take(G, cols, axis=1)
+    ``G`` has shape (..., n_queries, n_points), ``qq`` (..., n_queries) and
+    ``xx`` (n_points,), so a stack of kernels against one set of points is
+    one call. Every step is elementwise, so each similarity keeps its bits
+    whatever the stack. At most ``G`` and one result array are alive."""
     G *= 2.0
-    sq = qq[:, None] + xx[None, :]
+    sq = qq[..., None] + xx
     sq -= G
     del G
     np.maximum(sq, 0.0, out=sq)
@@ -256,6 +253,10 @@ class StreamCosts:
     It is zero when the data distribution is static (retraining would
     reproduce the same model), and can be negative.
 
+    The matrix is built one row (one model t') at a time, and a pair's error
+    vector is dropped once its entry is known: ``errors`` computes and keeps
+    only the pairs it is asked for, at most one per batch and policy run.
+
     The training term reads the kernel only at the points its model gets
     wrong, and is exactly 0.0 for a model without training errors. That is
     exact, not an approximation: every other point adds sim * 0 = 0.0 to the
@@ -312,7 +313,8 @@ class StreamCosts:
         return self._models[t]
 
     def errors(self, t_model: int, t_data: int) -> np.ndarray:
-        """0/1 losses of model t_model on data batch t_data, stream order, as bools."""
+        """0/1 losses of model t_model on data batch t_data, stream order, as
+        bools; computed on first request and kept."""
         key = (t_model, t_data)
         if key not in self._errors:
             batch = self.data_batch(t_data)
@@ -332,52 +334,75 @@ class StreamCosts:
 
         Entry (t', t) is total(Q_t, D_t) - total(Q_t, D_t') for the model
         trained at t', where total(Q, D) is the query kernel mass on each
-        point of D dotted with the model's 0/1 errors there, over |D|.
+        point of D dotted with the model's 0/1 errors there, over |D|. One
+        call labels all of a row's batches; every other step keeps the
+        arithmetic of one pair, so each entry has the bits of the per-pair
+        definition.
         """
         key = (start, end)
         if key not in self._staleness_base:
             n = end - start + 1
             if n < 1:
                 raise InvalidInputError(f"invalid batch range [{start}, {end}]")
-            self.data_batch(start)  # the loop below reads no batch when n == 1
-            gamma = self.gamma
+            data = [self.data_batch(t) for t in range(start, end + 1)]
+            queries = [self.query_batch(b.t).X for b in data[1:]]
+            # fit before the build holds any array, so a fit's scratch stacks on nothing
+            models = [self.model_at(b.t) for b in data[:-1]]
+            qq = [_sq_norms(Q) for Q in queries]
+            mass = [rbf_weights(Q, b.X, self.gamma).sum(axis=0) for Q, b in zip(queries, data[1:])]
+            bounds = np.cumsum([0] + [b.size for b in data])
+            labels = np.concatenate([b.y for b in data])
             out = np.full((n, n), math.inf)
             np.fill_diagonal(out, 0.0)
-            erring: dict[int, tuple | None] = {}  # row i -> its training term's scratch
-            for j in range(1, n):
-                t = start + j
-                Q, now = self.query_batch(t).X, self.data_batch(t)
-                w_now = rbf_weights(Q, now.X, gamma).sum(axis=0)
-                qq = _sq_norms(Q)
-                for i in range(j):
-                    a = float(w_now @ self.errors(start + i, t)) / now.size
-                    if i not in erring:
-                        erring[i] = self._erring_points(start + i)
-                    if erring[i] is None:
-                        out[i, j] = a  # the training term is exactly 0.0
-                        continue
-                    X, e_train, cols, xx = erring[i]
-                    w_train = np.zeros(X.shape[0])
-                    w_train[cols] = _rbf(Q, qq, X, xx, gamma, cols).sum(axis=0)
-                    out[i, j] = a - float(w_train @ e_train) / X.shape[0]
+            for i, model in enumerate(models):
+                train = data[i]
+                wrong = model.predict_batches([b.X for b in data[i:]]) != labels[bounds[i] :]
+                wrong = wrong.astype(np.float64)
+                lo, hi = bounds[i + 1 : -1] - bounds[i], bounds[i + 2 :] - bounds[i]
+                row = np.array([w @ wrong[a:b] for w, a, b in zip(mass[i:], lo.tolist(), hi.tolist())])
+                row /= hi - lo
+                row -= self._training_term(train, wrong[: train.size], queries[i:], qq[i:])
+                out[i, i + 1 :] = row
             self._staleness_base[key] = out
         return self._staleness_base[key]
 
-    def _erring_points(self, t: int) -> tuple | None:
-        """Scratch for the training term of model t: (D_t's points, the model's
-        errors there, the erring columns, their squared norms), or None when
-        the model makes no training errors.
+    def _training_term(self, train: DataBatch, e_train, queries, qq):
+        """total(Q_t, D_t') for the model trained on ``train``, per query batch
+        Q_t (0.0 for a model without training errors); ``e_train`` holds its
+        errors on ``train`` and ``qq`` the queries' squared norms.
 
-        A lone erring point is gathered twice: numpy sums a one-column block
-        pairwise, but a wider one row by row, as it sums the full kernel of a
-        batch of two or more points (a one-point batch is one class, so its
-        model never errs there)."""
-        X, e_train = self.data_batch(t).X, self.errors(t, t)
-        wrong = np.flatnonzero(e_train)
-        if wrong.size == 0:
-            return None
-        cols = wrong if wrong.size > 1 else wrong.repeat(2)
-        return X, e_train, cols, _sq_norms(X)[cols]
+        Each cross product Q_t @ X_t'.T is its own BLAS call; the elementwise
+        steps and the per-query sums run over a block of query batches of
+        one size, no larger than one full Q_t x D_t' kernel. A lone erring
+        point is gathered twice: numpy sums a one-column block pairwise, but
+        a wider one row by row, as it sums a full kernel (a one-point batch
+        is one class, so its model never errs there)."""
+        cols = np.flatnonzero(e_train)
+        if cols.size == 0:
+            return 0.0
+        if cols.size == 1:
+            cols = cols.repeat(2)
+        XT, xx = train.X.T, _sq_norms(train.X)[cols]
+        per_block = train.size // cols.size
+        w = np.zeros(train.size)  # only its erring columns are ever written
+        term = np.empty(len(queries))
+        lo = 0
+        while lo < len(queries):
+            n_queries, last = queries[lo].shape[0], min(lo + per_block, len(queries))
+            hi = lo + 1
+            while hi < last and queries[hi].shape[0] == n_queries:
+                hi += 1
+            G = np.empty((hi - lo, n_queries, cols.size))
+            for m, Q in enumerate(queries[lo:hi]):
+                (Q @ XT).take(cols, axis=1, out=G[m])
+            sums = _rbf(G, np.stack(qq[lo:hi]), xx, self.gamma).sum(axis=1)
+            del G
+            for j, kernel_sum in enumerate(sums, start=lo):
+                w[cols] = kernel_sum
+                term[j] = w @ e_train
+            lo = hi
+        term /= train.size
+        return term
 
     def cost_matrix(self, start: int, end: int, kappa) -> CostMatrix:
         return CostMatrix(start, self.staleness_matrix(start, end), 0.0).with_kappa(kappa)

@@ -42,14 +42,11 @@ from .validation import as_binary_labels, as_int, as_point_matrix, check_fitted,
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function: 1 / (1 + e^-z) for z >= 0 and
+    e^z / (1 + e^z) below, with e = exp(-|z|) serving both."""
     z = np.clip(z, -500.0, 500.0)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 class BaseClassifier:
@@ -99,12 +96,27 @@ class BaseClassifier:
 
     def predict(self, X) -> np.ndarray:
         """Predicted 0/1 labels for each row of X."""
+        return self.predict_batches([X])
+
+    def predict_batches(self, Xs) -> np.ndarray:
+        """Predicted 0/1 labels of each point matrix in ``Xs``, concatenated in order.
+
+        Every matrix gets the labels ``predict`` gives it alone, but all of
+        them are checked in one pass over their concatenation."""
+        check_fitted(self)
+        Xs = [np.asarray(X, dtype=np.float64) for X in Xs]
+        Xs = [X.reshape(1, -1) if X.ndim == 1 else X for X in Xs]
+        try:
+            X = Xs[0] if len(Xs) == 1 else np.concatenate(Xs)
+        except ValueError as exc:
+            raise InvalidInputError(f"X: the batches do not stack: {exc}") from None
         X = self._check_X(X)
         if self.constant_ is not None:
             return np.full(X.shape[0], self.constant_, dtype=np.int64)
-        return self._predict_impl(X)
+        return self._predict_impl(X, [B.shape[0] for B in Xs])
 
-    def _predict_impl(self, X: np.ndarray) -> np.ndarray:
+    def _predict_impl(self, X: np.ndarray, sizes: list[int]) -> np.ndarray:
+        """Labels of X's rows, which stack batches of the given sizes."""
         raise NotImplementedError
 
 
@@ -161,9 +173,17 @@ class LogisticClassifier(BaseClassifier):
         self.coef_ = w
         self.intercept_ = b
 
-    def _predict_impl(self, X: np.ndarray) -> np.ndarray:
+    def _predict_impl(self, X: np.ndarray, sizes: list[int]) -> np.ndarray:
+        # one product per batch, because BLAS may round a product over the
+        # stacked batches differently
+        margin = np.empty(X.shape[0])
+        lo = 0
+        for size in sizes:
+            np.matmul(X[lo : lo + size], self.coef_, out=margin[lo : lo + size])
+            lo += size
+        margin += self.intercept_
         # probability 0.5 (margin exactly 0) resolves to class 0
-        return (X @ self.coef_ + self.intercept_ > 0).astype(np.int64)
+        return (margin > 0).astype(np.int64)
 
 
 # A forest builds its vote table only when the grid has at most this many
@@ -568,7 +588,8 @@ class ForestClassifier(BaseClassifier):
         # 2 * votes > n_trees, without doubling a narrow integer; one bit per cell
         self.table_ = np.packbits(votes > self.n_trees // 2, axis=None, bitorder="little")
 
-    def _predict_impl(self, X: np.ndarray) -> np.ndarray:
+    def _predict_impl(self, X: np.ndarray, sizes: list[int]) -> np.ndarray:
+        # every point's label depends on that point alone, so batches need no split
         if self.table_ is None:
             votes = np.zeros(X.shape[0], dtype=np.int64)
             for tree in self.trees_:

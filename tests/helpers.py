@@ -144,6 +144,18 @@ def relative_staleness(queries, data_now, data_train, model, gamma):
     )
 
 
+def reference_sigmoid(z):
+    """The logistic function with one branch per sign, each computed on its
+    own gathered points."""
+    z = np.clip(z, -500.0, 500.0)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Reference offline calibration: one replay per candidate.
 #

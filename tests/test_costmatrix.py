@@ -1,5 +1,7 @@
+import gc
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,10 +15,12 @@ from helpers import (
 from hypothesis import given, settings, strategies as st
 
 from retrainer import (
+    AdwinPolicy,
     ContractViolationError,
     CostMatrix,
     CumulativeThresholdPolicy,
     DataBatch,
+    DdmPolicy,
     InvalidInputError,
     MarkovPolicy,
     PeriodicPolicy,
@@ -33,6 +37,7 @@ from retrainer import (
     strategy_cost,
     validate_strategy,
 )
+from retrainer import costmatrix
 from retrainer.costmatrix import StreamCosts
 from retrainer.models import ForestClassifier, LogisticClassifier
 
@@ -182,6 +187,114 @@ class TestTrainingTermSubset:
         costs = StreamCosts(data, queries, model)
         assert int(costs.errors(0, 0).sum()) == n_wrong
         assert_matches_definition(costs, data, queries, model)
+
+
+MODELS = [LogisticClassifier(learning_rate=0.5, epochs=50), ForestClassifier(n_trees=5, max_depth=4)]
+
+
+class TestRowBuild:
+    """The matrix is built one model row at a time; every entry must still
+    equal the per-pair definition bit for bit."""
+
+    @pytest.mark.parametrize("model", MODELS, ids=["logistic", "forest"])
+    def test_query_batches_of_different_sizes(self, model):
+        # runs of equal sizes share a kernel block, and a size change ends one
+        spec = StreamSpec(dataset="covcon", n_batches=9, batch_size=60, queries_per_batch=30, seed=4)
+        data, queries = generate_stream(spec)
+        sizes = [30, 1, 7, 7, 30, 30, 1, 1, 7]
+        queries = [QueryBatch(q.t, q.X[:size]) for q, size in zip(queries, sizes)]
+        assert_matches_definition(StreamCosts(data, queries, model), data, queries, model)
+
+    def test_forest_that_walks_its_trees(self):
+        rng = np.random.default_rng(5)
+        data, queries = [], []
+        for t in range(6):
+            X = rng.normal(size=(120, 3)) + 0.2 * t
+            y = (X.sum(axis=1) + rng.normal(scale=0.8, size=120) > 0.6 * t).astype(int)
+            data.append(DataBatch(t, X, y))
+            queries.append(QueryBatch(t, rng.normal(size=(9, 3)) + 0.2 * t))
+        model = ForestClassifier(n_trees=8, max_depth=8)
+        costs = StreamCosts(data, queries, model)
+        assert_matches_definition(costs, data, queries, model)
+        for t in range(5):
+            # a grid over _TABLE_CELLS_PER_NODE cells per node gets no table: predict walks the trees
+            forest = costs.model_at(t)
+            assert forest.trees_ and forest.table_ is None
+
+    @pytest.mark.parametrize("model", MODELS, ids=["logistic", "forest"])
+    def test_detectors_read_error_vectors_on_demand(self, model):
+        spec = StreamSpec(dataset="covcon", n_batches=14, batch_size=60, queries_per_batch=6, seed=6)
+        data, queries = generate_stream(spec)
+        costs = StreamCosts(data, queries, model)
+        c = costs.cost_matrix(2, 13, 1.0)
+        assert costs._errors == {}  # the build keeps no error vector
+        read = []
+
+        def errors(t_model, t_data):
+            read.append((t_model, t_data))
+            return costs.errors(t_model, t_data)
+
+        for policy in (AdwinPolicy(delta=0.5), DdmPolicy(min_samples=5)):
+            replay_policy(policy, c, errors)
+        assert set(costs._errors) == set(read)
+        for t_model, t_data in read:
+            expected = fit_model(data[t_model], model).predict(data[t_data].X) != data[t_data].y
+            assert np.array_equal(costs.errors(t_model, t_data), expected)
+
+    def test_build_calls_the_names_the_benchmark_traces(self, monkeypatch):
+        """``perfbench/tracing.py`` counts kernel entries, fits and matrix
+        cells only through calls to ``costmatrix.rbf_weights`` and
+        ``costmatrix.fit_model``: one kernel per column, one fit per row."""
+        calls = {"rbf_weights": [], "fit_model": []}
+        for name, seen in calls.items():
+
+            def counted(*args, _original=getattr(costmatrix, name), _seen=seen):
+                _seen.append(args)
+                return _original(*args)
+
+            monkeypatch.setattr(costmatrix, name, counted)
+        data, queries = small_stream(n=6)
+        StreamCosts(data, queries, MODEL).staleness_matrix(1, 5)
+        kernels = calls["rbf_weights"]
+        assert len(kernels) == 4
+        assert all(Q is queries[t].X and X is data[t].X for t, (Q, X, _) in zip(range(2, 6), kernels))
+        assert [batch.t for batch, _ in calls["fit_model"]] == [1, 2, 3, 4]
+
+
+def traced_build(costs, start, end):
+    """(bytes still allocated, peak bytes) of one staleness build."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        costs.staleness_matrix(start, end)
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+class TestBuildMemory:
+    def test_build_keeps_no_error_vector_per_pair(self):
+        # 26,796 pairs of 200 points: a bool per point and pair would be 5.4 MB;
+        # the matrix itself is 0.43 MB
+        data, queries = generate_stream(StreamSpec(dataset="covcon", n_batches=240, batch_size=200, seed=0))
+        costs = StreamCosts(data, queries, LogisticClassifier())
+        for t in range(8, 239):
+            costs.model_at(t)
+        retained, peak = traced_build(costs, 8, 239)
+        assert retained < 1_000_000
+        assert peak < 4_000_000  # the row's labels and the kernel blocks stay small too
+
+    def test_forest_build_peak(self):
+        # one 100 x 1000 query kernel and its squared distances take 1.6 MB;
+        # no row, label array or kernel block may raise the peak above that
+        # and the kept column sums (the models are fitted before tracing)
+        spec = StreamSpec(dataset="covcon", n_batches=30, batch_size=1000, queries_per_batch=100, seed=0)
+        data, queries = generate_stream(spec)
+        costs = StreamCosts(data, queries, ForestClassifier())
+        for t in range(8, 29):
+            costs.model_at(t)
+        _, peak = traced_build(costs, 8, 29)
+        assert peak <= 1_930_000
 
 
 class TestInvariants:

@@ -230,6 +230,18 @@ class TestRunSweep:
             counts.append(strat.n_retrains)
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
+    def test_error_vectors_kept_only_for_served_pairs(self):
+        # the detectors read one error vector per online batch; the build keeps none
+        cfg = small_config(
+            policies=[{"name": "adwin", "params": {"delta": 0.5}}, {"name": "ddm", "params": {"min_samples": 5}}],
+            seeds=[0],
+        )
+        cache = {}
+        results = run_sweep(cfg, cost_cache=cache)
+        served = sum(r.strategy.served_by.size for r in results if r.policy != "oracle" and r.kappa == cfg.kappas[0])
+        assert served == 2 * (cfg.t_online - cfg.t_offline)
+        assert 0 < len(cache[0][2]._errors) <= served
+
     def test_results_csv_round_trip(self, tmp_path):
         results = run_sweep(small_config(seeds=[0]))
         path = tmp_path / "r.csv"

@@ -5,8 +5,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import reference_forest_predict, reference_forest_trees
+from helpers import reference_forest_predict, reference_forest_trees, reference_sigmoid
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from retrainer import DataBatch, InvalidInputError, StreamSpec, fit_model, generate_stream, models
 from retrainer.models import _TABLE_CELLS_PER_NODE, ForestClassifier, LogisticClassifier
@@ -46,6 +47,17 @@ PROBE = np.array([[x, y] for x in np.linspace(-1, 2, 7) for y in np.linspace(-1,
 
 
 class TestLogistic:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        z=hnp.arrays(
+            np.float64,
+            st.integers(0, 40),
+            elements=st.one_of(st.floats(allow_nan=False), st.sampled_from([500.0, -500.0, 0.0, -0.0])),
+        )
+    )
+    def test_sigmoid_equals_the_masked_form(self, z):
+        assert np.array_equal(models._sigmoid(z), reference_sigmoid(z))
+
     def test_separable_training_accuracy(self):
         batch = separable_batch()
         model = fit_model(batch, LogisticClassifier(learning_rate=0.5, epochs=200))
@@ -293,6 +305,20 @@ def test_predictions_are_binary(seed, n, kind):
     proto = LogisticClassifier(epochs=5) if kind == "logistic" else ForestClassifier(n_trees=3, max_depth=3)
     preds = fit_model(batch, proto).predict(rng.normal(size=(20, 3)))
     assert set(np.unique(preds)).issubset({0, 1})
+
+
+@pytest.mark.parametrize("kind", ["logistic", "forest"])
+def test_predict_batches_equals_predict_on_each(kind):
+    rng = np.random.default_rng(3)
+    batch = DataBatch(0, rng.normal(size=(60, 3)), rng.integers(0, 2, size=60))
+    proto = LogisticClassifier(epochs=20) if kind == "logistic" else ForestClassifier(n_trees=3, max_depth=3)
+    model = fit_model(batch, proto)
+    Xs = [rng.normal(size=(n, 3)) for n in (1, 7, 30)] + [rng.normal(size=3)]
+    assert np.array_equal(model.predict_batches(Xs), np.concatenate([model.predict(X) for X in Xs]))
+    with pytest.raises(InvalidInputError, match="do not stack"):
+        model.predict_batches([Xs[1], rng.normal(size=(4, 2))])
+    with pytest.raises(InvalidInputError, match="dimensionality"):
+        model.predict_batches([rng.normal(size=(4, 2)), rng.normal(size=(5, 2))])
 
 
 def test_get_params_roundtrip_clone():
