@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ContractViolationError, InvalidInputError, StreamParseError
 from .models import BaseClassifier, fit_model
 from .streams import DataBatch, QueryBatch
-from .validation import as_point_matrix, check_same_dim
+from .validation import as_point_matrix, check_finite, check_same_dim
 
 
 def rbf_weights(Q, X, gamma: float) -> np.ndarray:
@@ -287,6 +287,7 @@ class StreamCosts:
             check_same_dim(dim, q.dim, name=f"QueryBatch[{q.t}]")
         self.model = model
         self.gamma = 1.0 / dim if gamma is None else gamma
+        check_finite(self.gamma, "gamma")
         if not self.gamma > 0:
             raise InvalidInputError(f"gamma must be > 0, got {self.gamma}")
         self._models: dict[int, BaseClassifier] = {}

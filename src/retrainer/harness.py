@@ -508,28 +508,44 @@ def results_to_csv(results, path) -> None:
     write_csv(path, RESULT_COLUMNS, ([_cell(getattr(r, c)) for c in RESULT_COLUMNS] for r in results))
 
 
+_RESULT_NUMBERS = {
+    "kappa": float,
+    "seed": int,
+    "strategy_cost": float,
+    "oracle_cost": float,
+    "scpe": float,
+    "n_retrains": int,
+    "query_accuracy": float,
+}
+
+
 def results_from_csv(path) -> list[dict]:
-    """Read a results CSV back into dict rows (strategy stays textual)."""
+    """Read a results CSV back into dict rows (strategy stays textual). A
+    blank ``scpe`` is undefined (None); a non-numeric, missing, extra or NaN
+    cell is refused, naming its row."""
     out = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != list(RESULT_COLUMNS):
-            raise InvalidInputError(f"unexpected results header: {reader.fieldnames}")
-        for row in reader:
-            out.append(
-                {
-                    "dataset": row["dataset"],
-                    "policy": row["policy"],
-                    "kappa": float(row["kappa"]),
-                    "seed": int(row["seed"]),
-                    "strategy_cost": float(row["strategy_cost"]),
-                    "oracle_cost": float(row["oracle_cost"]),
-                    "scpe": None if row["scpe"] == "" else float(row["scpe"]),
-                    "n_retrains": int(row["n_retrains"]),
-                    "query_accuracy": float(row["query_accuracy"]),
-                    "strategy": row["strategy"],
-                }
-            )
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != list(RESULT_COLUMNS):
+            raise InvalidInputError(f"unexpected results header: {header}")
+        for row_no, cells in enumerate(reader, start=2):
+            if not cells:
+                continue
+            if len(cells) != len(RESULT_COLUMNS):
+                raise StreamParseError(row_no, f"expected {len(RESULT_COLUMNS)} columns, got {len(cells)}")
+            row = dict(zip(RESULT_COLUMNS, cells))
+            for name, kind in _RESULT_NUMBERS.items():
+                if name == "scpe" and row[name] == "":
+                    row[name] = None
+                    continue
+                try:
+                    row[name] = kind(row[name])
+                except ValueError as exc:
+                    raise StreamParseError(row_no, f"{name}: {exc}") from None
+                if row[name] != row[name]:
+                    raise StreamParseError(row_no, f"{name} is NaN")
+            out.append(row)
     return out
 
 

@@ -9,8 +9,8 @@ inputs it declares:
   read from the cost matrix (threshold, cumulative and markov policies);
 * ``requires_errors`` -- the model's per-sample 0/1 errors on the current
   data batch, in stream order, from an ``errors(t_model, t_data)`` source
-  (the ADWIN and DDM drift detectors, each of which is its own policy and
-  holds the detector state);
+  (the ADWIN and DDM drift detectors, each of which is its own policy,
+  holds the detector state and reads a batch's bits in one call);
 * ``requires_kappa`` -- the retraining cost of the current batch, read from
   the matrix diagonal (the markov policy). A policy without it gets no
   ``kappa`` and so replays to the same strategy under every retraining cost.
@@ -189,28 +189,28 @@ def _bits(errors) -> np.ndarray:
 class DriftDetectorPolicy(RetrainPolicy):
     """A per-sample drift detector, which is itself the per-batch policy.
 
-    A subclass holds the detector's state: ``update(error)`` consumes one 0/1
-    error bit (1 = misclassified) and returns True on a drift, and
-    ``reset()`` restarts the detector, so a reset policy equals a fresh one.
-    ``decide`` checks every error bit of the batch, then feeds them in
-    stream order; any detection inside the batch means Retrain, and the
-    detector restarts from scratch after a retrain. Neither the queries nor
-    the retraining cost influence the decision.
+    A subclass holds the detector's state, and ``reset()`` restarts it, so a
+    reset policy equals a fresh one. ``decide`` checks every error bit of
+    the batch (1 = misclassified) before the detector reads any, then hands
+    the whole batch to the subclass's ``_detects``. A detection anywhere in
+    the batch means Retrain, and the detector restarts from scratch after a
+    retrain. Neither the queries nor the retraining cost influence the
+    decision.
     """
 
     requires_errors = True
 
     def decide(self, t, *, staleness=None, errors=None, kappa=None):
-        if self._detects(errors):
+        if self._detects(_bits(errors)):
             self.reset()
             return True
         return False
 
-    def _detects(self, errors) -> bool:
-        """True at the first bit of ``errors`` that ``update`` flags. A
-        subclass may decide the batch another way, as long as the decision
-        and the state without a detection are those of this loop."""
-        return any(map(self.update, _bits(errors).tolist()))
+    def _detects(self, bits: np.ndarray) -> bool:
+        """True if the detector flags a drift among ``bits``, a batch of
+        bools in stream order; without one, the state has taken in the whole
+        batch."""
+        raise NotImplementedError
 
 
 class DdmPolicy(DriftDetectorPolicy):
@@ -245,23 +245,21 @@ class DdmPolicy(DriftDetectorPolicy):
         self.p_min_ = math.inf
         self.s_min_ = math.inf
 
-    def update(self, error: int) -> bool:
-        """Consume one error bit; True when a drift is detected."""
-        error = _bit(error)
-        self.n_ += 1
-        self.error_count_ += error
-        if self.n_ < self.min_samples:
-            return False
-        p = self.error_count_ / self.n_
-        s = math.sqrt(p * (1.0 - p) / self.n_)
-        if p + s < self.p_min_ + self.s_min_:
-            self.p_min_ = p
-            self.s_min_ = s
-        level = p + s
-        baseline = self.p_min_ + self.s_min_
-        if level >= self.p_min_ + self.drift_sigma * self.s_min_ and level > baseline:
-            self.reset()
-            return True
+    def _detects(self, bits) -> bool:
+        for error in bits.tolist():
+            self.n_ += 1
+            self.error_count_ += error
+            if self.n_ < self.min_samples:
+                continue
+            p = self.error_count_ / self.n_
+            s = math.sqrt(p * (1.0 - p) / self.n_)
+            if p + s < self.p_min_ + self.s_min_:
+                self.p_min_ = p
+                self.s_min_ = s
+            level = p + s
+            baseline = self.p_min_ + self.s_min_
+            if level >= self.p_min_ + self.drift_sigma * self.s_min_ and level > baseline:
+                return True
         return False
 
 
@@ -280,14 +278,11 @@ class AdwinPolicy(DriftDetectorPolicy):
         eps_cut = sqrt(ln(4 / delta') / (2 m)),   m = 1 / (1/n0 + 1/n1),
 
     with delta' = delta / window_length. A cut with |mu0 - mu1| >= eps_cut is
-    a drift: the oldest bucket is dropped and the scan repeats until the
-    window is consistent again.
+    a drift, and the policy retrains and restarts with an empty window.
 
-    ``update`` runs that scan per bit and shrinks the window. ``decide``
-    runs one exact array pass per batch instead: it gives the decision and,
-    without a detection, the end state of feeding the bits to ``update`` one
-    at a time (a detection resets the detector, so no window ever shrinks
-    inside a batch).
+    ``_detects`` runs all the cut tests of a batch as one exact array pass.
+    Without a detection it leaves the histogram that inserting the bits one
+    at a time, with their merges, would leave.
     """
 
     name = "adwin"
@@ -308,24 +303,14 @@ class AdwinPolicy(DriftDetectorPolicy):
         self.width_ = 0
         self.total_ = 0.0
 
-    @property
-    def mean_(self) -> float:
-        return self.total_ / self.width_ if self.width_ else 0.0
-
-    def update(self, error: int) -> bool:
-        """Consume one error bit; True when the window shrank (drift)."""
-        self._insert(float(_bit(error)))
-        return self._shrink()
-
-    def _detects(self, errors) -> bool:
+    def _detects(self, bits) -> bool:
         # Merges depend on bucket counts only, so a list loop first finds, for
         # each bucket, the step its end position stops being a cut boundary:
         # the step it is merged into its newer neighbour (``death``). The end
         # of the bucket of step k becomes a boundary at step k + 1. Every
         # (step, live boundary) cut test then runs in numpy, block by block,
-        # with the scan's operations in its order, on exact integers in
-        # float64; eps_cut's log term is math.log's, as in the scan.
-        bits = _bits(errors)
+        # with the operations of a scalar cut test in their order, on exact
+        # integers in float64; eps_cut's log term is math.log's.
         steps = bits.size
         if steps == 0:
             return False
@@ -384,63 +369,6 @@ class AdwinPolicy(DriftDetectorPolicy):
         self.rows_ = [list(itertools.islice(sums, len(level))) for level in reversed(levels)][::-1]
         self.width_ = width0 + steps
         self.total_ = float(prefix[-1])
-        return False
-
-    def _insert(self, value: float) -> None:
-        self.rows_[0].append(value)
-        self.width_ += 1
-        self.total_ += value
-        level = 0
-        while len(self.rows_[level]) > self.max_buckets:
-            if level + 1 == len(self.rows_):
-                self.rows_.append([])
-            merged = self.rows_[level].pop(0) + self.rows_[level].pop(0)
-            # the merged pair is newer than everything already at level+1
-            self.rows_[level + 1].append(merged)
-            level += 1
-
-    def _drop_oldest(self) -> None:
-        level = len(self.rows_) - 1
-        while not self.rows_[level]:
-            level -= 1
-        dropped = self.rows_[level].pop(0)
-        self.width_ -= 1 << level
-        self.total_ -= dropped
-        while len(self.rows_) > 1 and not self.rows_[-1]:
-            self.rows_.pop()
-
-    def _shrink(self) -> bool:
-        shrunk = False
-        while self.width_ >= 2:
-            if not self._cut_once():
-                break
-            shrunk = True
-        return shrunk
-
-    def _cut_once(self) -> bool:
-        # Scans buckets oldest first: the highest level, each level oldest bucket first.
-        width = self.width_
-        total = self.total_
-        rows = self.rows_
-        delta_prime = self.delta / width
-        log_term = math.log(4.0 / delta_prime)
-        n0 = 0.0
-        sum0 = 0.0
-        for level in range(len(rows) - 1, -1, -1):
-            size = float(1 << level)
-            for s in rows[level]:
-                n0 += size
-                sum0 += s
-                n1 = width - n0
-                if n1 <= 0:
-                    return False
-                mu0 = sum0 / n0
-                mu1 = (total - sum0) / n1
-                m = 1.0 / (1.0 / n0 + 1.0 / n1)
-                eps_cut = math.sqrt(log_term / (2.0 * m))
-                if abs(mu0 - mu1) >= eps_cut:
-                    self._drop_oldest()
-                    return True
         return False
 
 

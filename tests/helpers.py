@@ -12,7 +12,6 @@ from itertools import product
 import numpy as np
 
 from retrainer import (
-    AdwinPolicy,
     ContractViolationError,
     CostMatrix,
     CumulativeThresholdPolicy,
@@ -217,23 +216,72 @@ def reference_optimize_offline(family, c):
 
 
 # ---------------------------------------------------------------------------
-# Reference ADWIN scan: the cut test walks the buckets through a generator,
-# oldest first, as the detector once did. The library's inlined scan must
-# make the same decisions and leave the same window after every bit.
+# Reference drift detectors: each reads one error bit at a time. The
+# policies decide a whole batch in one call; their decisions, and their state
+# when nothing is detected, must be these.
 # ---------------------------------------------------------------------------
 
 
-class ReferenceAdwinDetector(AdwinPolicy):
+def reference_ddm(bits, min_samples=30, drift_sigma=3.0):
+    """DDM's running statistics recomputed bit by bit: the index of the first
+    detection (None if there is none) and the statistics (n, errors, p_min,
+    s_min) after the last bit read."""
+    n = errors = 0
+    p_min = s_min = math.inf
+    for i, bit in enumerate(bits):
+        n += 1
+        errors += bit
+        if n < min_samples:
+            continue
+        p = errors / n
+        s = math.sqrt(p * (1 - p) / n)
+        if p + s < p_min + s_min:
+            p_min, s_min = p, s
+        if p + s >= p_min + drift_sigma * s_min and p + s > p_min + s_min:
+            return i, (n, errors, p_min, s_min)
+    return None, (n, errors, p_min, s_min)
+
+
+class ReferenceAdwinDetector:
+    """ADWIN one bit at a time: insert the bit, merge overflowing levels,
+    then walk every cut of the window through a generator, oldest bucket
+    first. ``update`` is True at the first cut that is a drift; the window
+    is never shrunk, because a drift restarts the policy."""
+
+    def __init__(self, delta, max_buckets):
+        self.delta = delta
+        self.max_buckets = max_buckets
+        self.reset()
+
+    def reset(self):
+        self.rows_ = [[]]  # per level, oldest bucket sum first
+        self.width_ = 0
+        self.total_ = 0.0
+
+    def update(self, bit) -> bool:
+        value = float(bit)
+        self.rows_[0].append(value)
+        self.width_ += 1
+        self.total_ += value
+        level = 0
+        while len(self.rows_[level]) > self.max_buckets:
+            if level + 1 == len(self.rows_):
+                self.rows_.append([])
+            # the merged pair is newer than everything already at level + 1
+            self.rows_[level + 1].append(self.rows_[level].pop(0) + self.rows_[level].pop(0))
+            level += 1
+        return any(self._cuts())
+
     def _buckets_oldest_first(self):
         for level in range(len(self.rows_) - 1, -1, -1):
             size = float(1 << level)
             for s in self.rows_[level]:
                 yield size, s
 
-    def _cut_once(self) -> bool:
+    def _cuts(self):
+        """Per cut of the window, oldest first, whether it is a drift."""
         width = self.width_
-        delta_prime = self.delta / width
-        log_term = math.log(4.0 / delta_prime)
+        log_term = math.log(4.0 / (self.delta / width))
         n0 = 0.0
         sum0 = 0.0
         for size, s in self._buckets_oldest_first():
@@ -241,15 +289,11 @@ class ReferenceAdwinDetector(AdwinPolicy):
             sum0 += s
             n1 = width - n0
             if n1 <= 0:
-                break
+                return
             mu0 = sum0 / n0
             mu1 = (self.total_ - sum0) / n1
             m = 1.0 / (1.0 / n0 + 1.0 / n1)
-            eps_cut = math.sqrt(log_term / (2.0 * m))
-            if abs(mu0 - mu1) >= eps_cut:
-                self._drop_oldest()
-                return True
-        return False
+            yield abs(mu0 - mu1) >= math.sqrt(log_term / (2.0 * m))
 
 
 # ---------------------------------------------------------------------------

@@ -294,27 +294,19 @@ def test_criterion_7_staleness_micro_oracles():
 def test_criterion_8_detector_sanity():
     with Criterion(8, "detectors flag their canonical shifts and stay quiet on constant streams", 5) as c:
         rng = np.random.default_rng(42)
+        bits = [int(rng.random() < (0.1 if i < 500 else 0.9)) for i in range(1000)]
         ddm = DdmPolicy()
-        hit = None
-        for i in range(1000):
-            if ddm.update(int(rng.random() < (0.1 if i < 500 else 0.9))):
-                hit = i
-                break
+        hit = next((i for i, bit in enumerate(bits) if ddm.decide(i, errors=[bit])), None)
         c.check(hit is not None and hit >= 500, f"ddm fired at {hit}")
 
         adwin = AdwinPolicy(delta=0.002)
-        hit = None
-        for i in range(2000):
-            if adwin.update(0 if i < 1000 else 1):
-                hit = i
-                break
+        hit = next((i for i in range(2000) if adwin.decide(i, errors=[0 if i < 1000 else 1])), None)
         c.check(hit is not None and hit >= 1000, f"adwin fired at {hit}")
-        c.check(hit is not None and adwin.width_ < (hit + 1) // 2, "adwin window did not shrink")
+        c.check(adwin.width_ == 0 and adwin.total_ == 0.0, "adwin did not restart after its detection")
 
-        c.check(not any(DdmPolicy().update(0) for _ in range(10_000)), "ddm fired on constant 0s")
-        c.check(not any(DdmPolicy().update(1) for _ in range(10_000)), "ddm fired on constant 1s")
-        quiet = AdwinPolicy(delta=0.002)
-        c.check(not any(quiet.update(1) for _ in range(10_000)), "adwin fired on a constant stream")
+        c.check(not DdmPolicy().decide(0, errors=[0] * 10_000), "ddm fired on constant 0s")
+        c.check(not DdmPolicy().decide(0, errors=[1] * 10_000), "ddm fired on constant 1s")
+        c.check(not AdwinPolicy(delta=0.002).decide(0, errors=[1] * 10_000), "adwin fired on a constant stream")
 
 
 # Criterion 9's small covcon sweep; also the golden-output fixture.

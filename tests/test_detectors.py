@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import ReferenceAdwinDetector
+from helpers import ReferenceAdwinDetector, reference_ddm
 from hypothesis import example, given, settings, strategies as st
 
 from retrainer import AdwinPolicy, DdmPolicy, InvalidInputError
@@ -13,18 +13,16 @@ NON_BINARY = (2, -1, 0.5, 1.9, math.nan, "1", None)
 
 
 def first_detection(detector, bits):
-    for i, bit in enumerate(bits):
-        if detector.update(bit):
-            return i
-    return None
+    """The index of the first bit whose one-bit batch retrains."""
+    return next((i for i, bit in enumerate(bits) if detector.decide(i, errors=[bit])), None)
 
 
 class TestDdm:
     def test_constant_zero_never_drifts(self):
-        assert first_detection(DdmPolicy(), [0] * 10_000) is None
+        assert not DdmPolicy().decide(0, errors=[0] * 10_000)
 
     def test_constant_one_never_drifts(self):
-        assert first_detection(DdmPolicy(), [1] * 10_000) is None
+        assert not DdmPolicy().decide(0, errors=[1] * 10_000)
 
     def test_error_rate_jump_detected_in_high_segment(self):
         rng = np.random.default_rng(42)
@@ -36,21 +34,7 @@ class TestDdm:
         # independent oracle: recompute the running statistics directly
         rng = np.random.default_rng(7)
         bits = [int(rng.random() < (0.1 if i < 500 else 0.9)) for i in range(1000)]
-        n = errors = 0
-        p_min = s_min = math.inf
-        expected = None
-        for i, bit in enumerate(bits):
-            n += 1
-            errors += bit
-            if n < 30:
-                continue
-            p = errors / n
-            s = math.sqrt(p * (1 - p) / n)
-            if p + s < p_min + s_min:
-                p_min, s_min = p, s
-            if p + s >= p_min + 3 * s_min and p + s > p_min + s_min:
-                expected = i
-                break
+        expected, _ = reference_ddm(bits)
         assert expected is not None
         assert first_detection(DdmPolicy(), bits) == expected
 
@@ -69,12 +53,43 @@ class TestDdm:
         assert hit is not None
         assert det.n_ == 0 and det.p_min_ == math.inf
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**20),
+        n=st.integers(0, 400),
+        rates=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+        cuts=st.lists(st.integers(0, 400), max_size=8),
+        min_samples=st.integers(1, 60),
+        drift_sigma=st.floats(0.1, 6.0),
+        dtype=st.sampled_from([bool, int, float]),
+    )
+    # the whole stream as one batch; batches of 0 and 1 bits
+    @example(seed=1, n=300, rates=[0.1, 0.8], cuts=[], min_samples=30, drift_sigma=3.0, dtype=int)
+    @example(seed=1, n=300, rates=[0.1, 0.8], cuts=[0, 150, 150, 151, 300], min_samples=30, drift_sigma=3.0, dtype=bool)
+    def test_decide_matches_reference_statistics(self, seed, n, rates, cuts, min_samples, drift_sigma, dtype):
+        # piecewise-constant error rates cut into random batches; the first
+        # batch holding the reference's detection retrains, and until then
+        # the statistics are the reference's after the batch's last bit
+        rng = np.random.default_rng(seed)
+        segment = -(-n // len(rates))
+        stream = [int(rng.random() < rates[i // segment]) for i in range(n)]
+        bounds = [0, *sorted(min(cut, n) for cut in cuts), n]
+        hit, _ = reference_ddm(stream, min_samples, drift_sigma)
+        det = DdmPolicy(min_samples, drift_sigma)
+        for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            detected = hit is not None and hit < hi
+            assert det.decide(t, errors=np.array(stream[lo:hi], dtype=dtype)) == detected
+            if detected:
+                assert (det.n_, det.error_count_, det.p_min_) == (0, 0, math.inf)
+                break
+            _, state = reference_ddm(stream[:hi], min_samples, drift_sigma)
+            assert (det.n_, det.error_count_, det.p_min_, det.s_min_) == state
+
     def test_rejects_non_binary(self):
         for bad in NON_BINARY:
-            with pytest.raises(InvalidInputError):
-                DdmPolicy().update(bad)
-            with pytest.raises(InvalidInputError):
-                DdmPolicy().decide(0, errors=[0, 1, bad])
+            for errors in ([bad], [0, 1, bad]):
+                with pytest.raises(InvalidInputError):
+                    DdmPolicy().decide(0, errors=errors)
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidInputError):
@@ -92,20 +107,19 @@ class TestDdm:
 class TestAdwin:
     def test_constant_streams_never_drift(self):
         for bit in (0, 1):
-            assert first_detection(AdwinPolicy(), [bit] * 10_000) is None
+            assert not AdwinPolicy().decide(0, errors=[bit] * 10_000)
 
     def test_alternating_stationary_stream_never_drifts(self):
         bits = [i % 2 for i in range(10_000)]
-        assert first_detection(AdwinPolicy(delta=0.002), bits) is None
+        assert not AdwinPolicy(delta=0.002).decide(0, errors=bits)
 
-    def test_mean_shift_detected_and_window_shrinks(self):
+    def test_mean_shift_detected_and_the_detector_restarts(self):
         det = AdwinPolicy(delta=0.002)
         bits = [0] * 1000 + [1] * 1000
         hit = first_detection(det, bits)
         assert hit is not None and 1000 <= hit < 1200
-        # the drift dropped the stale history: window now far below its
-        # pre-detection length
-        assert det.width_ < (hit + 1) // 2
+        # the retrain dropped the whole history
+        assert det.width_ == 0 and det.total_ == 0.0 and det.rows_ == [[]]
 
     def test_detection_point_crosses_the_stated_bound(self):
         # derived check: at the detection step, some old/new split of the
@@ -130,28 +144,24 @@ class TestAdwin:
 
     def test_window_tracks_inserted_count_without_drift(self):
         det = AdwinPolicy()
-        for i in range(257):
-            det.update(0)
+        assert not det.decide(0, errors=[0] * 257)
         assert det.width_ == 257
-        assert det.mean_ == 0.0
+        assert det.total_ == 0.0
 
     def test_reset_clears_window(self):
         det = AdwinPolicy()
-        for i in range(100):
-            det.update(i % 2)
+        assert not det.decide(0, errors=[i % 2 for i in range(100)])
         det.reset()
         assert det.width_ == 0 and det.total_ == 0.0
 
     def test_rejects_non_binary(self):
         for bad in NON_BINARY:
-            with pytest.raises(InvalidInputError):
-                AdwinPolicy().update(bad)
-            for errors in ([0, 1, bad], np.array([0, 1, bad])):
+            for errors in ([bad], [0, 1, bad], np.array([0, 1, bad])):
                 with pytest.raises(InvalidInputError):
                     AdwinPolicy().decide(0, errors=errors)
 
     def test_batch_is_checked_before_any_bit_is_read(self):
-        # the bad bit follows a detection, which the per-bit loop stops at
+        # the bad bit follows a detection, which the pass would stop at
         det = AdwinPolicy()
         det.decide(0, errors=[0] * 100)
         with pytest.raises(InvalidInputError, match="got 0.5"):
@@ -181,7 +191,7 @@ class TestAdwin:
         # one detector per side over several batches, so the window carries
         # over; the per-bit side stops at a detection and restarts
         rng = np.random.default_rng(seed)
-        det, ref = AdwinPolicy(delta, max_buckets), AdwinPolicy(delta, max_buckets)
+        det, ref = AdwinPolicy(delta, max_buckets), ReferenceAdwinDetector(delta, max_buckets)
         for t, size in enumerate(sizes):
             bits = (rng.random(size) < rates[t % len(rates)]).astype(dtype)
             detected = False
@@ -221,22 +231,3 @@ class TestAdwin:
         for max_buckets in (2.5, 5.0, False):
             with pytest.raises(InvalidInputError, match="max_buckets must be an integer"):
                 AdwinPolicy(max_buckets=max_buckets)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 2**20),
-        n=st.integers(1, 3000),
-        rates=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
-        delta=st.sampled_from([1e-4, 0.002, 0.05, 0.5, 0.99]),
-        max_buckets=st.integers(1, 7),
-    )
-    def test_scan_matches_reference_generator_scan(self, seed, n, rates, delta, max_buckets):
-        # piecewise-constant error rates, so some examples drift and some do not
-        rng = np.random.default_rng(seed)
-        segment = -(-n // len(rates))
-        bits = [int(rng.random() < rates[i // segment]) for i in range(n)]
-        det, ref = AdwinPolicy(delta, max_buckets), ReferenceAdwinDetector(delta, max_buckets)
-        for bit in bits:
-            assert det.update(bit) == ref.update(bit)
-            assert det.rows_ == ref.rows_
-            assert (det.width_, det.total_) == (ref.width_, ref.total_)

@@ -253,6 +253,27 @@ class TestRunSweep:
             assert row["strategy_cost"] == r.strategy_cost
             assert row["strategy"] == str(r.strategy)
 
+    def test_results_csv_refuses_malformed_cells(self, tmp_path):
+        header = ",".join(harness.RESULT_COLUMNS)
+        good = "gauss,never,5.0,0,3.5,2.5,0.4,0,0.9,0:0 0 0"
+        path = tmp_path / "r.csv"
+        path.write_text(f"{header}\n{good}\n" + good.replace(",0.4,", ",,") + "\n")
+        rows = results_from_csv(path)
+        assert rows[0]["kappa"] == 5.0 and rows[0]["seed"] == 0 and rows[0]["scpe"] == 0.4
+        assert rows[1]["scpe"] is None  # a blank scpe is undefined
+        for bad, message in (
+            (good.replace("5.0", "five"), "kappa: could not convert"),
+            (good.replace(",0,3.5", ",0.5,3.5"), "seed: invalid literal"),
+            (good.replace("5.0", "nan"), "kappa is NaN"),
+            (good.replace("3.5", "nan"), "strategy_cost is NaN"),
+            (good.replace(",0.9", ",NaN"), "query_accuracy is NaN"),
+            (good.replace(",0.9", ""), "expected 10 columns, got 9"),
+            (good + ",extra", "expected 10 columns, got 11"),
+        ):
+            path.write_text(f"{header}\n{good}\n{bad}\n")
+            with pytest.raises(StreamParseError, match=f"^row 3: {message}"):
+                results_from_csv(path)
+
     def test_csv_stream_source(self, tmp_path):
         spec = StreamSpec(dataset="gauss", n_batches=8, batch_size=40, queries_per_batch=4)
         data, queries = generate_stream(spec)

@@ -56,6 +56,17 @@ class TestRbf:
             costs(2, -1.0)
         assert costs(2).gamma == 0.5
         assert costs(8).gamma == 0.125
+        assert costs(2, np.float64(0.25)).gamma == 0.25
+        # the config loader's checks: a NaN or infinite gamma would reach the
+        # kernel, and a bool would run as 1.0
+        for bad, message in (
+            (math.inf, "gamma must be finite, got inf"),
+            (math.nan, "gamma must be finite, got nan"),
+            ("0.5", "gamma must be a number, got '0.5'"),
+            (True, "gamma must be a number, got True"),
+        ):
+            with pytest.raises(InvalidInputError, match=message):
+                costs(2, bad)
 
 
 class TestZeroOneLoss:
