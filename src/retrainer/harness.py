@@ -33,6 +33,7 @@ from __future__ import annotations
 import csv
 import inspect
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -323,16 +324,54 @@ def load_csv_stream(
     and 10% of each batch (or ``queries_per_batch``) is sampled, seeded, as
     data-mode queries.
     """
-    ts, labels, marks, row_nos, feats = [], [], [], [], []  # feats: all values, row after row
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise StreamParseError(1, "empty file")
         n_cols = len(header)
         expected = ["t"] + [f"f{i}" for i in range(n_cols - 3)] + ["label", "is_query"]
         if n_cols < 4 or header != expected:
             raise StreamParseError(1, f"unexpected header {header!r}")
+        # loadtxt warns on a file with no data rows; the row loop refuses it
+        has_rows = any(line.strip("\r\n") for line in fh)
+    rows = _parse_rows_numpy(path, n_cols - 3) if has_rows else None
+    if rows is None:
+        rows = _parse_rows(path, n_cols)
+    ts, marks, X, y = rows
+    if np.any(marks):
+        return _group_marked_rows(ts, marks, X, y, n_batches)
+    return _rebatch_rows(X, y, n_batches, seed, queries_per_batch)
+
+
+def _parse_rows_numpy(path, dim: int):
+    """The data rows as ``(ts, marks, X, y)`` arrays in one ``np.loadtxt``
+    pass, or None where the row loop must decide.
+
+    The record dtype makes loadtxt refuse a row with any other column count
+    and an integer column holding ``1.0``; it also refuses quoted cells,
+    ``#`` lines, whitespace-only lines and ``1_0``, some of which the row
+    loop accepts. What loadtxt accepts but the row loop refuses (a label or
+    mark outside {0, 1}, a non-finite feature) is sent back too, so the row
+    loop stays the one source of ``StreamParseError``.
+    """
+    dtype = [("t", np.int64), ("x", np.float64, (dim,)), ("label", np.int64), ("is_query", np.int64)]
+    try:
+        rows = np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1, ndmin=1, comments=None)
+    except (ValueError, OverflowError):
+        return None
+    ts, X, y, marks = rows["t"], rows["x"], rows["label"], rows["is_query"]
+    if ((y < 0) | (y > 1) | (marks < 0) | (marks > 1)).any() or not np.isfinite(X).all():
+        return None
+    return ts, marks, X, y
+
+
+def _parse_rows(path, n_cols: int):
+    """The data rows as ``(ts, marks, X, y)``, read one csv row at a time; a
+    malformed row raises ``StreamParseError`` with its row number."""
+    ts, labels, marks, row_nos, feats = [], [], [], [], []  # feats: all values, row after row
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
         try:
             for row_no, row in enumerate(reader, start=2):
                 if not row:
@@ -360,11 +399,7 @@ def load_csv_stream(
             raise
     if not ts:
         raise StreamParseError(2, "no data rows")
-    X = _finite_features(feats, n_cols - 3, row_nos)
-    y = np.array(labels, dtype=np.int64)
-    if any(marks):
-        return _group_marked_rows(ts, marks, X, y, n_batches)
-    return _rebatch_rows(X, y, n_batches, seed, queries_per_batch)
+    return ts, marks, _finite_features(feats, n_cols - 3, row_nos), np.array(labels, dtype=np.int64)
 
 
 def _finite_features(feats: list, dim: int, row_nos: list) -> np.ndarray:
@@ -379,7 +414,7 @@ def _finite_features(feats: list, dim: int, row_nos: list) -> np.ndarray:
 def _group_marked_rows(ts, marks, X, y, n_batches):
     grouped: dict[int, tuple[list, list]] = {}
     for i, (t, is_query) in enumerate(zip(ts, marks)):
-        grouped.setdefault(t, ([], []))[is_query].append(i)
+        grouped.setdefault(int(t), ([], []))[is_query].append(i)
     ts = sorted(grouped)
     if ts != list(range(len(ts))):
         raise InvalidInputError(f"batch indices are not contiguous from 0: {ts[:5]}...")
@@ -508,21 +543,25 @@ def results_to_csv(results, path) -> None:
     write_csv(path, RESULT_COLUMNS, ([_cell(getattr(r, c)) for c in RESULT_COLUMNS] for r in results))
 
 
+# every number a sweep writes, with its type and its range; a float must
+# also be finite
 _RESULT_NUMBERS = {
-    "kappa": float,
-    "seed": int,
-    "strategy_cost": float,
-    "oracle_cost": float,
-    "scpe": float,
-    "n_retrains": int,
-    "query_accuracy": float,
+    "kappa": (float, 0, math.inf),
+    "seed": (int, 0, math.inf),
+    "strategy_cost": (float, -math.inf, math.inf),
+    "oracle_cost": (float, -math.inf, math.inf),
+    "scpe": (float, 0, math.inf),
+    "n_retrains": (int, 1, math.inf),
+    "query_accuracy": (float, 0, 1),
 }
 
 
 def results_from_csv(path) -> list[dict]:
     """Read a results CSV back into dict rows (strategy stays textual). A
-    blank ``scpe`` is undefined (None); a non-numeric, missing, extra or NaN
-    cell is refused, naming its row."""
+    blank ``scpe`` is undefined (None). A row a sweep cannot write is
+    refused, naming its row: a non-numeric, missing or extra cell, a
+    non-finite float, or a number out of its range (negative kappa, seed or
+    scpe, no retrain, an accuracy outside [0, 1])."""
     out = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -535,16 +574,21 @@ def results_from_csv(path) -> list[dict]:
             if len(cells) != len(RESULT_COLUMNS):
                 raise StreamParseError(row_no, f"expected {len(RESULT_COLUMNS)} columns, got {len(cells)}")
             row = dict(zip(RESULT_COLUMNS, cells))
-            for name, kind in _RESULT_NUMBERS.items():
+            for name, (kind, low, high) in _RESULT_NUMBERS.items():
                 if name == "scpe" and row[name] == "":
                     row[name] = None
                     continue
                 try:
-                    row[name] = kind(row[name])
+                    value = row[name] = kind(row[name])
                 except ValueError as exc:
                     raise StreamParseError(row_no, f"{name}: {exc}") from None
-                if row[name] != row[name]:
+                if value != value:
                     raise StreamParseError(row_no, f"{name} is NaN")
+                if kind is float and not math.isfinite(value):
+                    raise StreamParseError(row_no, f"{name} must be finite, got {value}")
+                if not low <= value <= high:
+                    bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+                    raise StreamParseError(row_no, f"{name} must be {bounds}, got {value}")
             out.append(row)
     return out
 

@@ -41,12 +41,21 @@ from .streams import DataBatch
 from .validation import as_binary_labels, as_int, as_point_matrix, check_fitted, check_number, check_same_dim
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function: 1 / (1 + e^-z) for z >= 0 and
-    e^z / (1 + e^z) below, with e = exp(-|z|) serving both."""
-    z = np.clip(z, -500.0, 500.0)
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+def _sigmoid_inplace(z: np.ndarray, e: np.ndarray) -> None:
+    """Overwrite ``z`` with the numerically stable logistic function of
+    ``z`` clipped to [-500, 500]: 1 / (1 + e^-z) for z >= 0 and
+    e^z / (1 + e^z) below, with e = exp(-|z|) serving both. The numerator
+    is exp(min(z, 0)), which is exactly 1 for z >= 0 and the same float as e
+    below. ``e`` is a float64 scratch buffer of z's shape."""
+    np.minimum(z, 500.0, out=z)  # np.clip, without its Python-level wrapper
+    np.maximum(z, -500.0, out=z)
+    np.abs(z, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.minimum(z, 0.0, out=z)
+    np.exp(z, out=z)
+    e += 1.0
+    z /= e
 
 
 class BaseClassifier:
@@ -142,6 +151,14 @@ class LogisticClassifier(BaseClassifier):
     n_features_in_ : int
     constant_ : int or None
         Set when the training batch contained a single class.
+
+    Each epoch computes ``residual = sigmoid(X @ w + b) - y``, then
+    ``w -= learning_rate * (X.T @ residual / n + l2 * w)`` and
+    ``b -= learning_rate * mean(residual)``. A fit allocates its per-epoch
+    arrays once and writes every epoch into them in place. The arithmetic
+    and its order are those of the expressions above (the sigmoid's
+    numerator is an equal form, see ``_sigmoid_inplace``), so the weights
+    are the same bit for bit.
     """
 
     def __init__(self, learning_rate: float = 0.1, epochs: int = 100, l2: float = 0.0, seed: int = 0):
@@ -166,10 +183,23 @@ class LogisticClassifier(BaseClassifier):
         b = 0.0
         if self.constant_ is None:
             yf = y.astype(np.float64)
+            z, e = np.empty(n), np.empty(n)
+            grad, penalty = np.empty(d), np.empty(d)
             for _ in range(self.epochs):
-                residual = _sigmoid(X @ w + b) - yf
-                w -= self.learning_rate * (X.T @ residual / n + self.l2 * w)
-                b -= self.learning_rate * float(residual.mean())
+                # residual = sigmoid(X @ w + b) - y, written into z
+                np.matmul(X, w, out=z)
+                z += b
+                _sigmoid_inplace(z, e)
+                z -= yf
+                # w -= learning_rate * (X.T @ residual / n + l2 * w)
+                np.matmul(X.T, z, out=grad)
+                grad /= n
+                np.multiply(w, self.l2, out=penalty)
+                grad += penalty
+                grad *= self.learning_rate
+                w -= grad
+                # np.add.reduce(z) / n is what z.mean() computes, bit for bit
+                b -= self.learning_rate * float(np.add.reduce(z) / n)
         self.coef_ = w
         self.intercept_ = b
 

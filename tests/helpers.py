@@ -155,6 +155,26 @@ def reference_sigmoid(z):
     return out
 
 
+def reference_logistic_fit(X, y, learning_rate, epochs, l2):
+    """``LogisticClassifier``'s gradient descent as one expression per epoch,
+    each allocating its results: the ``(coef_, intercept_)`` a fit must give
+    bit for bit."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y)
+    n, d = X.shape
+    w = np.zeros(d)
+    b = 0.0
+    if y.min() != y.max():
+        yf = y.astype(np.float64)
+        for _ in range(epochs):
+            z = np.clip(X @ w + b, -500.0, 500.0)
+            e = np.exp(-np.abs(z))
+            residual = np.where(z >= 0, 1.0, e) / (1.0 + e) - yf
+            w -= learning_rate * (X.T @ residual / n + l2 * w)
+            b -= learning_rate * float(residual.mean())
+    return w, b
+
+
 # ---------------------------------------------------------------------------
 # Reference offline calibration: one replay per candidate.
 #

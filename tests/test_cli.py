@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from retrainer import CostMatrix, InvalidInputError, RunConfig, load_csv_stream, results_from_csv
+from retrainer import CostMatrix, InvalidInputError, RunConfig, StreamParseError, load_csv_stream, results_from_csv
 from retrainer.cli import main
+from retrainer.harness import RESULT_COLUMNS
 
 
 @pytest.fixture
@@ -157,6 +158,16 @@ def test_sweep_and_report_subcommands(runner, config_path, tmp_path):
     text = summary_out.read_text().splitlines()
     assert text[0].startswith("dataset,policy,runs,mean_scpe")
     assert len(text) == 1 + 4
+
+
+def test_report_refuses_a_row_no_sweep_writes(runner, tmp_path):
+    path = tmp_path / "results.csv"
+    path.write_text(",".join(RESULT_COLUMNS) + "\ngauss,never,5.0,0,3.5,2.5,0.4,-3,0.9,0:0 0 0\n")
+    result = runner.invoke(main, ["report", "--results", str(path)])
+    assert result.exit_code != 0
+    assert isinstance(result.exception, StreamParseError) and result.exception.row == 2
+    assert "n_retrains must be >= 1, got -3" in str(result.exception)
+    assert "-3.00" not in result.output
 
 
 def test_sweep_requires_output_path(runner, config_path, tmp_path):

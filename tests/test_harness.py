@@ -1,10 +1,13 @@
 import csv
 import math
 import re
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from helpers import brute_force_optimum, random_cost_matrix
+from hypothesis import given, settings, strategies as st
 
 from retrainer import (
     CsvStream,
@@ -46,6 +49,16 @@ def write_plain_csv(path, n_rows, d=2, seed=0):
         for _ in range(n_rows):
             feats = rng.normal(size=d)
             writer.writerow([0] + [repr(float(v)) for v in feats] + [int(rng.integers(0, 2)), 0])
+
+
+# what the parse fence does to a random stream file: replace a cell (any
+# cell, a feature by a non-finite value, or a label or mark by one out of
+# range), cut or extend a row, or insert a line that holds no row
+PARSE_MUTATIONS = ["cell", "non-finite", "label", "short", "long", "trailing", "insert"]
+BAD_CELLS = ["abc", "", "1_0", "1.0", '"1"', '"0.5"', "0x1", "1e0", "+1", " 0 ", "99999999999999999999"]
+NON_FINITE = ["nan", "NaN", "inf", "-inf", "-Infinity", "1e400"]
+LABEL_CELLS = ["2", "-1", "7"]
+ODD_LINES = ["", "   ", "#0,1,0,0", "\t"]
 
 
 class TestLoadCsvStream:
@@ -120,6 +133,105 @@ class TestLoadCsvStream:
         write_plain_csv(path, 5)
         with pytest.raises(InvalidInputError):
             load_csv_stream(path, 10)
+
+    @pytest.mark.parametrize("body", ["", "\n", "\n\r\n\n"])
+    def test_file_without_data_rows_fails_at_row_2_without_a_warning(self, tmp_path, body):
+        path = tmp_path / "s.csv"
+        path.write_bytes(("t,f0,label,is_query\n" + body).encode())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(StreamParseError, match="^row 2: no data rows$"):
+                load_csv_stream(path, 1)
+        assert caught == []
+
+    @pytest.mark.parametrize(
+        "column, cell, message",
+        [
+            (3, "2", "label must be 0 or 1, got 2"),
+            (3, "-1", "label must be 0 or 1, got -1"),
+            (4, "2", "is_query must be 0 or 1, got 2"),
+            (4, "-1", "is_query must be 0 or 1, got -1"),
+            (1, "nan", "non-finite feature value"),
+            (2, "-inf", "non-finite feature value"),
+            (1, "1e400", "non-finite feature value"),
+        ],
+    )
+    def test_cells_loadtxt_reads_but_the_row_loop_refuses(self, tmp_path, column, cell, message):
+        rows = [["0", "0.5", "1.5", "1", "0"] for _ in range(4)]
+        rows[2][column] = cell
+        path = tmp_path / "s.csv"
+        path.write_text("t,f0,f1,label,is_query\n" + "".join(",".join(row) + "\n" for row in rows))
+        with pytest.raises(StreamParseError, match=f"^row 4: {message}$"):
+            load_csv_stream(path, 1)
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_numpy_parse_gives_the_row_loop_outcome(self, tmp_path_factory, data):
+        """Random stream files, valid and mutated, load exactly as the row
+        loop alone loads them, or fail with its error, row and message."""
+        d = data.draw(st.integers(1, 3), label="d")
+        n_rows = data.draw(st.integers(0, 6), label="n_rows")
+        marked = data.draw(st.booleans(), label="marked")
+        feature = st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False).map(repr),
+            st.integers(-1000, 1000).map(str),
+            st.sampled_from([".5", "5.", "+1.5", " 2.25 ", "1e5", "-0.0", "1E-3"]),
+        )
+        rows = []
+        for i in range(n_rows):
+            t, mark = (i // 2, i % 2) if marked else (data.draw(st.integers(0, 2)), 0)
+            label = data.draw(st.integers(0, 1))
+            rows.append([str(t)] + [data.draw(feature) for _ in range(d)] + [str(label), str(mark)])
+        lines = list(rows)  # each a row's cells, or an inserted line's text
+        mutations = data.draw(st.lists(st.sampled_from(PARSE_MUTATIONS), max_size=2), label="mutations")
+        for kind in mutations:
+            if kind == "insert":
+                lines.insert(data.draw(st.integers(0, len(lines))), data.draw(st.sampled_from(ODD_LINES)))
+                continue
+            at = [i for i, line in enumerate(lines) if isinstance(line, list)]
+            if not at:
+                continue
+            row = lines[data.draw(st.sampled_from(at))]
+            if kind == "cell":
+                row[data.draw(st.integers(0, len(row) - 1))] = data.draw(st.sampled_from(BAD_CELLS))
+            elif kind == "non-finite":
+                row[data.draw(st.integers(1, d))] = data.draw(st.sampled_from(NON_FINITE))
+            elif kind == "label":
+                row[data.draw(st.sampled_from([-2, -1]))] = data.draw(st.sampled_from(LABEL_CELLS))
+            elif kind == "short":
+                row.pop()
+            else:
+                row.append("0" if kind == "long" else "")
+        end = data.draw(st.sampled_from(["\n", "\r\n"]), label="line end")
+        header = ",".join(["t"] + [f"f{i}" for i in range(d)] + ["label", "is_query"])
+        path = tmp_path_factory.mktemp("stream") / "s.csv"
+        text = [line if isinstance(line, str) else ",".join(line) for line in lines]
+        path.write_bytes("".join(line + end for line in [header] + text).encode())
+        n_batches = data.draw(st.sampled_from([None, n_rows // 2]) if marked else st.integers(1, max(n_rows, 1)))
+        seed = data.draw(st.integers(0, 3), label="seed")
+
+        def outcome():
+            try:
+                return load_csv_stream(path, n_batches, seed=seed)
+            except Exception as exc:
+                return type(exc), str(exc), getattr(exc, "row", None)
+
+        fast = outcome()
+        with mock.patch.object(harness, "_parse_rows_numpy", return_value=None):
+            slow = outcome()
+        if not mutations and rows:
+            assert harness._parse_rows_numpy(path, d) is not None  # the numpy path did the parse
+        if isinstance(slow[0], type):
+            assert fast == slow
+            return
+        assert not isinstance(fast[0], type), fast
+        for fast_batches, slow_batches in zip(fast, slow):
+            assert len(fast_batches) == len(slow_batches)
+            for a, b in zip(fast_batches, slow_batches):
+                assert type(a.t) is type(b.t) and a.t == b.t
+                assert a.X.shape == b.X.shape and a.X.tobytes() == b.X.tobytes()
+                labels_a, labels_b = (a.y, b.y) if isinstance(a, DataBatch) else (a.eval_labels, b.eval_labels)
+                assert labels_a.dtype == labels_b.dtype and np.array_equal(labels_a, labels_b)
 
 
 def constant_batch(t, label, base=0.0):
@@ -255,7 +367,7 @@ class TestRunSweep:
 
     def test_results_csv_refuses_malformed_cells(self, tmp_path):
         header = ",".join(harness.RESULT_COLUMNS)
-        good = "gauss,never,5.0,0,3.5,2.5,0.4,0,0.9,0:0 0 0"
+        good = "gauss,never,5.0,0,3.5,2.5,0.4,1,0.9,0:0 0 0"
         path = tmp_path / "r.csv"
         path.write_text(f"{header}\n{good}\n" + good.replace(",0.4,", ",,") + "\n")
         rows = results_from_csv(path)
@@ -269,6 +381,17 @@ class TestRunSweep:
             (good.replace(",0.9", ",NaN"), "query_accuracy is NaN"),
             (good.replace(",0.9", ""), "expected 10 columns, got 9"),
             (good + ",extra", "expected 10 columns, got 11"),
+            (good.replace("5.0", "inf"), "kappa must be finite, got inf"),
+            (good.replace("5.0", "-0.5"), r"kappa must be >= 0, got -0\.5"),
+            (good.replace(",0,3.5", ",-1,3.5"), "seed must be >= 0, got -1"),
+            (good.replace("3.5", "-inf"), "strategy_cost must be finite, got -inf"),
+            (good.replace("2.5", "inf"), "oracle_cost must be finite, got inf"),
+            (good.replace(",0.4,1,", ",0.4,-3,"), "n_retrains must be >= 1, got -3"),
+            (good.replace(",0.4,1,", ",0.4,0,"), "n_retrains must be >= 1, got 0"),
+            (good.replace(",0.9", ",7.5"), r"query_accuracy must be in \[0, 1\], got 7\.5"),
+            (good.replace(",0.9", ",-0.1"), r"query_accuracy must be in \[0, 1\], got -0\.1"),
+            (good.replace("0.4", "inf"), "scpe must be finite, got inf"),
+            (good.replace("0.4", "-0.4"), r"scpe must be >= 0, got -0\.4"),
         ):
             path.write_text(f"{header}\n{good}\n{bad}\n")
             with pytest.raises(StreamParseError, match=f"^row 3: {message}"):

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import reference_forest_predict, reference_forest_trees, reference_sigmoid
+from helpers import reference_forest_predict, reference_forest_trees, reference_logistic_fit, reference_sigmoid
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -56,7 +56,30 @@ class TestLogistic:
         )
     )
     def test_sigmoid_equals_the_masked_form(self, z):
-        assert np.array_equal(models._sigmoid(z), reference_sigmoid(z))
+        out = z.copy()
+        models._sigmoid_inplace(out, np.empty_like(z))
+        assert np.array_equal(out, reference_sigmoid(z))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 300),
+        d=st.integers(1, 8),
+        scale=st.sampled_from([1.0, 50.0, 1e4]),
+        learning_rate=st.sampled_from([1e-3, 0.1, 0.5, 2.0]),
+        epochs=st.integers(1, 50),
+        l2=st.sampled_from([0.0, 1e-3, 0.5]),
+        single_class=st.booleans(),
+    )
+    def test_fit_equals_the_per_epoch_expression(self, seed, n, d, scale, learning_rate, epochs, l2, single_class):
+        # a scale of 1e4 pushes margins past +-500, so the clip is active
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, d)) * scale
+        y = np.full(n, seed % 2) if single_class else rng.integers(0, 2, n)
+        model = LogisticClassifier(learning_rate=learning_rate, epochs=epochs, l2=l2).fit(X, y)
+        w, b = reference_logistic_fit(X, y, learning_rate, epochs, l2)
+        assert model.coef_.tobytes() == w.tobytes()
+        assert model.intercept_ == b and type(model.intercept_) is float
 
     def test_separable_training_accuracy(self):
         batch = separable_batch()
