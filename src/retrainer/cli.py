@@ -25,7 +25,7 @@ from .harness import (
     save_stream_csv,
     summary_to_csv,
 )
-from .oracle import memoize_dp, oracle_strategy
+from .oracle import dp_rows, oracle_strategy
 from .policies import make_policy
 
 
@@ -108,9 +108,8 @@ def oracle_cmd(config_path, kappa, seed, out, table_out):
         served = ([t, strategy.serving(t)] for t in range(strategy.start, strategy.end + 1))
         write_csv(out, ["t", "served_by"], served)
     if table_out:
-        V = memoize_dp(matrix)
-        cells = ((t, p) for t in range(matrix.n) for p in range(matrix.n))
-        rows = ([matrix.start + t, matrix.start + p, format_value(V[t, p])] for t, p in cells)
+        table = enumerate(dp_rows(matrix), start=matrix.start)
+        rows = ([t, matrix.start + p, format_value(v)] for t, row in table for p, v in enumerate(row))
         write_csv(table_out, ["t", "p", "value"], rows)
 
 

@@ -16,8 +16,8 @@ batch. The cost of a strategy is the sum of its matrix entries.
 replays and evaluation: per-batch fitted models, query predictions and the
 0/1 error vectors of the pairs that drift detectors read are computed once
 and reused, and ``staleness_matrix`` is the one place staleness is computed.
-Staleness entries do not depend on kappa, so sweeping kappa only rewrites
-the diagonal.
+Staleness entries do not depend on kappa, so the matrices of every kappa
+over one range share the one cached staleness array.
 """
 
 from __future__ import annotations
@@ -118,36 +118,36 @@ def validate_strategy(strategy: Strategy) -> str | None:
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Upper-triangular decision costs for batches [start, end].
-
-    ``entries[i, j]`` corresponds to batches (start + i, start + j).
-    """
+    """Decision costs for batches [start, end]: C[t', t] is ``kappa[j]`` for
+    t' == t and ``staleness[i, j]`` otherwise, with (i, j) = (t' - start,
+    t - start). ``staleness`` is 0 on its diagonal and +inf below it, and is
+    kept as a read-only view, so every kappa shares the cache's one array."""
 
     start: int
-    entries: np.ndarray
+    staleness: np.ndarray
     kappa: np.ndarray
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=np.float64)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise InvalidInputError(f"entries must be square, got shape {entries.shape}")
-        kappa = np.broadcast_to(np.asarray(self.kappa, dtype=np.float64), (entries.shape[0],)).copy()
-        if np.isnan(entries).any():
-            i, j = np.argwhere(np.isnan(entries))[0]
-            raise InvalidInputError(f"cost matrix cell (t_prime={self.start + i}, t={self.start + j}) is NaN")
-        diag = np.diagonal(entries)
-        if not (np.all(np.isfinite(diag)) and np.all(diag >= 0)):
-            raise InvalidInputError(f"retraining costs on the diagonal must be finite and >= 0, got {diag}")
-        if not np.array_equal(diag, kappa):
-            raise InvalidInputError(f"diagonal {diag} differs from kappa {kappa}")
-        if np.isfinite(entries[np.tril_indices(entries.shape[0], k=-1)]).any():
-            raise InvalidInputError("cost matrix has a finite cell below the diagonal")
-        object.__setattr__(self, "entries", entries)
+        psi = np.asarray(self.staleness, dtype=np.float64)
+        if psi.ndim != 2 or psi.shape[0] != psi.shape[1] or psi.size == 0:
+            raise InvalidInputError(f"staleness must be square and non-empty, got shape {psi.shape}")
+        kappa = np.broadcast_to(np.asarray(self.kappa, dtype=np.float64), (psi.shape[0],)).copy()
+        if not (np.all(np.isfinite(kappa)) and np.all(kappa >= 0)):
+            raise InvalidInputError(f"retraining costs must be finite and >= 0, got {kappa}")
+        for i, row in enumerate(psi):  # row by row: no n^2 temporary
+            nan = self.start + np.flatnonzero(np.isnan(row))
+            if nan.size:
+                raise InvalidInputError(f"cost matrix cell (t_prime={self.start + i}, t={nan[0]}) is NaN")
+            if row[i] != 0.0 or np.isfinite(row[:i]).any():
+                raise InvalidInputError(f"staleness row {self.start + i} is not 0 on the diagonal and infinite below")
+        psi = psi.view()
+        psi.flags.writeable = False
+        object.__setattr__(self, "staleness", psi)
         object.__setattr__(self, "kappa", kappa)
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return self.staleness.shape[0]
 
     @property
     def end(self) -> int:
@@ -155,25 +155,15 @@ class CostMatrix:
 
     def cost(self, t_prime: int, t: int) -> float:
         """C[t', t] with absolute batch indices."""
-        return float(self.entries[t_prime - self.start, t - self.start])
-
-    def staleness_entries(self) -> np.ndarray:
-        """The kappa-free view: staleness above the diagonal, zero on it."""
-        out = self.entries.copy()
-        np.fill_diagonal(out, 0.0)
-        return out
-
-    def with_kappa(self, kappa) -> "CostMatrix":
-        """Same staleness entries, new retraining costs on the diagonal."""
-        entries = self.entries.copy()
-        kappa_vec = np.broadcast_to(np.asarray(kappa, dtype=np.float64), (self.n,))
-        np.fill_diagonal(entries, kappa_vec)
-        return CostMatrix(self.start, entries, kappa_vec)
+        if not self.start <= min(t_prime, t) <= max(t_prime, t) <= self.end:
+            raise InvalidInputError(f"cell ({t_prime}, {t}) outside matrix range [{self.start}, {self.end}]")
+        i, j = t_prime - self.start, t - self.start
+        return float(self.kappa[j] if i == j else self.staleness[i, j])
 
     def to_csv(self, path) -> None:
         """Write all cells as (t_prime, t, value) rows; inf as the literal 'inf'."""
-        cells = ((i, j) for i in range(self.n) for j in range(self.n))
-        rows = ([self.start + i, self.start + j, format_value(self.entries[i, j])] for i, j in cells)
+        batches = range(self.start, self.end + 1)
+        rows = ([tp, t, format_value(self.cost(tp, t))] for tp in batches for t in batches)
         write_csv(path, ["t_prime", "t", "value"], rows)
 
     @classmethod
@@ -205,15 +195,16 @@ class CostMatrix:
         start = min(tp for tp, _ in cells)
         end = max(t for _, t in cells)
         n = end - start + 1
-        entries = np.full((n, n), math.inf)
+        staleness = np.full((n, n), math.inf)
         for (tp, t), value in cells.items():
-            entries[tp - start, t - start] = value
+            staleness[tp - start, t - start] = value
         for tp in range(start, end + 1):
             for t in range(tp, end + 1):
                 if (tp, t) not in cells:
                     raise InvalidInputError(f"matrix CSV is missing cell (t_prime={tp}, t={t})")
-        kappa = np.diagonal(entries).copy()
-        return cls(start, entries, kappa)
+        kappa = np.diagonal(staleness).copy()
+        np.fill_diagonal(staleness, 0.0)
+        return cls(start, staleness, kappa)
 
 
 def format_value(x: float) -> str:
@@ -331,7 +322,7 @@ class StreamCosts:
 
     def staleness_matrix(self, start: int, end: int) -> np.ndarray:
         """Upper-triangular relative staleness over [start, end]; zero diagonal,
-        +inf below. Cached per range and shared across kappa values.
+        +inf below. Cached per range, read-only, and shared across kappa values.
 
         Entry (t', t) is total(Q_t, D_t) - total(Q_t, D_t') for the model
         trained at t', where total(Q, D) is the query kernel mass on each
@@ -364,6 +355,7 @@ class StreamCosts:
                 row /= hi - lo
                 row -= self._training_term(train, wrong[: train.size], queries[i:], qq[i:])
                 out[i, i + 1 :] = row
+            out.flags.writeable = False
             self._staleness_base[key] = out
         return self._staleness_base[key]
 
@@ -406,7 +398,7 @@ class StreamCosts:
         return term
 
     def cost_matrix(self, start: int, end: int, kappa) -> CostMatrix:
-        return CostMatrix(start, self.staleness_matrix(start, end), 0.0).with_kappa(kappa)
+        return CostMatrix(start, self.staleness_matrix(start, end), kappa)
 
 
 def _served_terms(strategy: Strategy, c: CostMatrix) -> np.ndarray:
@@ -419,7 +411,16 @@ def _served_terms(strategy: Strategy, c: CostMatrix) -> np.ndarray:
     violation = validate_strategy(strategy)
     if violation is not None:
         raise ContractViolationError(violation)
-    return c.entries[strategy.served_by - c.start, np.arange(c.n)]
+    return _cost_terms(c, strategy.served_by - c.start)
+
+
+def _cost_terms(c: CostMatrix, rows: np.ndarray) -> np.ndarray:
+    """C[rows[..., j], j] for range-relative serving rows of shape (..., n):
+    ``kappa[j]`` where the model was trained at j, else the staleness."""
+    cols = np.arange(c.n)
+    terms = c.staleness[rows, cols]
+    np.copyto(terms, c.kappa, where=rows == cols)
+    return terms
 
 
 def strategy_cost(strategy: Strategy, c: CostMatrix) -> float:

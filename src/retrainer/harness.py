@@ -22,8 +22,8 @@ the sweep
 CLI ``run`` command prints the row of a sweep narrowed to one (policy,
 kappa, seed).
 
-Staleness entries do not depend on kappa, so each seed computes them once;
-the kappa sweep only rewrites matrix diagonals. All outputs are plain CSV
+Staleness entries do not depend on kappa, so each seed computes them once
+and every kappa's matrix shares that array. All outputs are plain CSV
 with full-precision floats, so identical configs produce byte-identical
 files.
 """

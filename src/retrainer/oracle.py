@@ -8,8 +8,9 @@ argmin p is a retrain batch that serves every batch up to the end of the
 segment the walk came from, and the walk ends at the range start, where
 training is forced.
 
-Runs in O(n^2) time; entries above the feasible region stay +inf, and
-negative staleness entries are handled like any other value.
+Runs in O(n^2) time and O(n) memory: the DP keeps one running row and
+records each row's minimum and first argmin, all the walk reads. Cells
+above the feasible region stay +inf, and negative staleness needs no care.
 """
 
 from __future__ import annotations
@@ -21,25 +22,26 @@ import numpy as np
 from .costmatrix import CostMatrix, Strategy
 
 
-def memoize_dp(c: CostMatrix) -> np.ndarray:
-    """Fill the (n, n) best-cost table from a cost matrix; ``V[t, p]`` uses
-    range-relative indices.
+def dp_rows(c: CostMatrix):
+    """Yield the best-cost table's rows in order, range-relative, in one
+    buffer each step overwrites: row t adds C[p, t] to every earlier model
+    p's value and pays kappa[t] on top of the previous row's minimum."""
+    row = np.full(c.n, math.inf)
+    row[0] = c.kappa[0]
+    yield row
+    for t in range(1, c.n):
+        best = row[:t].min()
+        row[:t] += c.staleness[:t, t]
+        row[t] = c.kappa[t] + best
+        yield row
 
-    The first column is the never-retrain prefix: cumulative costs of serving
-    every batch with the model from the range start. Interior cells either
-    extend the same model by one batch or pay the diagonal cost on top of the
-    best table value from the previous row.
-    """
-    n = c.n
-    E = c.entries
-    V = np.full((n, n), math.inf)
-    V[:, 0] = np.cumsum(E[0, :])
-    for t in range(1, n):
-        prev = V[t - 1]
-        if t > 1:
-            V[t, 1:t] = E[1:t, t] + prev[1:t]
-        V[t, t] = E[t, t] + prev[:t].min()
-    return V
+
+def memoize_dp(c: CostMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Run the DP over a cost matrix: each table row's minimum and its
+    first argmin (range-relative), as two length-n arrays."""
+    best = [(row.min(), row.argmin()) for row in dp_rows(c)]
+    mins, argmins = zip(*best)
+    return np.array(mins), np.array(argmins, dtype=np.int64)
 
 
 def oracle_strategy(c: CostMatrix) -> tuple[Strategy, float]:
@@ -50,11 +52,11 @@ def oracle_strategy(c: CostMatrix) -> tuple[Strategy, float]:
     ends the segment before it. Argmin ties resolve to the smallest batch
     index.
     """
-    V = memoize_dp(c)
+    mins, argmins = memoize_dp(c)
     served = np.empty(c.n, dtype=np.int64)
     end = c.n
     while end > 0:
-        p = int(np.argmin(V[end - 1]))
+        p = int(argmins[end - 1])
         served[p:end] = c.start + p
         end = p
-    return Strategy(c.start, c.end, served), float(V[-1].min())
+    return Strategy(c.start, c.end, served), float(mins[-1])

@@ -40,7 +40,7 @@ import math
 
 import numpy as np
 
-from .costmatrix import CostMatrix, Strategy
+from .costmatrix import CostMatrix, Strategy, _cost_terms
 from .errors import InvalidInputError
 from .validation import as_count, as_int, as_reals, check_number
 
@@ -90,7 +90,7 @@ class ThresholdPolicy(RetrainPolicy):
 
     @classmethod
     def calibration_grid(cls, c: CostMatrix) -> dict:
-        return {"tau": _sentinel_grid(c.staleness_entries()[np.triu_indices(c.n, k=1)])}
+        return {"tau": _sentinel_grid(np.concatenate([c.staleness[i, i + 1 :] for i in range(c.n)]))}
 
 
 class CumulativeThresholdPolicy(RetrainPolicy):
@@ -118,8 +118,7 @@ class CumulativeThresholdPolicy(RetrainPolicy):
 
     @classmethod
     def calibration_grid(cls, c: CostMatrix) -> dict:
-        psi = c.staleness_entries()
-        rows = (psi[i, i + 1 :] for i in range(c.n))
+        rows = (c.staleness[i, i + 1 :] for i in range(c.n))
         return {"tau_cum": _sentinel_grid(np.concatenate([np.cumsum(row[np.isfinite(row)]) for row in rows]))}
 
 
@@ -421,7 +420,6 @@ def _serving_rows(policy: RetrainPolicy, c: CostMatrix, shape: tuple, errors=Non
     """The decision loop: the range-relative training batch of the model
     serving each batch of ``c``, shape (n, *shape) for a policy whose
     parameters are arrays of ``shape`` (() for a single policy)."""
-    psi = c.staleness_entries() if policy.requires_staleness else None
     policy.reset()
     rel = np.zeros(shape, dtype=np.int64)
     served = np.empty((c.n, *shape), dtype=np.int64)
@@ -430,7 +428,7 @@ def _serving_rows(policy: RetrainPolicy, c: CostMatrix, shape: tuple, errors=Non
         if policy.requires_kappa:
             inputs["kappa"] = float(c.kappa[j])
         if policy.requires_staleness:
-            inputs["staleness"] = psi[rel, j]
+            inputs["staleness"] = c.staleness[rel, j]
         if policy.requires_errors:
             inputs["errors"] = errors(c.start + int(rel), c.start + j)
         rel[policy.decide(c.start + j, **inputs)] = j
@@ -448,11 +446,10 @@ def _candidate_costs(cls: type, params: dict, c: CostMatrix) -> np.ndarray:
     along a C-contiguous row, as ``strategy_cost``'s ``np.sum`` does."""
     size = len(next(iter(params.values())))
     costs = np.empty(size)
-    cols = np.arange(c.n)
     for lo in range(0, size, _BLOCK):
         hi = min(lo + _BLOCK, size)
         served = _serving_rows(cls(**{name: values[lo:hi] for name, values in params.items()}), c, (hi - lo,))
-        costs[lo:hi] = np.ascontiguousarray(c.entries[served.T, cols]).sum(axis=1)
+        costs[lo:hi] = np.ascontiguousarray(_cost_terms(c, served.T)).sum(axis=1)
     return costs
 
 

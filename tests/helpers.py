@@ -43,7 +43,7 @@ def naive_strategy_cost(strategy, c):
     """Per-element accumulation, independent of the vectorized implementation."""
     total = 0.0
     for t in range(strategy.start, strategy.end + 1):
-        total += c.entries[strategy.serving(t) - c.start, t - c.start]
+        total += c.cost(strategy.serving(t), t)
     return total
 
 
@@ -58,12 +58,30 @@ def brute_force_optimum(c: CostMatrix):
 
 
 def random_cost_matrix(rng, n, kappa, start=0, low=-1.0, high=1.0):
-    """Uniform off-diagonal staleness, constant kappa, +inf below diagonal."""
-    entries = np.full((n, n), np.inf)
+    """Uniform staleness above the diagonal, 0 on it and +inf below; constant kappa."""
+    staleness = np.full((n, n), np.inf)
     iu = np.triu_indices(n, k=1)
-    entries[iu] = rng.uniform(low, high, size=iu[0].size)
-    np.fill_diagonal(entries, kappa)
-    return CostMatrix(start, entries, kappa)
+    staleness[iu] = rng.uniform(low, high, size=iu[0].size)
+    np.fill_diagonal(staleness, 0.0)
+    return CostMatrix(start, staleness, kappa)
+
+
+def reference_dp_table(c: CostMatrix):
+    """The oracle's (n, n) best-cost table filled whole, with range-relative
+    indices: the first column is the cumulative cost of never retraining,
+    interior cells extend the previous row's value by one batch, and the
+    diagonal pays kappa on top of the previous row's minimum."""
+    n = c.n
+    E = c.staleness.copy()
+    np.fill_diagonal(E, c.kappa)
+    V = np.full((n, n), math.inf)
+    V[:, 0] = np.cumsum(E[0, :])
+    for t in range(1, n):
+        prev = V[t - 1]
+        if t > 1:
+            V[t, 1:t] = E[1:t, t] + prev[1:t]
+        V[t, t] = E[t, t] + prev[:t].min()
+    return V
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +227,7 @@ def _reference_search(make, candidates, c, refine=64):
 
 def reference_optimize_offline(family, c):
     """Per-candidate replay search; returns the calibrated policy."""
-    psi = c.staleness_entries()
+    psi = c.staleness
     upper = psi[np.triu_indices(c.n, k=1)] if c.n > 1 else np.empty(0)
     if family == "threshold":
         if upper.size == 0 or not np.any(upper != 0.0):

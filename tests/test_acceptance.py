@@ -116,7 +116,7 @@ def test_criterion_1_oracle_optimality():
             n = int(rng.integers(2, 13))
             kappa = kappas[trial % 3]
             matrix = random_cost_matrix(rng, n, kappa=kappa)
-            dp_cost = memoize_dp(matrix)[-1].min()
+            dp_cost = memoize_dp(matrix)[0][-1]
             best_cost, _ = brute_force_optimum(matrix)
             c.check(
                 abs(dp_cost - best_cost) <= 1e-9,
@@ -134,7 +134,7 @@ def test_criterion_2_static_data_zero_cost():
         data, queries, model = static_scenario()
         n_queries = queries[0].size
         matrix = StreamCosts(data, queries, model).cost_matrix(0, 3, 1.0)
-        off_diagonal = matrix.staleness_entries()[np.triu_indices(4, k=1)]
+        off_diagonal = matrix.staleness[np.triu_indices(4, k=1)]
         c.check(
             np.max(np.abs(off_diagonal)) <= 1e-12 * n_queries,
             f"max |staleness| = {np.max(np.abs(off_diagonal))}",
@@ -161,7 +161,7 @@ def test_criterion_3_drift_scenario_decision_pattern():
 
         near_data, near_queries, model = drift_scenario("near")
         near_matrix = StreamCosts(near_data, near_queries, model).cost_matrix(0, 3, 1.0)
-        first_row = near_matrix.entries[0, 1:]
+        first_row = near_matrix.staleness[0, 1:]
         c.check(np.all(np.diff(first_row) > 0), f"first row not increasing: {first_row}")
         near_strat, _ = oracle_strategy(near_matrix)
         c.check(

@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 from retrainer import CostMatrix, InvalidInputError, RunConfig, StreamParseError, load_csv_stream, results_from_csv
 from retrainer.cli import main
+from retrainer.costmatrix import format_value, write_csv
 from retrainer.harness import RESULT_COLUMNS
 
 
@@ -56,13 +57,26 @@ def test_gen_writes_loadable_stream(runner, tmp_path):
     assert all(q.size == 4 for q in queries)
 
 
+def dense_matrix_csv(config_path, start, end, kappa, tmp_path):
+    """The matrix CSV as written from one dense n x n array with kappa on its
+    diagonal: every cell in row-major order."""
+    psi = RunConfig.load(config_path).costs_for_seed(0)[2].staleness_matrix(start, end)
+    dense = psi.copy()
+    np.fill_diagonal(dense, kappa)
+    cells = np.ndindex(dense.shape)
+    path = tmp_path / "dense.csv"
+    write_csv(path, ["t_prime", "t", "value"], ([start + i, start + j, format_value(dense[i, j])] for i, j in cells))
+    return path.read_bytes()
+
+
 def test_cost_matrix_subcommand(runner, config_path, tmp_path):
     out = tmp_path / "matrix.csv"
     result = runner.invoke(main, ["cost-matrix", "--config", str(config_path), "--out", str(out)])
     assert result.exit_code == 0, result.output
     matrix = CostMatrix.from_csv(out)
     assert matrix.start == 0 and matrix.end == 4
-    assert np.all(np.diagonal(matrix.entries) == 1.0)
+    assert np.all(matrix.kappa == 1.0)
+    assert out.read_bytes() == dense_matrix_csv(config_path, 0, 4, 1.0, tmp_path)
 
     result = runner.invoke(
         main,
@@ -72,7 +86,8 @@ def test_cost_matrix_subcommand(runner, config_path, tmp_path):
     assert result.exit_code == 0, result.output
     matrix = CostMatrix.from_csv(out)
     assert matrix.start == 5 and matrix.end == 13
-    assert np.all(np.diagonal(matrix.entries) == 3.0)
+    assert np.all(matrix.kappa == 3.0)
+    assert out.read_bytes() == dense_matrix_csv(config_path, 5, 13, 3.0, tmp_path)
 
 
 def test_oracle_subcommand(runner, config_path, tmp_path):

@@ -61,9 +61,11 @@ class TestBuild:
         data, queries = small_stream()
         kappa = [0.5, 1.5, 2.5, 3.5]
         c = StreamCosts(data, queries, MODEL).cost_matrix(0, 3, kappa)
-        assert np.array_equal(np.diagonal(c.entries), kappa)
-        assert np.all(np.isinf(c.entries[np.tril_indices(4, k=-1)]))
-        assert np.all(np.isfinite(c.entries[np.triu_indices(4, k=1)]))
+        assert np.array_equal(c.kappa, kappa)
+        assert [c.cost(t, t) for t in range(4)] == kappa
+        assert np.all(np.diagonal(c.staleness) == 0.0)
+        assert np.all(np.isinf(c.staleness[np.tril_indices(4, k=-1)]))
+        assert np.all(np.isfinite(c.staleness[np.triu_indices(4, k=1)]))
 
     def test_identical_batches_give_zero_staleness(self):
         rng = np.random.default_rng(1)
@@ -72,12 +74,12 @@ class TestBuild:
         data = [DataBatch(t, X.copy(), y.copy()) for t in range(4)]
         queries = [QueryBatch(t, rng.normal(size=(4, 2))) for t in range(4)]
         c = StreamCosts(data, queries, MODEL).cost_matrix(0, 3, 1.0)
-        assert np.all(c.entries[np.triu_indices(4, k=1)] == 0.0)
+        assert np.all(c.staleness[np.triu_indices(4, k=1)] == 0.0)
 
     def test_drift_scenario_first_row_strictly_increasing(self):
         data, queries, model = drift_scenario("near")
         c = StreamCosts(data, queries, model).cost_matrix(0, 3, 1.0)
-        row = c.entries[0, 1:]
+        row = c.staleness[0, 1:]
         assert np.all(row > 0)
         assert np.all(np.diff(row) > 0)
 
@@ -85,7 +87,7 @@ class TestBuild:
         data, queries = small_stream()
         a = StreamCosts(data, queries, MODEL).cost_matrix(0, 3, 1.0)
         b = StreamCosts(data, queries, MODEL).cost_matrix(0, 3, 1.0)
-        assert np.array_equal(a.entries, b.entries)
+        assert np.array_equal(a.staleness, b.staleness)
 
     def test_range_mismatch_rejected(self):
         data, queries = small_stream()
@@ -99,18 +101,18 @@ class TestBuild:
     def test_kappa_patch_leaves_staleness_bit_identical(self):
         data, queries = small_stream()
         c1 = StreamCosts(data, queries, MODEL).cost_matrix(0, 3, 1.0)
-        c2 = c1.with_kappa(7.5)
-        off = ~np.eye(4, dtype=bool)
-        assert np.array_equal(c1.entries[off], c2.entries[off])
-        assert np.all(np.diagonal(c2.entries) == 7.5)
+        c2 = CostMatrix(c1.start, c1.staleness, 7.5)
+        assert np.array_equal(c1.staleness, c2.staleness)
+        assert np.shares_memory(c1.staleness, c2.staleness)
+        assert np.all(c2.kappa == 7.5)
+        assert all(c2.cost(t, t) == 7.5 for t in range(4))
 
     def test_shared_cache_reuses_staleness(self):
         data, queries = small_stream()
         costs = StreamCosts(data, queries, MODEL)
         c1 = costs.cost_matrix(0, 3, 1.0)
         c2 = costs.cost_matrix(0, 3, 9.0)
-        off = ~np.eye(4, dtype=bool)
-        assert np.array_equal(c1.entries[off], c2.entries[off])
+        assert np.array_equal(c1.staleness, c2.staleness)
 
 
     @pytest.mark.parametrize(
@@ -297,30 +299,82 @@ class TestBuildMemory:
         assert peak <= 1_930_000
 
 
+class TestMatrixMemory:
+    def test_consumers_hold_no_n2_array(self):
+        # the oracle, a staleness replay and its pricing over two kappas read
+        # the one staleness array; each holds O(n) arrays of its own
+        n = 600
+        psi = np.full((n, n), math.inf)
+        psi[np.triu_indices(n, k=1)] = np.random.default_rng(0).uniform(-1.0, 1.0, n * (n - 1) // 2)
+        np.fill_diagonal(psi, 0.0)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for c in (CostMatrix(0, psi, 0.5), CostMatrix(0, psi, 4.0)):
+                strategy, _ = oracle_strategy(c)
+                strategy_cost(strategy, c)
+                strategy_cost(replay_policy(ThresholdPolicy(0.5), c), c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * psi.nbytes
+
+    def test_every_kappa_shares_the_cached_array(self):
+        data, queries = small_stream()
+        costs = StreamCosts(data, queries, MODEL)
+        psi = costs.staleness_matrix(0, 3)
+        for kappa in (1.0, 9.0):
+            c = costs.cost_matrix(0, 3, kappa)
+            assert np.shares_memory(c.staleness, psi)
+            with pytest.raises(ValueError):
+                c.staleness[0, 1] = 5.0
+        # a caller's own array stays writeable: the matrix keeps a read-only view
+        own = psi.copy()
+        c = CostMatrix(0, own, 1.0)
+        assert np.shares_memory(c.staleness, own)
+        with pytest.raises(ValueError):
+            c.staleness[0, 1] = 5.0
+        own[0, 1] = 5.0
+
+
 class TestInvariants:
     @pytest.mark.parametrize(
-        "entries, kappa",
+        "staleness, kappa",
         [
-            ([[1.0, math.nan], [math.inf, 1.0]], 1.0),
-            ([[math.nan]], math.nan),
-            ([[-1.0, 0.5], [math.inf, -1.0]], -1.0),
-            ([[math.inf, 0.5], [math.inf, math.inf]], math.inf),
+            ([[0.0, math.nan], [math.inf, 0.0]], 1.0),
+            ([[0.0]], math.nan),
+            ([[0.0, 0.5], [math.inf, 0.0]], -1.0),
+            ([[0.0, 0.5], [math.inf, 0.0]], math.inf),
             ([[1.0, 0.5], [math.inf, 2.0]], 1.0),
-            ([[1.0, 0.5], [0.25, 1.0]], 1.0),
+            ([[0.0, 0.5], [0.25, 0.0]], 1.0),
+            (np.zeros((0, 0)), 1.0),
         ],
         ids=["nan-cell", "nan-diagonal", "negative-diagonal", "infinite-diagonal",
-             "diagonal-differs-from-kappa", "finite-below-diagonal"],
+             "nonzero-staleness-diagonal", "finite-below-diagonal", "empty"],
     )
-    def test_construction_rejects(self, entries, kappa):
+    def test_construction_rejects(self, staleness, kappa):
         with pytest.raises(InvalidInputError):
-            CostMatrix(0, np.array(entries), kappa)
+            CostMatrix(0, np.array(staleness), kappa)
+
+    @pytest.mark.parametrize("t_prime, t", [(10, 9), (9, 10), (9, 9), (14, 14), (10, 14), (14, 13)])
+    def test_cost_refuses_a_batch_outside_the_range(self, t_prime, t):
+        # unchecked, (10, 9) read cell (10, 13) through a negative index
+        c = random_cost_matrix(np.random.default_rng(0), 4, kappa=1.0, start=10)
+        with pytest.raises(InvalidInputError, match="outside matrix range \\[10, 13\\]"):
+            c.cost(t_prime, t)
+
+    def test_cost_reads_every_cell_in_range(self):
+        c = random_cost_matrix(np.random.default_rng(0), 4, kappa=1.0, start=10)
+        for i in range(4):
+            for j in range(4):
+                assert c.cost(10 + i, 10 + j) == (1.0 if i == j else c.staleness[i, j])
 
 
 class TestStrategyCost:
     def test_never_retrain_formula(self):
         c = random_cost_matrix(np.random.default_rng(0), 5, kappa=2.0)
         never = Strategy(0, 4, np.zeros(5, dtype=int))
-        expected = 2.0 + float(np.sum(c.entries[0, 1:]))
+        expected = 2.0 + float(np.sum(c.staleness[0, 1:]))
         assert strategy_cost(never, c) == pytest.approx(expected, abs=1e-12)
 
     def test_retrain_every_batch_is_n_kappa(self):
@@ -338,7 +392,7 @@ class TestStrategyCost:
         rng = np.random.default_rng(3)
         base = random_cost_matrix(rng, 6, kappa=0.0)
         s = Strategy(0, 5, np.array([0, 0, 2, 2, 4, 4]))
-        costs = [strategy_cost(s, base.with_kappa(k)) for k in (0.0, 0.5, 1.0, 4.0)]
+        costs = [strategy_cost(s, CostMatrix(0, base.staleness, k)) for k in (0.0, 0.5, 1.0, 4.0)]
         assert all(a < b for a, b in zip(costs, costs[1:]))
 
     def test_range_mismatch_is_contract_error(self):
@@ -383,7 +437,7 @@ class TestCsvRoundTrip:
         assert "inf" in text
         back = CostMatrix.from_csv(path)
         assert back.start == 3
-        assert np.array_equal(back.entries, c.entries)
+        assert np.array_equal(back.staleness, c.staleness)
         assert np.array_equal(back.kappa, c.kappa)
 
     def test_cells_below_diagonal_may_be_omitted(self, tmp_path):
@@ -391,7 +445,8 @@ class TestCsvRoundTrip:
         path.write_text("t_prime,t,value\n2,2,1.5\n2,3,0.25\n3,3,1.5\n")
         back = CostMatrix.from_csv(path)
         assert back.start == 2
-        assert np.array_equal(back.entries, [[1.5, 0.25], [math.inf, 1.5]])
+        assert np.array_equal(back.staleness, [[0.0, 0.25], [math.inf, 0.0]])
+        assert np.array_equal(back.kappa, [1.5, 1.5])
 
     def test_nan_cell_rejected(self, tmp_path):
         path = tmp_path / "matrix.csv"

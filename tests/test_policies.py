@@ -83,10 +83,10 @@ class TestCumulativeDecision:
         # constant unit staleness against tau_cum=3: retrain 3 batches after
         # each training
         n = 10
-        entries = np.full((n, n), math.inf)
-        entries[np.triu_indices(n, k=1)] = 1.0
-        np.fill_diagonal(entries, 0.5)
-        c = CostMatrix(0, entries, 0.5)
+        staleness = np.full((n, n), math.inf)
+        staleness[np.triu_indices(n, k=1)] = 1.0
+        np.fill_diagonal(staleness, 0.0)
+        c = CostMatrix(0, staleness, 0.5)
         strat = replay_policy(CumulativeThresholdPolicy(3.0), c)
         assert strat.retrain_batches == (0, 3, 6, 9)
 
@@ -235,10 +235,9 @@ class TestRunPolicy:
 class TestOptimizeOffline:
     def test_zero_staleness_returns_infinite_threshold(self):
         n = 6
-        entries = np.full((n, n), math.inf)
-        entries[np.triu_indices(n, k=1)] = 0.0
-        np.fill_diagonal(entries, 1.0)
-        c = CostMatrix(0, entries, 1.0)
+        staleness = np.full((n, n), math.inf)
+        staleness[np.triu_indices(n)] = 0.0
+        c = CostMatrix(0, staleness, 1.0)
         for family in ("threshold", "cumulative"):
             pol = optimize_offline(family, c)
             assert math.isinf(list(pol.get_params().values())[0])
@@ -247,9 +246,9 @@ class TestOptimizeOffline:
     def test_huge_kappa_reproduces_never_retrain_cost(self):
         rng = np.random.default_rng(1)
         base = random_cost_matrix(rng, 8, kappa=0.0, low=0.0, high=1.0)
-        off = base.staleness_entries()
+        off = base.staleness
         kappa = float(np.sum(off[np.isfinite(off)])) + 1.0
-        c = base.with_kappa(kappa)
+        c = CostMatrix(base.start, off, kappa)
         nr_cost = strategy_cost(replay_policy(NeverRetrainPolicy(), c), c)
         for family in ("threshold", "cumulative"):
             pol = optimize_offline(family, c)
@@ -261,7 +260,7 @@ class TestOptimizeOffline:
         rng = np.random.default_rng(2)
         for trial in range(10):
             c = random_cost_matrix(rng, 5, kappa=float(rng.uniform(0.0, 1.0)))
-            values = np.unique(c.staleness_entries()[np.triu_indices(5, k=1)])
+            values = np.unique(c.staleness[np.triu_indices(5, k=1)])
             probes = [-math.inf, math.inf]
             probes += list(values)
             probes += list((values[:-1] + values[1:]) / 2.0)
@@ -287,12 +286,12 @@ class TestOptimizeOffline:
     def test_periodic_exhaustive_on_alternating_matrix(self):
         # staleness explodes two batches after training: period 2 is optimal
         n = 9
-        entries = np.full((n, n), math.inf)
+        staleness = np.full((n, n), math.inf)
         for i in range(n):
             for j in range(i + 1, n):
-                entries[i, j] = 0.0 if j - i == 1 else 10.0
-        np.fill_diagonal(entries, 1.0)
-        c = CostMatrix(0, entries, 1.0)
+                staleness[i, j] = 0.0 if j - i == 1 else 10.0
+        np.fill_diagonal(staleness, 0.0)
+        c = CostMatrix(0, staleness, 1.0)
         pol = optimize_offline("periodic", c)
         assert pol.period == 2
         best = min(
@@ -304,9 +303,9 @@ class TestOptimizeOffline:
     def test_periodic_tie_prefers_largest_period_then_smallest_offset(self):
         # all-zero staleness, zero kappa: every (period, offset) ties
         n = 5
-        entries = np.zeros((n, n))
-        entries[np.tril_indices(n, k=-1)] = math.inf
-        c = CostMatrix(0, entries, 0.0)
+        staleness = np.zeros((n, n))
+        staleness[np.tril_indices(n, k=-1)] = math.inf
+        c = CostMatrix(0, staleness, 0.0)
         pol = optimize_offline("periodic", c)
         assert (pol.period, pol.offset) == (4, 0)
 
@@ -316,9 +315,9 @@ class TestOptimizeOffline:
     )
     def test_periodic_search_range_ends_at_matrix_end(self, start, n, expected):
         # every candidate ties, so the largest period searched wins: max(1, c.end)
-        entries = np.zeros((n, n))
-        entries[np.tril_indices(n, k=-1)] = math.inf
-        c = CostMatrix(start, entries, 0.0)
+        staleness = np.zeros((n, n))
+        staleness[np.tril_indices(n, k=-1)] = math.inf
+        c = CostMatrix(start, staleness, 0.0)
         pol = optimize_offline("periodic", c)
         assert (pol.period, pol.offset) == expected
 
@@ -326,12 +325,12 @@ class TestOptimizeOffline:
         # one retrain at batch 6 is optimal; (7, 6) and (6, 0) both give it and
         # the tie prefers the larger period, so offset = period - 1 is searched
         n = 8
-        entries = np.full((n, n), math.inf)
+        staleness = np.full((n, n), math.inf)
         for i in range(n):
             for j in range(i + 1, n):
-                entries[i, j] = 100.0 if j >= 6 > i else 0.0
-        np.fill_diagonal(entries, 1.0)
-        c = CostMatrix(0, entries, 1.0)
+                staleness[i, j] = 100.0 if j >= 6 > i else 0.0
+        np.fill_diagonal(staleness, 0.0)
+        c = CostMatrix(0, staleness, 1.0)
         pol = optimize_offline("periodic", c)
         assert (pol.period, pol.offset) == (7, 6)
         assert strategy_cost(replay_policy(pol, c), c) == 2.0
@@ -344,17 +343,17 @@ class TestOptimizeOffline:
 
 @st.composite
 def offline_matrices(draw):
-    """Small cost matrices with negative entries, repeated values (ties),
+    """Small cost matrices with negative staleness, repeated values (ties),
     all-zero staleness, n = 1 and ranges that start after 0."""
     n = draw(st.integers(1, 9))
     start = draw(st.integers(0, 4))
     kappa = draw(st.sampled_from([0.0, 0.5, 2.0, 50.0]))
     value = st.sampled_from([-1.0, -0.25, 0.0, 0.25, 0.5, 1.0]) | st.floats(-2.0, 2.0)
     upper = draw(st.lists(value, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
-    entries = np.full((n, n), math.inf)
-    entries[np.triu_indices(n, k=1)] = upper
-    np.fill_diagonal(entries, kappa)
-    return CostMatrix(start, entries, kappa)
+    staleness = np.full((n, n), math.inf)
+    staleness[np.triu_indices(n, k=1)] = upper
+    np.fill_diagonal(staleness, 0.0)
+    return CostMatrix(start, staleness, kappa)
 
 
 class TestBatchedCalibration:
@@ -408,7 +407,7 @@ def candidate_grids(c, extra):
     """Each calibratable family with a grid of candidates: the thresholds
     include every staleness value, every cumulative sum, the sentinels and
     ``extra``; the periods are the whole periodic search."""
-    psi = c.staleness_entries()
+    psi = c.staleness
     upper = psi[np.triu_indices(c.n, k=1)]
     sums = [np.cumsum(psi[i, i + 1 :]) for i in range(c.n - 1)]
     taus = np.concatenate([[-math.inf, math.inf], upper, *sums, extra])
