@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, InvalidInputError, StreamParseError
+from .errors import ContractViolationError, InvalidInputError
 from .models import BaseClassifier, fit_model
 from .streams import DataBatch, QueryBatch
 from .validation import as_point_matrix, check_finite, check_same_dim
@@ -131,7 +131,10 @@ class CostMatrix:
         psi = np.asarray(self.staleness, dtype=np.float64)
         if psi.ndim != 2 or psi.shape[0] != psi.shape[1] or psi.size == 0:
             raise InvalidInputError(f"staleness must be square and non-empty, got shape {psi.shape}")
-        kappa = np.broadcast_to(np.asarray(self.kappa, dtype=np.float64), (psi.shape[0],)).copy()
+        kappa = np.asarray(self.kappa, dtype=np.float64)
+        if kappa.ndim != 0 and kappa.shape != (psi.shape[0],):
+            raise InvalidInputError(f"kappa must be a scalar or a length-{psi.shape[0]} vector, got shape {kappa.shape}")
+        kappa = np.broadcast_to(kappa, (psi.shape[0],)).copy()
         if not (np.all(np.isfinite(kappa)) and np.all(kappa >= 0)):
             raise InvalidInputError(f"retraining costs must be finite and >= 0, got {kappa}")
         for i, row in enumerate(psi):  # row by row: no n^2 temporary
@@ -165,46 +168,6 @@ class CostMatrix:
         batches = range(self.start, self.end + 1)
         rows = ([tp, t, format_value(self.cost(tp, t))] for tp in batches for t in batches)
         write_csv(path, ["t_prime", "t", "value"], rows)
-
-    @classmethod
-    def from_csv(cls, path) -> "CostMatrix":
-        """Read ``to_csv`` output; rejects a malformed, NaN or repeated cell
-        (naming its row) and a missing cell on or above the diagonal."""
-        cells: dict[tuple[int, int], float] = {}
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["t_prime", "t", "value"]:
-                raise InvalidInputError(f"unexpected matrix CSV header: {header}")
-            for row_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 3:
-                    raise StreamParseError(row_no, f"expected 3 columns, got {len(row)}")
-                try:
-                    tp, t, value = int(row[0]), int(row[1]), float(row[2])
-                except ValueError as exc:
-                    raise StreamParseError(row_no, str(exc)) from None
-                if math.isnan(value):
-                    raise StreamParseError(row_no, f"matrix CSV cell (t_prime={tp}, t={t}) is NaN")
-                if (tp, t) in cells:
-                    raise StreamParseError(row_no, f"matrix CSV repeats cell (t_prime={tp}, t={t})")
-                cells[(tp, t)] = value
-        if not cells:
-            raise InvalidInputError("matrix CSV contains no cells")
-        start = min(tp for tp, _ in cells)
-        end = max(t for _, t in cells)
-        n = end - start + 1
-        staleness = np.full((n, n), math.inf)
-        for (tp, t), value in cells.items():
-            staleness[tp - start, t - start] = value
-        for tp in range(start, end + 1):
-            for t in range(tp, end + 1):
-                if (tp, t) not in cells:
-                    raise InvalidInputError(f"matrix CSV is missing cell (t_prime={tp}, t={t})")
-        kappa = np.diagonal(staleness).copy()
-        np.fill_diagonal(staleness, 0.0)
-        return cls(start, staleness, kappa)
 
 
 def format_value(x: float) -> str:

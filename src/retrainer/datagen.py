@@ -25,7 +25,7 @@ seeded by (seed, t), so any batch can be regenerated independently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,9 +81,6 @@ class StreamSpec:
             for v in concept:
                 check_finite(v, "circle_schedule")
         object.__setattr__(self, "circle_schedule", tuple(tuple(float(v) for v in c) for c in schedule))
-
-    def with_seed(self, seed: int) -> "StreamSpec":
-        return replace(self, seed=seed)
 
     @property
     def name(self) -> str:

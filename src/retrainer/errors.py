@@ -15,7 +15,7 @@ class ContractViolationError(RuntimeError):
 
 
 class StreamParseError(InvalidInputError):
-    """Raised on malformed stream or matrix CSV input; carries the offending row number."""
+    """Raised on malformed stream or results CSV input; carries the offending row number."""
 
     def __init__(self, row: int, message: str):
         super().__init__(f"row {row}: {message}")

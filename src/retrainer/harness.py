@@ -35,7 +35,7 @@ import inspect
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -179,9 +179,9 @@ def _required(raw: dict, key: str, level: str = "run config"):
 class RunConfig:
     """Declarative description of a sweep.
 
-    Each seed in ``seeds`` replaces a generated stream's own ``seed``
-    (``StreamSpec.with_seed``) and offsets the model seed, so the stream's
-    ``seed`` has no effect on the results.
+    Each seed in ``seeds`` replaces a generated stream's own ``seed`` and
+    offsets the model seed, so the stream's ``seed`` has no effect on the
+    results.
     """
 
     stream: StreamSpec | CsvStream
@@ -246,7 +246,7 @@ class RunConfig:
                 self.stream.path, self.stream.n_batches, seed=seed, queries_per_batch=self.stream.queries_per_batch
             )
         else:
-            data, queries = generate_stream(self.stream.with_seed(seed))
+            data, queries = generate_stream(replace(self.stream, seed=seed))
         params = dict(self.model_params)
         params["seed"] = params.get("seed", 0) + seed
         return data, queries, StreamCosts(data, queries, MODEL_KINDS[self.model_kind](**params), self.gamma)
@@ -368,47 +368,43 @@ def _parse_rows_numpy(path, dim: int):
 def _parse_rows(path, n_cols: int):
     """The data rows as ``(ts, marks, X, y)``, read one csv row at a time; a
     malformed row raises ``StreamParseError`` with its row number."""
-    ts, labels, marks, row_nos, feats = [], [], [], [], []  # feats: all values, row after row
+    ts, labels, marks, feats = [], [], [], []  # feats: all values, row after row
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
-        try:
-            for row_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != n_cols:
-                    raise StreamParseError(row_no, f"expected {n_cols} columns, got {len(row)}")
-                try:
-                    t = int(row[0])
-                    x = [float(v) for v in row[1:-2]]
-                    label = int(row[-2])
-                    is_query = int(row[-1])
-                except ValueError as exc:
-                    raise StreamParseError(row_no, str(exc)) from None
-                if label not in (0, 1):
-                    raise StreamParseError(row_no, f"label must be 0 or 1, got {label}")
-                if is_query not in (0, 1):
-                    raise StreamParseError(row_no, f"is_query must be 0 or 1, got {is_query}")
-                ts.append(t)
-                labels.append(label)
-                marks.append(is_query)
-                row_nos.append(row_no)
-                feats.extend(x)
-        except StreamParseError:
-            _finite_features(feats, n_cols - 3, row_nos)  # an earlier non-finite row fails first
-            raise
+        for row_no, row in _csv_rows(reader, n_cols):
+            try:
+                t = int(row[0])
+                x = [float(v) for v in row[1:-2]]
+                label = int(row[-2])
+                is_query = int(row[-1])
+            except ValueError as exc:
+                raise StreamParseError(row_no, str(exc)) from None
+            if label not in (0, 1):
+                raise StreamParseError(row_no, f"label must be 0 or 1, got {label}")
+            if is_query not in (0, 1):
+                raise StreamParseError(row_no, f"is_query must be 0 or 1, got {is_query}")
+            if not all(map(math.isfinite, x)):
+                raise StreamParseError(row_no, "non-finite feature value")
+            ts.append(t)
+            labels.append(label)
+            marks.append(is_query)
+            feats.extend(x)
     if not ts:
         raise StreamParseError(2, "no data rows")
-    return ts, marks, _finite_features(feats, n_cols - 3, row_nos), np.array(labels, dtype=np.int64)
+    X = np.array(feats, dtype=np.float64).reshape(len(ts), n_cols - 3)
+    return ts, marks, X, np.array(labels, dtype=np.int64)
 
 
-def _finite_features(feats: list, dim: int, row_nos: list) -> np.ndarray:
-    """The parsed feature rows as one array; the first row with a non-finite value fails."""
-    X = np.array(feats, dtype=np.float64).reshape(len(row_nos), dim)
-    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
-    if bad.size:
-        raise StreamParseError(row_nos[bad[0]], "non-finite feature value")
-    return X
+def _csv_rows(reader, n_cols: int):
+    """``(row_no, cells)`` for each row after the header, skipping blank
+    rows; a row without ``n_cols`` cells raises ``StreamParseError``."""
+    for row_no, cells in enumerate(reader, start=2):
+        if not cells:
+            continue
+        if len(cells) != n_cols:
+            raise StreamParseError(row_no, f"expected {n_cols} columns, got {len(cells)}")
+        yield row_no, cells
 
 
 def _group_marked_rows(ts, marks, X, y, n_batches):
@@ -568,11 +564,7 @@ def results_from_csv(path) -> list[dict]:
         header = next(reader, None)
         if header != list(RESULT_COLUMNS):
             raise InvalidInputError(f"unexpected results header: {header}")
-        for row_no, cells in enumerate(reader, start=2):
-            if not cells:
-                continue
-            if len(cells) != len(RESULT_COLUMNS):
-                raise StreamParseError(row_no, f"expected {len(RESULT_COLUMNS)} columns, got {len(cells)}")
+        for row_no, cells in _csv_rows(reader, len(RESULT_COLUMNS)):
             row = dict(zip(RESULT_COLUMNS, cells))
             for name, (kind, low, high) in _RESULT_NUMBERS.items():
                 if name == "scpe" and row[name] == "":

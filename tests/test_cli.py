@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from retrainer import CostMatrix, InvalidInputError, RunConfig, StreamParseError, load_csv_stream, results_from_csv
+from retrainer import InvalidInputError, RunConfig, StreamParseError, load_csv_stream, results_from_csv
 from retrainer.cli import main
 from retrainer.costmatrix import format_value, write_csv
 from retrainer.harness import RESULT_COLUMNS
@@ -73,9 +73,6 @@ def test_cost_matrix_subcommand(runner, config_path, tmp_path):
     out = tmp_path / "matrix.csv"
     result = runner.invoke(main, ["cost-matrix", "--config", str(config_path), "--out", str(out)])
     assert result.exit_code == 0, result.output
-    matrix = CostMatrix.from_csv(out)
-    assert matrix.start == 0 and matrix.end == 4
-    assert np.all(matrix.kappa == 1.0)
     assert out.read_bytes() == dense_matrix_csv(config_path, 0, 4, 1.0, tmp_path)
 
     result = runner.invoke(
@@ -84,9 +81,6 @@ def test_cost_matrix_subcommand(runner, config_path, tmp_path):
          "--kappa", "3.0", "--out", str(out)],
     )
     assert result.exit_code == 0, result.output
-    matrix = CostMatrix.from_csv(out)
-    assert matrix.start == 5 and matrix.end == 13
-    assert np.all(matrix.kappa == 3.0)
     assert out.read_bytes() == dense_matrix_csv(config_path, 5, 13, 3.0, tmp_path)
 
 

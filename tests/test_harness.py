@@ -2,6 +2,7 @@ import csv
 import math
 import re
 import warnings
+from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
@@ -163,6 +164,24 @@ class TestLoadCsvStream:
         path.write_text("t,f0,f1,label,is_query\n" + "".join(",".join(row) + "\n" for row in rows))
         with pytest.raises(StreamParseError, match=f"^row 4: {message}$"):
             load_csv_stream(path, 1)
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["load", "row-loop"])
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ({1: "0,nan,1.5,1,0", 3: "0,0.5,1.5,2,0"}, "row 3: non-finite feature value"),
+            ({2: "0,inf,1.5,2,0"}, "row 4: label must be 0 or 1, got 2"),
+            ({2: "0,inf,1,0"}, "row 4: expected 5 columns, got 4"),
+        ],
+        ids=["earlier-non-finite-row-first", "label-before-feature", "width-before-feature"],
+    )
+    def test_first_fault_in_file_order_is_reported(self, tmp_path, forced, rows, message):
+        lines = [rows.get(i, "0,0.5,1.5,1,0") for i in range(5)]
+        path = tmp_path / "s.csv"
+        path.write_text("t,f0,f1,label,is_query\n" + "".join(line + "\n" for line in lines))
+        with mock.patch.object(harness, "_parse_rows_numpy", return_value=None) if forced else nullcontext():
+            with pytest.raises(StreamParseError, match=f"^{re.escape(message)}$"):
+                load_csv_stream(path, 1)
 
     @settings(max_examples=500, deadline=None)
     @given(data=st.data())

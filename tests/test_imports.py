@@ -1,7 +1,8 @@
 """Every module of the package and of the test suite uses each name it
 imports, every module-level private function or constant of the package is
-used somewhere in the package or the tests, and every name the package
-exports is used by the README, the CLI, the benchmark or the tests.
+used somewhere in the package or the tests, every name the package exports
+is used by the README, the CLI, the benchmark or the tests, and every public
+function, method and property of the package is read outside the tests.
 
 A stdlib ``ast`` scan, so the check runs wherever the tests run. Package
 ``__init__.py`` files are skipped by the import check (their imports are
@@ -10,6 +11,7 @@ re-exports), and so is ``from __future__``.
 
 import ast
 import re
+from collections import Counter
 from functools import cache
 from pathlib import Path
 
@@ -105,3 +107,35 @@ def test_exported_name_has_a_reader(name):
     assert any(pattern.search(path.read_text()) for path in API_READERS), (
         f"retrainer.__all__ exports {name!r}, but no README example, CLI, benchmark or test names it"
     )
+
+
+# decorators that leave a function to be called by name; any other decorator
+# (a click command, say) registers the function, which counts as its reader
+PLAIN_DECORATORS = {"classmethod", "staticmethod", "property"}
+
+
+def public_definitions(tree):
+    """Each module-level public function and each public method or property
+    of a module-level class, unless a registering decorator reads it."""
+    for node in tree.body:
+        defs = [node] if isinstance(node, ast.FunctionDef) else []
+        if isinstance(node, ast.ClassDef):
+            defs = [d for d in node.body if isinstance(d, ast.FunctionDef)]
+        for d in defs:
+            plain = all(isinstance(dec, ast.Name) and dec.id in PLAIN_DECORATORS for dec in d.decorator_list)
+            if plain and not d.name.startswith("_"):
+                yield d
+
+
+def test_public_definitions_have_a_reader_outside_the_tests():
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in [*PACKAGE, *(ROOT / "perfbench").glob("*.py")]}
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), flags=re.S)
+    trees.update({f"README.md block {i}": ast.parse(b) for i, b in enumerate(blocks)})
+    references = Counter(name for tree in trees.values() for name in referenced_names(tree))
+    unread = []
+    for path in PACKAGE:
+        for d in public_definitions(trees[path]):
+            own = sum(name == d.name for name in referenced_names(d))  # a recursive call is no reader
+            if references[d.name] <= own:
+                unread.append(f"{path.name} line {d.lineno}: {d.name}")
+    assert not unread, f"public definitions that only the tests read: {', '.join(unread)}"
