@@ -16,7 +16,7 @@ from .costmatrix import (
     strategy_cost,
     validate_strategy,
 )
-from .datagen import StreamSpec, concept_label, gen_batch, generate_stream, make_queries
+from .datagen import StreamSpec, generate_stream
 from .errors import (
     ContractViolationError,
     InvalidInputError,
@@ -40,36 +40,19 @@ from .harness import (
 )
 from .models import ForestClassifier, LogisticClassifier, fit_model
 from .oracle import memoize_dp, oracle_strategy
-from .policies import (
-    AdwinPolicy,
-    CumulativeThresholdPolicy,
-    DdmPolicy,
-    MarkovPolicy,
-    NeverRetrainPolicy,
-    PeriodicPolicy,
-    ThresholdPolicy,
-    make_policy,
-    optimize_offline,
-    replay_policy,
-)
+from .policies import make_policy, optimize_offline, replay_policy
 from .streams import DataBatch, QueryBatch
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdwinPolicy",
     "ContractViolationError",
     "CostMatrix",
     "CsvStream",
-    "CumulativeThresholdPolicy",
     "DataBatch",
-    "DdmPolicy",
     "ForestClassifier",
     "InvalidInputError",
     "LogisticClassifier",
-    "MarkovPolicy",
-    "NeverRetrainPolicy",
-    "PeriodicPolicy",
     "PolicySpec",
     "QueryBatch",
     "RunConfig",
@@ -78,17 +61,13 @@ __all__ = [
     "StreamParseError",
     "StreamSpec",
     "Strategy",
-    "ThresholdPolicy",
     "UndefinedMetricError",
-    "concept_label",
     "cumulative_cost_trace",
     "evaluate_prequential",
     "fit_model",
-    "gen_batch",
     "generate_stream",
     "load_csv_stream",
     "make_policy",
-    "make_queries",
     "memoize_dp",
     "optimize_offline",
     "oracle_strategy",

@@ -72,6 +72,8 @@ class Strategy:
     served_by: np.ndarray
 
     def __post_init__(self):
+        if self.end < self.start:
+            raise InvalidInputError(f"strategy range [{self.start}, {self.end}] ends before it starts")
         served = np.asarray(self.served_by, dtype=np.int64)
         if served.ndim != 1 or served.size != self.end - self.start + 1:
             raise InvalidInputError(

@@ -324,6 +324,8 @@ def load_csv_stream(
     and 10% of each batch (or ``queries_per_batch``) is sampled, seeded, as
     data-mode queries.
     """
+    if queries_per_batch is not None:
+        as_int(queries_per_batch, "queries_per_batch", 1)
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), None)
         if header is None:

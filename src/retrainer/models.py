@@ -15,7 +15,8 @@ tooling without pulling in an ML framework:
   grow with the depth, not with the node count. With ``feature_fraction <
   1`` each node draws its candidate features from a generator keyed by the
   seed, its tree and its heap index, so the draw does not depend on the
-  order in which nodes grow. Fit ends by compiling the
+  order in which nodes grow. The fitted forest keeps its nodes as five flat
+  arrays in that level order, all trees together. Fit ends by compiling the
   trees into a vote table over the grid their thresholds cut each feature
   into; predict looks each point's cell up in it. Every comparison a tree
   makes is constant within a cell, so the table gives the tree walk's votes
@@ -225,46 +226,6 @@ class LogisticClassifier(BaseClassifier):
 _TABLE_CELLS_PER_NODE = 64
 
 
-class _CartTree:
-    """One greedy CART tree on Gini impurity, stored as flat node arrays in DFS preorder.
-
-    A split scans every distinct value of each candidate feature and puts the
-    threshold at the midpoint between consecutive sorted values (at the lower
-    value where the midpoint overflows or rounds onto the upper); ties in
-    impurity resolve to the lowest feature and then the smallest threshold.
-    A leaf has feature -1 and is its own left and right child; every node's
-    ``value`` is its majority class (a tie resolves to 0). ``_grow_forest``
-    grows all trees of a forest together, level by level, and renumbers
-    each tree's nodes to DFS preorder at the end; with ``feature_fraction <
-    1`` each node's candidate features come from a generator keyed by the
-    forest seed, the tree and the node's heap index.
-    """
-
-    __slots__ = ("feature", "threshold", "left", "right", "value", "max_depth")
-
-    def __init__(self, max_depth, feature, threshold, left, right, value):
-        self.max_depth = max_depth
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-        self.value = value
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        idx = np.zeros(X.shape[0], dtype=np.int64)
-        rows = np.arange(X.shape[0])
-        for _ in range(self.max_depth):
-            feat = self.feature[idx]
-            internal = feat >= 0
-            if not internal.any():
-                break
-            xf = X[rows, np.where(internal, feat, 0)]
-            go_left = xf <= self.threshold[idx]
-            nxt = np.where(go_left, self.left[idx], self.right[idx])
-            idx = np.where(internal, nxt, idx)
-        return self.value[idx]
-
-
 def _segment_sums(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Sum of ``values`` over each segment [start, start + size)."""
     total = np.zeros(values.size + 1, dtype=np.int64)
@@ -338,8 +299,17 @@ def _partition(x2_flat, code, row_offset, threshold, to_left, to_right, out) -> 
     out[dest] = code
 
 
-def _grow_forest(X, y, n_trees, max_depth, feature_fraction, bootstrap, seed) -> list[_CartTree]:
+def _grow_forest(X, y, n_trees, max_depth, feature_fraction, bootstrap, seed) -> tuple:
     """Grow every tree of a forest together, one depth level per pass.
+
+    Returns the forest's nodes as five flat arrays ``(feature, threshold,
+    left, right, value)`` in growth order: level by level, tree t's root
+    being node t. Each tree is a greedy CART tree on Gini impurity. A split
+    puts its threshold at the midpoint between consecutive sorted distinct
+    values of its feature (at the lower value where the midpoint overflows
+    or rounds onto the upper), and ``x <= threshold`` goes left. A leaf has
+    feature -1 and is its own left and right child; every node's ``value``
+    is its majority class (a tie resolves to 0).
 
     Each node still to split owns one segment of a layout per feature, in
     which the rows of its (bootstrap) sample are sorted by that feature; a
@@ -447,53 +417,16 @@ def _grow_forest(X, y, n_trees, max_depth, feature_fraction, bootstrap, seed) ->
         orders = parted[:, : int(size[open_].sum())]
         del row_offset, threshold_rows, to_left, to_right, parted
     del orders
-    return _preorder_trees(levels, n_trees, max_depth)
-
-
-def _preorder_trees(levels, n_trees, max_depth) -> list[_CartTree]:
-    """Renumber level-ordered nodes to each tree's DFS preorder and cut the trees apart.
-
-    The children of level L's k-th split node are nodes 2k and 2k + 1 of level L + 1.
-    """
-    subtree = [None] * len(levels)
-    for i in range(len(levels) - 1, -1, -1):
-        feature = levels[i][3]
-        sub = np.ones(feature.size, dtype=np.int64)
-        parents = np.flatnonzero(feature >= 0)
-        if parents.size:
-            sub[parents] += subtree[i + 1][0::2] + subtree[i + 1][1::2]
-        subtree[i] = sub
-    offset = np.cumsum(subtree[0]) - subtree[0]
-    total = int(subtree[0].sum())
-    flat_feature = np.empty(total, dtype=np.int64)
-    flat_threshold = np.empty(total)
-    flat_left = np.empty(total, dtype=np.int64)
-    flat_right = np.empty(total, dtype=np.int64)
-    flat_value = np.empty(total, dtype=np.int64)
-    pre = np.zeros(n_trees, dtype=np.int64)
-    for i, (tree, size, ones, feature, threshold) in enumerate(levels):
-        at = offset[tree] + pre
-        flat_feature[at] = feature
-        flat_threshold[at] = threshold
-        flat_value[at] = 2 * ones > size
-        flat_left[at] = pre
-        flat_right[at] = pre
-        parents = np.flatnonzero(feature >= 0)
-        if parents.size == 0:
-            break
-        left = pre[parents] + 1
-        right = left + subtree[i + 1][0::2]
-        flat_left[at[parents]] = left
-        flat_right[at[parents]] = right
-        pre = np.column_stack((left, right)).ravel()
-    bounds = np.append(offset, total)
-    return [
-        _CartTree(
-            max_depth,
-            *(a[lo:hi] for a in (flat_feature, flat_threshold, flat_left, flat_right, flat_value)),
-        )
-        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
-    ]
+    feature, threshold = (np.concatenate([level[i] for level in levels]) for i in (3, 4))
+    value = np.concatenate([2 * ones > size for _, size, ones, _, _ in levels]).astype(np.int64)
+    # level L + 1 holds the children of level L's split nodes in order, so
+    # the k-th split node of the forest has children n_trees + 2k and n_trees + 2k + 1
+    left = np.arange(feature.size)
+    right = left.copy()
+    parents = np.flatnonzero(feature >= 0)
+    left[parents] = n_trees + 2 * np.arange(parents.size)
+    right[parents] = left[parents] + 1
+    return feature, threshold, left, right, value
 
 
 class ForestClassifier(BaseClassifier):
@@ -523,8 +456,11 @@ class ForestClassifier(BaseClassifier):
 
     Attributes (after fit)
     ----------------------
-    trees_ : list of _CartTree
-        Empty when the training batch contained a single class.
+    nodes_ : tuple of 5 ndarrays, or None
+        ``(feature, threshold, left, right, value)`` of every node of every
+        tree, in the order ``_grow_forest`` grows them: tree t's root is
+        node t, and a leaf (feature -1) is its own left and right child.
+        None when the training batch contained a single class.
     cuts_ : list of ndarray, or None
         Per feature, the sorted distinct thresholds of all trees on it.
     table_ : ndarray of uint8, or None
@@ -558,22 +494,22 @@ class ForestClassifier(BaseClassifier):
         check_number(self.feature_fraction, "feature_fraction")
         if not 0.0 < self.feature_fraction <= 1.0:
             raise InvalidInputError("feature_fraction must be in (0, 1]")
+        if not isinstance(self.bootstrap, bool):
+            raise InvalidInputError(f"bootstrap must be a bool, got {self.bootstrap!r}")
         as_int(self.seed, "seed", 0)
 
     def _fit_impl(self, X, y):
-        self.trees_ = []
-        self.cuts_ = self.table_ = None
+        self.nodes_ = self.cuts_ = self.table_ = None
         if self.constant_ is not None:
             return
-        self.trees_ = _grow_forest(
+        self.nodes_ = _grow_forest(
             X, y, self.n_trees, self.max_depth, self.feature_fraction, self.bootstrap, self.seed
         )
         self._build_table()
 
     def _build_table(self) -> None:
         """Set ``cuts_`` and ``table_`` when the grid has at most ``_TABLE_CELLS_PER_NODE`` cells per node."""
-        feature = np.concatenate([tree.feature for tree in self.trees_])
-        threshold = np.concatenate([tree.threshold for tree in self.trees_])
+        feature, threshold, left, right, value = self.nodes_
         cuts = []
         for f in range(self.n_features_in_):
             # np.unique would do, but its first call imports numpy.ma
@@ -590,30 +526,25 @@ class ForestClassifier(BaseClassifier):
             on_f = feature == f
             bound[on_f] = np.searchsorted(c, threshold[on_f]) + 1
         votes = np.zeros(shape, dtype=np.min_scalar_type(self.n_trees))
-        offset = 0
-        for tree in self.trees_:
-            size = tree.feature.size
-            feat, left, right = tree.feature.tolist(), tree.left.tolist(), tree.right.tolist()
-            value, cut = tree.value.tolist(), bound[offset : offset + size].tolist()
-            offset += size
-            # paint each leaf's box of codes [lo, hi) with an explicit stack
-            stack = [(0, [0] * len(shape), shape)]
-            while stack:
-                node, lo, hi = stack.pop()
-                f = feat[node]
-                if f < 0:
-                    if value[node]:
-                        votes[tuple(map(slice, lo, hi))] += 1
-                    continue
-                k = cut[node]
-                if lo[f] < k:
-                    left_hi = list(hi)
-                    left_hi[f] = min(hi[f], k)
-                    stack.append((left[node], lo, left_hi))
-                if hi[f] > k:
-                    right_lo = list(lo)
-                    right_lo[f] = max(lo[f], k)
-                    stack.append((right[node], right_lo, hi))
+        feat, left, right, value, cut = (a.tolist() for a in (feature, left, right, value, bound))
+        # paint each leaf's box of codes [lo, hi) with an explicit stack, from every root
+        stack = [(root, [0] * len(shape), shape) for root in range(self.n_trees)]
+        while stack:
+            node, lo, hi = stack.pop()
+            f = feat[node]
+            if f < 0:
+                if value[node]:
+                    votes[tuple(map(slice, lo, hi))] += 1
+                continue
+            k = cut[node]
+            if lo[f] < k:
+                left_hi = list(hi)
+                left_hi[f] = min(hi[f], k)
+                stack.append((left[node], lo, left_hi))
+            if hi[f] > k:
+                right_lo = list(lo)
+                right_lo[f] = max(lo[f], k)
+                stack.append((right[node], right_lo, hi))
         self.cuts_ = cuts
         # 2 * votes > n_trees, without doubling a narrow integer; one bit per cell
         self.table_ = np.packbits(votes > self.n_trees // 2, axis=None, bitorder="little")
@@ -621,9 +552,20 @@ class ForestClassifier(BaseClassifier):
     def _predict_impl(self, X: np.ndarray, sizes: list[int]) -> np.ndarray:
         # every point's label depends on that point alone, so batches need no split
         if self.table_ is None:
+            feature, threshold, left, right, value = self.nodes_
+            rows = np.arange(X.shape[0])
             votes = np.zeros(X.shape[0], dtype=np.int64)
-            for tree in self.trees_:
-                votes += tree.predict(X)
+            for root in range(self.n_trees):
+                node = np.full(X.shape[0], root)
+                for _ in range(self.max_depth):
+                    feat = feature[node]
+                    if (feat < 0).all():
+                        break
+                    # a leaf (feature -1 reads the last column) is its own
+                    # child, so a point that reached one stays there
+                    go_left = X[rows, feat] <= threshold[node]
+                    node = np.where(go_left, left[node], right[node])
+                votes += value[node]
             return (2 * votes > self.n_trees).astype(np.int64)
         cell = np.zeros(X.shape[0], dtype=np.intp)
         for f, cuts in enumerate(self.cuts_):

@@ -14,18 +14,16 @@ import numpy as np
 from retrainer import (
     ContractViolationError,
     CostMatrix,
-    CumulativeThresholdPolicy,
     DataBatch,
     InvalidInputError,
-    PeriodicPolicy,
     QueryBatch,
     Strategy,
-    ThresholdPolicy,
     replay_policy,
     strategy_cost,
 )
 from retrainer.costmatrix import rbf_weights
 from retrainer.models import LogisticClassifier
+from retrainer.policies import CumulativeThresholdPolicy, PeriodicPolicy, ThresholdPolicy
 from retrainer.validation import check_same_dim
 
 
@@ -339,8 +337,8 @@ class ReferenceAdwinDetector:
 # own rows, and predict walks each tree one level at a time and counts the
 # votes, as the forest once did. With feature_fraction < 1 a node draws its
 # candidate features from a generator keyed by (seed, tree, heap index). The
-# library's level-wise growth must give the same tree arrays, and its vote
-# table the same predictions.
+# library's level-wise growth must give the same trees, node for node and
+# threshold for threshold, and its vote table the same predictions.
 # ---------------------------------------------------------------------------
 
 
@@ -433,6 +431,24 @@ def reference_forest_trees(forest, X, y):
         tree = ReferenceCartTree(forest.max_depth)
         trees.append(tree.fit(X[idx], y[idx], forest.feature_fraction, forest.seed, t))
     return trees
+
+
+def canonical_tree(nodes, root):
+    """The tree under ``root`` of the flat node arrays ``(feature, threshold,
+    left, right, value)`` as nested ``(feature, threshold bits, value, left
+    subtree, right subtree)``, whatever the node numbering; a child that is
+    the node itself (as a leaf's are) reads None."""
+    feature, threshold, left, right, value = nodes
+
+    def subtree(node):
+        children = [None if child == node else subtree(child) for child in (left[node], right[node])]
+        return (int(feature[node]), threshold[node].tobytes(), int(value[node]), *children)
+
+    return subtree(root)
+
+
+def reference_nodes(tree):
+    return tree.feature, tree.threshold, tree.left, tree.right, tree.value
 
 
 def reference_tree_predict(tree, X):

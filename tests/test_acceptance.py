@@ -25,15 +25,8 @@ from helpers import (
 )
 
 from retrainer import (
-    AdwinPolicy,
-    CumulativeThresholdPolicy,
-    DdmPolicy,
-    MarkovPolicy,
-    NeverRetrainPolicy,
-    PeriodicPolicy,
     RunConfig,
     StreamSpec,
-    ThresholdPolicy,
     fit_model,
     generate_stream,
     memoize_dp,
@@ -47,6 +40,15 @@ from retrainer import (
 from retrainer.cli import main as cli_main
 from retrainer.costmatrix import StreamCosts
 from retrainer.models import LogisticClassifier
+from retrainer.policies import (
+    AdwinPolicy,
+    CumulativeThresholdPolicy,
+    DdmPolicy,
+    MarkovPolicy,
+    NeverRetrainPolicy,
+    PeriodicPolicy,
+    ThresholdPolicy,
+)
 from retrainer.streams import DataBatch
 
 

@@ -14,19 +14,13 @@ from helpers import (
 from hypothesis import given, settings, strategies as st
 
 from retrainer import (
-    AdwinPolicy,
     ContractViolationError,
     CostMatrix,
-    CumulativeThresholdPolicy,
     DataBatch,
-    DdmPolicy,
     InvalidInputError,
-    MarkovPolicy,
-    PeriodicPolicy,
     QueryBatch,
     Strategy,
     StreamSpec,
-    ThresholdPolicy,
     cumulative_cost_trace,
     fit_model,
     generate_stream,
@@ -38,6 +32,14 @@ from retrainer import (
 from retrainer import costmatrix
 from retrainer.costmatrix import StreamCosts
 from retrainer.models import ForestClassifier, LogisticClassifier
+from retrainer.policies import (
+    AdwinPolicy,
+    CumulativeThresholdPolicy,
+    DdmPolicy,
+    MarkovPolicy,
+    PeriodicPolicy,
+    ThresholdPolicy,
+)
 
 
 def small_stream(n=4, seed=0):
@@ -219,7 +221,7 @@ class TestRowBuild:
         for t in range(5):
             # a grid over _TABLE_CELLS_PER_NODE cells per node gets no table: predict walks the trees
             forest = costs.model_at(t)
-            assert forest.trees_ and forest.table_ is None
+            assert forest.nodes_ is not None and forest.table_ is None
 
     @pytest.mark.parametrize("model", MODELS, ids=["logistic", "forest"])
     def test_detectors_read_error_vectors_on_demand(self, model):
@@ -423,6 +425,11 @@ class TestValidateStrategy:
 
     def test_reverting_to_older_model_invalid(self):
         assert validate_strategy(Strategy(0, 3, np.array([0, 1, 0, 0]))) is not None
+
+    @pytest.mark.parametrize("start, end", [(5, 4), (3, 0)])
+    def test_range_that_ends_before_it_starts(self, start, end):
+        with pytest.raises(InvalidInputError, match="ends before it starts"):
+            Strategy(start, end, [])
 
     def test_retrain_counting(self):
         s = Strategy(0, 3, np.array([0, 0, 2, 2]))

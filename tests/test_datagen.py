@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from retrainer import InvalidInputError, StreamSpec, concept_label, gen_batch, generate_stream, make_queries
+from retrainer import InvalidInputError, StreamSpec, generate_stream
 from retrainer.datagen import (
     DEFAULT_CIRCLE_SCHEDULE,
     STATIC_QUERY_SIGMA,
     circle_concept,
+    concept_label,
     covcon_flipped,
     covcon_mean,
     gauss_center,
+    gen_batch,
+    make_queries,
 )
 
 

@@ -6,8 +6,8 @@ import pytest
 from helpers import ReferenceAdwinDetector, reference_ddm
 from hypothesis import example, given, settings, strategies as st
 
-from retrainer import AdwinPolicy, DdmPolicy, InvalidInputError
-from retrainer.policies import DriftDetectorPolicy
+from retrainer import InvalidInputError
+from retrainer.policies import AdwinPolicy, DdmPolicy, DriftDetectorPolicy
 
 NON_BINARY = (2, -1, 0.5, 1.9, math.nan, "1", None)
 

@@ -14,7 +14,6 @@ from retrainer import (
     CsvStream,
     DataBatch,
     InvalidInputError,
-    MarkovPolicy,
     QueryBatch,
     RunConfig,
     Strategy,
@@ -40,6 +39,7 @@ from retrainer.costmatrix import StreamCosts
 from retrainer.harness import PolicySpec
 from retrainer.models import LogisticClassifier
 from retrainer.oracle import oracle_strategy
+from retrainer.policies import MarkovPolicy
 
 
 def write_plain_csv(path, n_rows, d=2, seed=0):
@@ -128,6 +128,13 @@ class TestLoadCsvStream:
         path.write_text("wrong,header\n")
         with pytest.raises(StreamParseError):
             load_csv_stream(path, 1)
+
+    @pytest.mark.parametrize("q", [0, -1, 2.5, "3"])
+    def test_queries_per_batch_must_be_a_positive_integer(self, tmp_path, q):
+        path = tmp_path / "s.csv"
+        write_plain_csv(path, 100)
+        with pytest.raises(InvalidInputError, match="queries_per_batch"):
+            load_csv_stream(path, 4, queries_per_batch=q)
 
     def test_too_few_rows_rejected(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -729,6 +736,8 @@ class TestRunConfig:
             ({"kind": "logistic", "seed": "x"}, "seed must be an integer, got 'x'"),
             ({"kind": "forest", "seed": 2.5}, "seed must be an integer, got 2.5"),
             ({"kind": "forest", "seed": -1}, "seed must be >= 0"),
+            ({"kind": "forest", "bootstrap": "false"}, "bootstrap must be a bool, got 'false'"),
+            ({"kind": "forest", "bootstrap": 0}, "bootstrap must be a bool, got 0"),
         ],
     )
     def test_model_hyperparameters_fail_at_load(self, model, message):

@@ -5,7 +5,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import reference_forest_predict, reference_forest_trees, reference_logistic_fit, reference_sigmoid
+from helpers import (
+    canonical_tree,
+    reference_forest_predict,
+    reference_forest_trees,
+    reference_logistic_fit,
+    reference_nodes,
+    reference_sigmoid,
+    reference_tree_predict,
+)
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -144,8 +152,9 @@ class TestForest:
         forest = fit_model(
             batch, ForestClassifier(n_trees=1, max_depth=12, feature_fraction=1.0, bootstrap=False)
         )
-        (tree,) = forest.trees_
-        assert np.array_equal(forest.predict(PROBE), tree.predict(PROBE))
+        (tree,) = reference_forest_trees(forest, batch.X, batch.y)
+        assert canonical_tree(forest.nodes_, 0) == canonical_tree(reference_nodes(tree), 0)
+        assert np.array_equal(forest.predict(PROBE), reference_tree_predict(tree, PROBE))
 
     def test_seed_invariant_without_randomness(self):
         batch = xor_batch()
@@ -182,8 +191,8 @@ class TestForest:
         x = np.linspace(0, 1, 8)
         X = np.column_stack([x, x])
         y = (x > 0.5).astype(int)
-        (tree,) = ForestClassifier(n_trees=1, max_depth=3, bootstrap=False).fit(X, y).trees_
-        assert tree.feature[0] == 0
+        feature, *_ = ForestClassifier(n_trees=1, max_depth=3, bootstrap=False).fit(X, y).nodes_
+        assert feature[0] == 0  # the root
 
     @pytest.mark.parametrize("x, y", NEIGHBOURS_WITHOUT_A_MIDPOINT)
     def test_threshold_separates_neighbours_without_a_midpoint(self, x, y):
@@ -205,6 +214,22 @@ class TestForest:
             tracemalloc.stop()
         assert peak < 3_000_000
 
+    def test_fitted_forests_hold_little_beyond_their_arrays(self):
+        # a fitted model is kept per batch, so what it holds besides its node
+        # arrays, cuts and table (objects, per-tree arrays) grows with the stream
+        data, _ = generate_stream(StreamSpec("covcon", n_batches=30, batch_size=1000, seed=0))
+        ForestClassifier(n_trees=25, max_depth=8).fit(data[0].X, data[0].y)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            fitted = [ForestClassifier(n_trees=25, max_depth=8).fit(b.X, b.y) for b in data]
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        arrays = sum(a.nbytes for m in fitted for a in (*m.nodes_, *m.cuts_, m.table_))
+        assert (held - arrays) / len(fitted) < 8_000
+
 
 class TestForestAgainstReference:
     """Level-wise growth and the vote table against depth-first, per-node argsorts and the tree walk."""
@@ -225,10 +250,11 @@ class TestForestAgainstReference:
     def assert_matches_reference(self, forest, X, y, rng):
         model = forest.fit(X, y)
         trees = reference_forest_trees(forest, X, y)
-        assert len(model.trees_) == len(trees)
-        for got, want in zip(model.trees_, trees):
-            for name in ("feature", "threshold", "left", "right", "value"):
-                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert len(trees) == forest.n_trees
+        # tree t's root is node t, and every node belongs to a tree
+        assert model.nodes_[0].size == sum(tree.feature.size for tree in trees)
+        for t, tree in enumerate(trees):
+            assert canonical_tree(model.nodes_, t) == canonical_tree(reference_nodes(tree), 0), t
         P = self.probes(trees, X, rng)
         assert np.array_equal(model.predict(P), reference_forest_predict(trees, forest.n_trees, P))
         return model
@@ -282,7 +308,7 @@ class TestForestAgainstReference:
         assert model.table_.dtype == np.uint8
         cells = math.prod(c.size + 1 for c in model.cuts_)
         assert model.table_.size == -(-cells // 8)  # one bit per cell
-        assert cells <= _TABLE_CELLS_PER_NODE * sum(t.feature.size for t in model.trees_)
+        assert cells <= _TABLE_CELLS_PER_NODE * model.nodes_[0].size
 
     def test_table_is_capped_by_the_forest_size(self):
         # 3 features, 200 points: a grid of about 10**6 cells over about 900 nodes
@@ -298,7 +324,7 @@ class TestForestAgainstReference:
     def test_single_class_has_no_trees(self):
         batch = DataBatch(0, [[0.0, 1.0], [2.0, 3.0]], [1, 1])
         model = fit_model(batch, ForestClassifier(n_trees=5, max_depth=3))
-        assert model.trees_ == []
+        assert model.nodes_ is None
         assert model.table_ is None
         assert np.all(model.predict(PROBE) == 1)
 

@@ -10,12 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from retrainer import (
     CostMatrix,
-    CumulativeThresholdPolicy,
-    MarkovPolicy,
-    NeverRetrainPolicy,
-    PeriodicPolicy,
     RunConfig,
-    ThresholdPolicy,
     memoize_dp,
     optimize_offline,
     oracle_strategy,
@@ -25,6 +20,13 @@ from retrainer import (
 from retrainer.cli import main
 from retrainer.costmatrix import format_value, write_csv
 from retrainer.oracle import dp_rows
+from retrainer.policies import (
+    CumulativeThresholdPolicy,
+    MarkovPolicy,
+    NeverRetrainPolicy,
+    PeriodicPolicy,
+    ThresholdPolicy,
+)
 
 
 def matrix_from(staleness, kappa):

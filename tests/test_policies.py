@@ -12,17 +12,10 @@ from helpers import (
 from hypothesis import given, settings, strategies as st
 
 from retrainer import (
-    AdwinPolicy,
     CostMatrix,
-    CumulativeThresholdPolicy,
     DataBatch,
-    DdmPolicy,
     InvalidInputError,
-    MarkovPolicy,
-    NeverRetrainPolicy,
-    PeriodicPolicy,
     QueryBatch,
-    ThresholdPolicy,
     make_policy,
     optimize_offline,
     replay_policy,
@@ -31,7 +24,18 @@ from retrainer import (
 )
 from retrainer.costmatrix import StreamCosts
 from retrainer.models import ForestClassifier, LogisticClassifier
-from retrainer.policies import _BLOCK, _candidate_costs, _serving_rows
+from retrainer.policies import (
+    _BLOCK,
+    AdwinPolicy,
+    CumulativeThresholdPolicy,
+    DdmPolicy,
+    MarkovPolicy,
+    NeverRetrainPolicy,
+    PeriodicPolicy,
+    ThresholdPolicy,
+    _candidate_costs,
+    _serving_rows,
+)
 
 
 def drifting_stream(n=12, n_points=40, n_queries=8, seed=0):
