@@ -12,7 +12,6 @@ from .costmatrix import (
     CostMatrix,
     Strategy,
     StreamCosts,
-    cumulative_cost_trace,
     strategy_cost,
     validate_strategy,
 )
@@ -25,12 +24,10 @@ from .errors import (
 )
 from .harness import (
     CsvStream,
-    PolicySpec,
     RunConfig,
     RunResult,
     evaluate_prequential,
     load_csv_stream,
-    render_summary,
     report,
     results_from_csv,
     results_to_csv,
@@ -38,8 +35,8 @@ from .harness import (
     save_stream_csv,
     scpe,
 )
-from .models import ForestClassifier, LogisticClassifier, fit_model
-from .oracle import memoize_dp, oracle_strategy
+from .models import ForestClassifier, LogisticClassifier
+from .oracle import oracle_strategy
 from .policies import make_policy, optimize_offline, replay_policy
 from .streams import DataBatch, QueryBatch
 
@@ -53,7 +50,6 @@ __all__ = [
     "ForestClassifier",
     "InvalidInputError",
     "LogisticClassifier",
-    "PolicySpec",
     "QueryBatch",
     "RunConfig",
     "RunResult",
@@ -62,16 +58,12 @@ __all__ = [
     "StreamSpec",
     "Strategy",
     "UndefinedMetricError",
-    "cumulative_cost_trace",
     "evaluate_prequential",
-    "fit_model",
     "generate_stream",
     "load_csv_stream",
     "make_policy",
-    "memoize_dp",
     "optimize_offline",
     "oracle_strategy",
-    "render_summary",
     "replay_policy",
     "report",
     "results_from_csv",

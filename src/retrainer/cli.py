@@ -8,12 +8,13 @@ beyond argument handling lives in the library modules.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import replace
 
 import click
 
 from .costmatrix import cumulative_cost_trace, format_value, write_csv
-from .datagen import StreamSpec, generate_stream
+from .datagen import DATASETS, QUERY_MODES, StreamSpec, generate_stream
 from .harness import (
     PolicySpec,
     RunConfig,
@@ -34,31 +35,25 @@ def main():
     """Cost-aware retraining decisions over batched data and query streams."""
 
 
+_SPEC = inspect.signature(StreamSpec).parameters
+
+
 @main.command()
-@click.option("--dataset", type=click.Choice(["gauss", "circle", "covcon"]), required=True)
-@click.option("--n-batches", default=100, show_default=True)
-@click.option("--batch-size", default=1000, show_default=True)
-@click.option("--queries", "queries_per_batch", default=100, show_default=True)
-@click.option("--query-mode", type=click.Choice(["D", "S"]), default="D", show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--covcon-alpha", default=1.0, show_default=True)
-@click.option("--gauss-sigma", default=0.1, show_default=True)
+@click.option("--dataset", type=click.Choice(DATASETS), required=True)
+@click.option("--n-batches", default=_SPEC["n_batches"].default, show_default=True)
+@click.option("--batch-size", default=_SPEC["batch_size"].default, show_default=True)
+@click.option("--queries", "queries_per_batch", default=_SPEC["queries_per_batch"].default, show_default=True)
+@click.option("--query-mode", type=click.Choice(QUERY_MODES), default=_SPEC["query_mode"].default, show_default=True)
+@click.option("--seed", default=_SPEC["seed"].default, show_default=True)
+@click.option("--covcon-alpha", default=_SPEC["covcon_alpha"].default, show_default=True)
+@click.option("--gauss-sigma", default=_SPEC["gauss_sigma"].default, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
-def gen(dataset, n_batches, batch_size, queries_per_batch, query_mode, seed, covcon_alpha, gauss_sigma, out):
+def gen(out, **spec_args):
     """Generate a synthetic stream and write it as a stream CSV."""
-    spec = StreamSpec(
-        dataset=dataset,
-        n_batches=n_batches,
-        batch_size=batch_size,
-        queries_per_batch=queries_per_batch,
-        query_mode=query_mode,
-        seed=seed,
-        covcon_alpha=covcon_alpha,
-        gauss_sigma=gauss_sigma,
-    )
+    spec = StreamSpec(**spec_args)
     data, queries = generate_stream(spec)
     save_stream_csv(out, data, queries)
-    click.echo(f"wrote {spec.name}: {n_batches} batches x {batch_size} points to {out}")
+    click.echo(f"wrote {spec.name}: {spec.n_batches} batches x {spec.batch_size} points to {out}")
 
 
 def _narrow(cfg: RunConfig, seed, kappa) -> RunConfig:

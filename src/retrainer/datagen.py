@@ -142,15 +142,19 @@ def gen_batch(spec: StreamSpec, t: int) -> DataBatch:
     return DataBatch(t, X, concept_label(spec, X, t))
 
 
+def sample_queries(seed: int, batch: DataBatch, q: int) -> QueryBatch:
+    """Mode-D queries: ``q`` rows of ``batch`` with their labels, drawn
+    without replacement by the generator keyed (seed, batch.t, 1)."""
+    if q > batch.size:
+        raise InvalidInputError(f"cannot sample {q} queries from a batch of {batch.size}")
+    idx = _rng(seed, batch.t, 1).choice(batch.size, size=q, replace=False)
+    return QueryBatch(batch.t, batch.X[idx], batch.y[idx])
+
+
 def make_queries(spec: StreamSpec, t: int, data_batch: DataBatch) -> QueryBatch:
-    rng = _rng(spec.seed, t, 1)
     if spec.query_mode == "D":
-        if spec.queries_per_batch > data_batch.size:
-            raise InvalidInputError(
-                f"cannot sample {spec.queries_per_batch} queries from a batch of {data_batch.size}"
-            )
-        idx = rng.choice(data_batch.size, size=spec.queries_per_batch, replace=False)
-        return QueryBatch(t, data_batch.X[idx], data_batch.y[idx])
+        return sample_queries(spec.seed, data_batch, spec.queries_per_batch)
+    rng = _rng(spec.seed, t, 1)
     Q = rng.normal(loc=STATIC_QUERY_CENTER, scale=STATIC_QUERY_SIGMA, size=(spec.queries_per_batch, 2))
     return QueryBatch(t, Q, concept_label(spec, Q, t))
 

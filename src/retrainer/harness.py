@@ -41,26 +41,13 @@ from pathlib import Path
 import numpy as np
 
 from .costmatrix import CostMatrix, Strategy, StreamCosts, format_value, strategy_cost, write_csv
-from .datagen import StreamSpec, generate_stream
+from .datagen import StreamSpec, generate_stream, sample_queries
 from .errors import InvalidInputError, StreamParseError, UndefinedMetricError
 from .models import MODEL_KINDS
 from .oracle import oracle_strategy
 from .policies import CALIBRATABLE, POLICY_KINDS, RetrainPolicy, make_policy, optimize_offline, replay_policy
 from .streams import DataBatch, QueryBatch
 from .validation import as_int, check_finite
-
-RESULT_COLUMNS = (
-    "dataset",
-    "policy",
-    "kappa",
-    "seed",
-    "strategy_cost",
-    "oracle_cost",
-    "scpe",
-    "n_retrains",
-    "query_accuracy",
-    "strategy",
-)
 
 
 def scpe(policy_cost: float, oracle_cost: float) -> float:
@@ -106,8 +93,7 @@ class PolicySpec:
             return
         if not isinstance(self.params, dict):
             raise InvalidInputError(f"{self.name} policy params must be a dict or 'optimize', got {self.params!r}")
-        # a class without its own __init__ takes no parameters
-        keys = inspect.signature(cls).parameters if "__init__" in vars(cls) else {}
+        keys = inspect.signature(cls).parameters
         _check_keys(self.params, keys, f"{self.name} policy params")
         for key, param in keys.items():
             if param.default is param.empty and key not in self.params:
@@ -150,8 +136,6 @@ class CsvStream:
 
 
 CONFIG_KEYS = ("stream", "t_offline", "t_online", "kappas", "policies", "model", "gamma", "seeds", "output")
-CSV_STREAM_KEYS = ("dataset", "path", "n_batches", "queries_per_batch")
-POLICY_KEYS = ("name", "params")
 
 
 def _check_keys(raw: dict, known, level: str) -> None:
@@ -180,8 +164,8 @@ class RunConfig:
     """Declarative description of a sweep.
 
     Each seed in ``seeds`` replaces a generated stream's own ``seed`` and
-    offsets the model seed, so the stream's ``seed`` has no effect on the
-    results.
+    offsets the seed of a model that takes one (the forest), so the stream's
+    ``seed`` has no effect on the results.
     """
 
     stream: StreamSpec | CsvStream
@@ -232,7 +216,7 @@ class RunConfig:
             if not isinstance(p, PolicySpec):
                 if not isinstance(p, dict):
                     raise InvalidInputError(f"policy entry must be an object with a 'name', got {p!r}")
-                _check_keys(p, POLICY_KEYS, "policy entry")
+                _check_keys(p, inspect.signature(PolicySpec).parameters, "policy entry")
                 if "name" not in p:
                     raise InvalidInputError("policy entry is missing 'name'")
                 p = PolicySpec(p["name"], p.get("params", {}))
@@ -240,16 +224,18 @@ class RunConfig:
         self.policies = specs
 
     def costs_for_seed(self, seed: int) -> tuple[list[DataBatch], list[QueryBatch], StreamCosts]:
-        """The seed's stream and the cost cache over it, with the model seed offset by ``seed``."""
+        """The seed's stream and the cost cache over it; a model that takes a seed has it offset by ``seed``."""
         if isinstance(self.stream, CsvStream):
             data, queries = load_csv_stream(
                 self.stream.path, self.stream.n_batches, seed=seed, queries_per_batch=self.stream.queries_per_batch
             )
         else:
             data, queries = generate_stream(replace(self.stream, seed=seed))
+        cls = MODEL_KINDS[self.model_kind]
         params = dict(self.model_params)
-        params["seed"] = params.get("seed", 0) + seed
-        return data, queries, StreamCosts(data, queries, MODEL_KINDS[self.model_kind](**params), self.gamma)
+        if "seed" in inspect.signature(cls).parameters:
+            params["seed"] = params.get("seed", 0) + seed
+        return data, queries, StreamCosts(data, queries, cls(**params), self.gamma)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -258,14 +244,14 @@ class RunConfig:
         stream_raw = _object(_required(raw, "stream"), "stream")
         dataset = _required(stream_raw, "dataset", "stream")
         if dataset == "csv":
-            _check_keys(stream_raw, CSV_STREAM_KEYS, "csv stream")
+            _check_keys(stream_raw, ["dataset", *inspect.signature(CsvStream).parameters], "csv stream")
             stream = CsvStream(
                 _required(stream_raw, "path", "csv stream"),
                 stream_raw.get("n_batches"),
                 stream_raw.get("queries_per_batch"),
             )
         else:
-            _check_keys(stream_raw, [f.name for f in fields(StreamSpec)], "stream")
+            _check_keys(stream_raw, inspect.signature(StreamSpec).parameters, "stream")
             if "circle_schedule" in stream_raw and stream_raw["circle_schedule"] is None:
                 stream_raw.pop("circle_schedule")
             stream = StreamSpec(dataset, **stream_raw)
@@ -308,6 +294,9 @@ class RunResult:
     params: dict
 
 
+RESULT_COLUMNS = tuple(f.name for f in fields(RunResult) if f.name != "params")
+
+
 def load_csv_stream(
     path,
     n_batches: int | None = None,
@@ -324,6 +313,8 @@ def load_csv_stream(
     and 10% of each batch (or ``queries_per_batch``) is sampled, seeded, as
     data-mode queries.
     """
+    if n_batches is not None:
+        n_batches = as_int(n_batches, "n_batches", 1)
     if queries_per_batch is not None:
         as_int(queries_per_batch, "queries_per_batch", 1)
     with open(path, newline="") as fh:
@@ -429,23 +420,17 @@ def _group_marked_rows(ts, marks, X, y, n_batches):
 
 
 def _rebatch_rows(X, y, n_batches, seed, queries_per_batch):
-    if n_batches is None or n_batches < 1:
+    if n_batches is None:
         raise InvalidInputError("n_batches is required to batch a plain data file")
     if len(X) < n_batches:
         raise InvalidInputError(f"{len(X)} rows cannot fill {n_batches} batches")
     batch_size = len(X) // n_batches
     q_per_batch = queries_per_batch if queries_per_batch is not None else max(1, batch_size // 10)
-    if q_per_batch > batch_size:
-        raise InvalidInputError(f"cannot sample {q_per_batch} queries from batches of {batch_size}")
-    data, queries = [], []
+    data = []
     for t in range(n_batches):
         chunk = slice(t * batch_size, (t + 1) * batch_size)
-        batch = DataBatch(t, X[chunk], y[chunk])
-        rng = np.random.default_rng([seed % (2**32), t, 1])
-        idx = rng.choice(batch_size, size=q_per_batch, replace=False)
-        data.append(batch)
-        queries.append(QueryBatch(t, batch.X[idx], batch.y[idx]))
-    return data, queries
+        data.append(DataBatch(t, X[chunk], y[chunk]))
+    return data, [sample_queries(seed, batch, q_per_batch) for batch in data]
 
 
 def save_stream_csv(path, data, queries) -> None:

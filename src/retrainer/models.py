@@ -23,15 +23,16 @@ tooling without pulling in an ML framework:
   bit for bit.
 
 Determinism contract: fitting the same data with the same hyperparameters
-(including ``seed``) produces a model with bit-identical predictions. To keep
-that guarantee under drifting streams, single-class training batches produce
-a constant classifier instead of raising.
+(including a forest's ``seed``) produces a model with bit-identical
+predictions. To keep that guarantee under drifting streams, single-class
+training batches produce a constant classifier instead of raising.
 
 Fitted models are immutable by convention and safe to share across threads.
 """
 
 from __future__ import annotations
 
+import copy
 import inspect
 import math
 
@@ -63,22 +64,13 @@ class BaseClassifier:
     """Shared estimator plumbing: parameter introspection, fit and predict glue.
 
     Subclasses store constructor arguments verbatim under the same attribute
-    names, which is what makes ``get_params`` (and therefore sklearn-style
-    cloning) work, and implement ``_validate_params``, ``_fit_impl`` and
-    ``_predict_impl``.
+    names, so the constructor's signature is the one list of parameters that
+    ``get_params`` and ``__repr__`` read. They implement
+    ``_validate_params``, ``_fit_impl`` and ``_predict_impl``.
     """
 
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        sig = inspect.signature(cls.__init__)
-        return [name for name in sig.parameters if name != "self"]
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
-
-    def clone(self):
-        """Unfitted copy with identical hyperparameters."""
-        return type(self)(**self.get_params())
+    def get_params(self) -> dict:
+        return {name: getattr(self, name) for name in inspect.signature(type(self)).parameters}
 
     def __repr__(self):
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
@@ -141,9 +133,9 @@ class LogisticClassifier(BaseClassifier):
         Number of full passes over the batch; must be >= 1.
     l2 : float
         L2 penalty on the weights (the intercept is not penalized).
-    seed : int
-        Kept for API uniformity; weights start at zero so training is
-        deterministic regardless of the seed.
+
+    Weights start at zero, so training draws no random numbers and the
+    model takes no seed.
 
     Attributes (after fit)
     ----------------------
@@ -162,11 +154,10 @@ class LogisticClassifier(BaseClassifier):
     are the same bit for bit.
     """
 
-    def __init__(self, learning_rate: float = 0.1, epochs: int = 100, l2: float = 0.0, seed: int = 0):
+    def __init__(self, learning_rate: float = 0.1, epochs: int = 100, l2: float = 0.0):
         self.learning_rate = learning_rate
         self.epochs = epochs
         self.l2 = l2
-        self.seed = seed
 
     def _validate_params(self):
         check_number(self.learning_rate, "learning_rate")
@@ -176,7 +167,6 @@ class LogisticClassifier(BaseClassifier):
         check_number(self.l2, "l2")
         if not self.l2 >= 0:
             raise InvalidInputError("l2 must be >= 0")
-        as_int(self.seed, "seed", 0)
 
     def _fit_impl(self, X, y):
         n, d = X.shape
@@ -575,12 +565,13 @@ class ForestClassifier(BaseClassifier):
 
 
 def fit_model(batch: DataBatch, model: BaseClassifier) -> BaseClassifier:
-    """Train a fresh copy of ``model`` on one data batch.
+    """Train a shallow copy of ``model`` on one data batch.
 
     The returned estimator records the batch it was trained on in
-    ``trained_at_``; the prototype passed in is left untouched.
+    ``trained_at_``; the prototype passed in is left untouched, because
+    ``fit`` rebinds every fitted attribute rather than changing one in place.
     """
-    fitted = model.clone().fit(batch.X, batch.y)
+    fitted = copy.copy(model).fit(batch.X, batch.y)
     fitted.trained_at_ = batch.t
     return fitted
 

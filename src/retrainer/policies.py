@@ -25,7 +25,8 @@ single instance can be reused across runs via ``reset()``.
 
 The threshold, cumulative and periodic rules are written with numpy
 comparisons, so one instance built from arrays of parameters decides for a
-whole block of candidates at once; ``get_params`` of a single policy returns
+whole block of candidates at once. ``get_params`` reads the parameter names
+from the constructor's signature and returns a single policy's values as
 Python numbers. ``optimize_offline`` calibrates these families against a
 prebuilt cost matrix, never refitting a model: it runs blocks of candidates
 through the same loop and prices each candidate's serving row the way
@@ -35,6 +36,7 @@ exactly.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 
@@ -61,7 +63,8 @@ class RetrainPolicy:
         raise NotImplementedError
 
     def get_params(self) -> dict:
-        return {}
+        """The constructor's arguments as Python scalars, in its order."""
+        return {name: np.asarray(getattr(self, name)).item() for name in inspect.signature(type(self)).parameters}
 
     def __repr__(self):
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
@@ -84,9 +87,6 @@ class ThresholdPolicy(RetrainPolicy):
 
     def decide(self, t, *, staleness=None, errors=None, kappa=None):
         return np.logical_not(staleness < self.tau)
-
-    def get_params(self):
-        return {"tau": float(self.tau)}
 
     @classmethod
     def calibration_grid(cls, c: CostMatrix) -> dict:
@@ -113,9 +113,6 @@ class CumulativeThresholdPolicy(RetrainPolicy):
         self.cumulative_[retrain] = 0.0
         return retrain
 
-    def get_params(self):
-        return {"tau_cum": float(self.tau_cum)}
-
     @classmethod
     def calibration_grid(cls, c: CostMatrix) -> dict:
         rows = (c.staleness[i, i + 1 :] for i in range(c.n))
@@ -133,9 +130,6 @@ class PeriodicPolicy(RetrainPolicy):
 
     def decide(self, t, *, staleness=None, errors=None, kappa=None):
         return (t - self.offset) % self.period == 0
-
-    def get_params(self):
-        return {"period": int(self.period), "offset": int(self.offset)}
 
     @classmethod
     def calibration_grid(cls, c: CostMatrix) -> dict:
@@ -166,22 +160,17 @@ class MarkovPolicy(RetrainPolicy):
         return not staleness < kappa
 
 
-def _bit(error) -> int:
-    """An error bit as 0 or 1; any value but 0, 1, False and True is refused."""
-    if error not in (0, 1):
-        raise InvalidInputError(f"error bit must be 0 or 1, got {error!r}")
-    return int(error)
-
-
 def _bits(errors) -> np.ndarray:
-    """A batch of error bits as bools, refused whole if ``_bit`` refuses any
-    one of them."""
+    """A batch of error bits as bools; refused whole unless it is a 1-D
+    array of numbers, each 0 or 1."""
     bits = np.asarray(errors)
     if bits.ndim != 1 or bits.dtype.kind not in "biuf":
-        return np.array([_bit(error) for error in errors], dtype=bool)
+        raise InvalidInputError(
+            f"error bits must be a 1-D array of numbers, got {bits.dtype} of shape {bits.shape}"
+        )
     bad = (bits != 0) & (bits != 1)
     if bad.any():
-        _bit(bits[bad][0].item())  # raises
+        raise InvalidInputError(f"error bit must be 0 or 1, got {bits[bad][0].item()!r}")
     return bits == 1
 
 
@@ -234,9 +223,6 @@ class DdmPolicy(DriftDetectorPolicy):
         if not self.drift_sigma > 0:
             raise InvalidInputError("drift_sigma must be > 0")
         self.reset()
-
-    def get_params(self):
-        return {"min_samples": self.min_samples, "drift_sigma": self.drift_sigma}
 
     def reset(self) -> None:
         self.n_ = 0
@@ -293,9 +279,6 @@ class AdwinPolicy(DriftDetectorPolicy):
         if not 0.0 < self.delta < 1.0:
             raise InvalidInputError("delta must be in (0, 1)")
         self.reset()
-
-    def get_params(self):
-        return {"delta": self.delta, "max_buckets": self.max_buckets}
 
     def reset(self) -> None:
         self.rows_: list[list[float]] = [[]]  # per level, oldest bucket sum first
@@ -395,7 +378,7 @@ def make_policy(name: str, **params) -> RetrainPolicy:
     return cls(**params)
 
 
-CALIBRATABLE = {cls.name: cls for cls in (ThresholdPolicy, CumulativeThresholdPolicy, PeriodicPolicy)}
+CALIBRATABLE = {name: cls for name, cls in POLICY_KINDS.items() if hasattr(cls, "calibration_grid")}
 
 
 def replay_policy(policy: RetrainPolicy, c: CostMatrix, errors=None) -> Strategy:

@@ -6,6 +6,7 @@ reference staleness forms restate the per-query definition that
 ``StreamCosts.staleness_matrix`` computes as whole matrices.
 """
 
+import copy
 import math
 from itertools import product
 
@@ -519,7 +520,7 @@ def drift_scenario(query_position="near", n_batches=4):
     data = [drift_batch(t) for t in range(n_batches)]
     make = near_queries if query_position == "near" else far_queries
     queries = [make(t) for t in range(n_batches)]
-    return data, queries, SCENARIO_MODEL.clone()
+    return data, queries, copy.copy(SCENARIO_MODEL)
 
 
 def static_batch(t):
@@ -545,4 +546,4 @@ def marching_queries(t):
 def static_scenario(n_batches=4):
     data = [static_batch(t) for t in range(n_batches)]
     queries = [marching_queries(t) for t in range(n_batches)]
-    return data, queries, SCENARIO_MODEL.clone()
+    return data, queries, copy.copy(SCENARIO_MODEL)

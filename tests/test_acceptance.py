@@ -27,9 +27,7 @@ from helpers import (
 from retrainer import (
     RunConfig,
     StreamSpec,
-    fit_model,
     generate_stream,
-    memoize_dp,
     optimize_offline,
     oracle_strategy,
     replay_policy,
@@ -39,7 +37,8 @@ from retrainer import (
 )
 from retrainer.cli import main as cli_main
 from retrainer.costmatrix import StreamCosts
-from retrainer.models import LogisticClassifier
+from retrainer.models import LogisticClassifier, fit_model
+from retrainer.oracle import memoize_dp
 from retrainer.policies import (
     AdwinPolicy,
     CumulativeThresholdPolicy,

@@ -1,12 +1,13 @@
 import csv
+import inspect
 import json
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from retrainer import InvalidInputError, RunConfig, StreamParseError, load_csv_stream, results_from_csv
-from retrainer.cli import main
+from retrainer import InvalidInputError, RunConfig, StreamParseError, StreamSpec, load_csv_stream, results_from_csv
+from retrainer.cli import gen as gen_cmd, main
 from retrainer.costmatrix import format_value, write_csv
 from retrainer.harness import RESULT_COLUMNS
 
@@ -55,6 +56,14 @@ def test_gen_writes_loadable_stream(runner, tmp_path):
     data, queries = load_csv_stream(out, 6)
     assert len(data) == 6 and data[0].size == 40
     assert all(q.size == 4 for q in queries)
+
+
+def test_gen_defaults_are_the_stream_spec_defaults():
+    spec = inspect.signature(StreamSpec).parameters
+    options = [p for p in gen_cmd.params if p.name in spec and spec[p.name].default is not inspect.Parameter.empty]
+    assert len(options) == 7
+    for option in options:
+        assert option.default == spec[option.name].default, option.name
 
 
 def dense_matrix_csv(config_path, start, end, kappa, tmp_path):

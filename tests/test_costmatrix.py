@@ -21,8 +21,6 @@ from retrainer import (
     QueryBatch,
     Strategy,
     StreamSpec,
-    cumulative_cost_trace,
-    fit_model,
     generate_stream,
     oracle_strategy,
     replay_policy,
@@ -30,8 +28,8 @@ from retrainer import (
     validate_strategy,
 )
 from retrainer import costmatrix
-from retrainer.costmatrix import StreamCosts
-from retrainer.models import ForestClassifier, LogisticClassifier
+from retrainer.costmatrix import StreamCosts, cumulative_cost_trace
+from retrainer.models import ForestClassifier, LogisticClassifier, fit_model
 from retrainer.policies import (
     AdwinPolicy,
     CumulativeThresholdPolicy,

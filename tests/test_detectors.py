@@ -10,6 +10,7 @@ from retrainer import InvalidInputError
 from retrainer.policies import AdwinPolicy, DdmPolicy, DriftDetectorPolicy
 
 NON_BINARY = (2, -1, 0.5, 1.9, math.nan, "1", None)
+NOT_A_BATCH = (np.array([[0, 1]]), 1)  # a 2-D batch and a scalar
 
 
 def first_detection(detector, bits):
@@ -90,6 +91,9 @@ class TestDdm:
             for errors in ([bad], [0, 1, bad]):
                 with pytest.raises(InvalidInputError):
                     DdmPolicy().decide(0, errors=errors)
+        for errors in NOT_A_BATCH:
+            with pytest.raises(InvalidInputError, match="1-D array"):
+                DdmPolicy().decide(0, errors=errors)
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidInputError):
@@ -159,6 +163,9 @@ class TestAdwin:
             for errors in ([bad], [0, 1, bad], np.array([0, 1, bad])):
                 with pytest.raises(InvalidInputError):
                     AdwinPolicy().decide(0, errors=errors)
+        for errors in NOT_A_BATCH:
+            with pytest.raises(InvalidInputError, match="1-D array"):
+                AdwinPolicy().decide(0, errors=errors)
 
     def test_batch_is_checked_before_any_bit_is_read(self):
         # the bad bit follows a detection, which the pass would stop at

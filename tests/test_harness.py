@@ -1,4 +1,5 @@
 import csv
+import inspect
 import math
 import re
 import warnings
@@ -24,7 +25,6 @@ from retrainer import (
     generate_stream,
     load_csv_stream,
     make_policy,
-    render_summary,
     replay_policy,
     report,
     results_from_csv,
@@ -36,10 +36,10 @@ from retrainer import (
 )
 from retrainer import harness
 from retrainer.costmatrix import StreamCosts
-from retrainer.harness import PolicySpec
-from retrainer.models import LogisticClassifier
+from retrainer.harness import PolicySpec, render_summary
+from retrainer.models import MODEL_KINDS, LogisticClassifier
 from retrainer.oracle import oracle_strategy
-from retrainer.policies import MarkovPolicy
+from retrainer.policies import POLICY_KINDS, MarkovPolicy
 
 
 def write_plain_csv(path, n_rows, d=2, seed=0):
@@ -128,6 +128,13 @@ class TestLoadCsvStream:
         path.write_text("wrong,header\n")
         with pytest.raises(StreamParseError):
             load_csv_stream(path, 1)
+
+    @pytest.mark.parametrize("n_batches", [0, 2.5, "4", True])
+    def test_n_batches_must_be_a_positive_integer(self, tmp_path, n_batches):
+        path = tmp_path / "s.csv"
+        write_plain_csv(path, 100)
+        with pytest.raises(InvalidInputError, match="n_batches"):
+            load_csv_stream(path, n_batches)
 
     @pytest.mark.parametrize("q", [0, -1, 2.5, "3"])
     def test_queries_per_batch_must_be_a_positive_integer(self, tmp_path, q):
@@ -733,7 +740,7 @@ class TestRunConfig:
             ({"kind": "logistic", "learning_rate": "0.1"}, "learning_rate must be a number, got '0.1'"),
             ({"kind": "logistic", "learning_rate": math.nan}, "learning_rate must be > 0"),
             ({"kind": "logistic", "l2": False}, "l2 must be a number, got False"),
-            ({"kind": "logistic", "seed": "x"}, "seed must be an integer, got 'x'"),
+            ({"kind": "logistic", "seed": "x"}, "unknown logistic model key 'seed'"),
             ({"kind": "forest", "seed": 2.5}, "seed must be an integer, got 2.5"),
             ({"kind": "forest", "seed": -1}, "seed must be >= 0"),
             ({"kind": "forest", "bootstrap": "false"}, "bootstrap must be a bool, got 'false'"),
@@ -815,3 +822,18 @@ class TestRunConfig:
         }
         with pytest.raises(InvalidInputError, match="adwin policy params: delta must be in"):
             RunConfig.from_dict(raw)
+
+
+# arguments for the constructors that have required parameters; the rest are built with their defaults
+REQUIRED_ARGS = {"threshold": {"tau": 0.5}, "cumulative": {"tau_cum": 1.5}, "periodic": {"period": 3, "offset": 1}}
+
+
+@pytest.mark.parametrize(
+    "name, cls", [*POLICY_KINDS.items(), *MODEL_KINDS.items()], ids=[*POLICY_KINDS, *MODEL_KINDS]
+)
+def test_get_params_reads_the_constructor_signature(name, cls):
+    obj = cls(**REQUIRED_ARGS.get(name, {}))
+    params = obj.get_params()
+    assert list(params) == list(inspect.signature(cls).parameters)
+    assert all(type(value) in (bool, int, float) for value in params.values())
+    assert cls(**params).get_params() == params

@@ -17,8 +17,8 @@ from helpers import (
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from retrainer import DataBatch, InvalidInputError, StreamSpec, fit_model, generate_stream, models
-from retrainer.models import _TABLE_CELLS_PER_NODE, ForestClassifier, LogisticClassifier
+from retrainer import DataBatch, InvalidInputError, StreamSpec, generate_stream, models
+from retrainer.models import _TABLE_CELLS_PER_NODE, ForestClassifier, LogisticClassifier, fit_model
 
 
 # one feature, sorted; where a midpoint threshold fails, the forest cannot
@@ -102,7 +102,7 @@ class TestLogistic:
 
     def test_determinism_across_fits(self):
         batch = separable_batch()
-        proto = LogisticClassifier(learning_rate=0.5, epochs=200, seed=3)
+        proto = LogisticClassifier(learning_rate=0.5, epochs=200)
         a = fit_model(batch, proto)
         b = fit_model(batch, proto)
         assert np.array_equal(a.predict(PROBE), b.predict(PROBE))
@@ -370,8 +370,11 @@ def test_predict_batches_equals_predict_on_each(kind):
         model.predict_batches([rng.normal(size=(4, 2)), rng.normal(size=(5, 2))])
 
 
-def test_get_params_roundtrip_clone():
+def test_fit_model_leaves_the_prototype_unfitted():
     proto = ForestClassifier(n_trees=7, max_depth=2, feature_fraction=0.5, bootstrap=False, seed=9)
-    clone = proto.clone()
-    assert clone.get_params() == proto.get_params()
-    assert clone is not proto
+    fitted = fit_model(separable_batch(), proto)
+    assert fitted is not proto and fitted.trained_at_ == 0
+    assert fitted.get_params() == proto.get_params()
+    assert not hasattr(proto, "n_features_in_") and not hasattr(proto, "trained_at_")
+    with pytest.raises(InvalidInputError, match="not fitted"):
+        proto.predict([[0.0, 0.0]])

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from retrainer import (
     CostMatrix,
     RunConfig,
-    memoize_dp,
     optimize_offline,
     oracle_strategy,
     replay_policy,
@@ -19,7 +18,7 @@ from retrainer import (
 )
 from retrainer.cli import main
 from retrainer.costmatrix import format_value, write_csv
-from retrainer.oracle import dp_rows
+from retrainer.oracle import dp_rows, memoize_dp
 from retrainer.policies import (
     CumulativeThresholdPolicy,
     MarkovPolicy,

@@ -11,10 +11,9 @@ from retrainer import (
     InvalidInputError,
     QueryBatch,
     StreamCosts,
-    fit_model,
 )
 from retrainer.costmatrix import rbf_weights
-from retrainer.models import LogisticClassifier
+from retrainer.models import LogisticClassifier, fit_model
 
 K1 = 1.0
 
