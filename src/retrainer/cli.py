@@ -8,6 +8,7 @@ beyond argument handling lives in the library modules.
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import replace
 
@@ -15,6 +16,7 @@ import click
 
 from .costmatrix import cumulative_cost_trace, format_value, write_csv
 from .datagen import DATASETS, QUERY_MODES, StreamSpec, generate_stream
+from .errors import InvalidInputError
 from .harness import (
     PolicySpec,
     RunConfig,
@@ -35,10 +37,28 @@ def main():
     """Cost-aware retraining decisions over batched data and query streams."""
 
 
+def _subcommand(name=None):
+    """Register a command of ``main`` that reports an input the library
+    refuses (``InvalidInputError``, and so ``StreamParseError``) as one
+    ``Error:`` line and exit code 1, not a traceback."""
+
+    def register(callback):
+        @functools.wraps(callback)
+        def run(**kwargs):
+            try:
+                return callback(**kwargs)
+            except InvalidInputError as exc:
+                raise click.ClickException(str(exc)) from exc
+
+        return main.command(name)(run)
+
+    return register
+
+
 _SPEC = inspect.signature(StreamSpec).parameters
 
 
-@main.command()
+@_subcommand()
 @click.option("--dataset", type=click.Choice(DATASETS), required=True)
 @click.option("--n-batches", default=_SPEC["n_batches"].default, show_default=True)
 @click.option("--batch-size", default=_SPEC["batch_size"].default, show_default=True)
@@ -65,7 +85,7 @@ def _narrow(cfg: RunConfig, seed, kappa) -> RunConfig:
     )
 
 
-@main.command("cost-matrix")
+@_subcommand("cost-matrix")
 @click.option("--config", "config_path", type=click.Path(exists=True), required=True)
 @click.option("--phase", type=click.Choice(["offline", "online"]), default="offline", show_default=True)
 @click.option("--kappa", type=float, default=None, help="defaults to the first configured value")
@@ -84,7 +104,7 @@ def cost_matrix_cmd(config_path, phase, kappa, seed, out):
     click.echo(f"wrote {phase} cost matrix [{start}, {end}] at kappa={kappa} to {out}")
 
 
-@main.command("oracle")
+@_subcommand("oracle")
 @click.option("--config", "config_path", type=click.Path(exists=True), required=True)
 @click.option("--kappa", type=float, default=None)
 @click.option("--seed", type=int, default=None)
@@ -108,7 +128,7 @@ def oracle_cmd(config_path, kappa, seed, out, table_out):
         write_csv(table_out, ["t", "p", "value"], rows)
 
 
-@main.command("run")
+@_subcommand("run")
 @click.option("--config", "config_path", type=click.Path(exists=True), required=True)
 @click.option("--policy", "policy_name", required=True)
 @click.option("--kappa", type=float, default=None)
@@ -138,7 +158,7 @@ def run_cmd(config_path, policy_name, kappa, seed, trace_out):
         write_csv(trace_out, ["t", "cumulative_cost"], rows)
 
 
-@main.command("sweep")
+@_subcommand("sweep")
 @click.option("--config", "config_path", type=click.Path(exists=True), required=True)
 @click.option("--out", type=click.Path(), default=None, help="defaults to the config's output path")
 def sweep_cmd(config_path, out):
@@ -153,7 +173,7 @@ def sweep_cmd(config_path, out):
     click.echo(render_summary(report(results)))
 
 
-@main.command("report")
+@_subcommand("report")
 @click.option("--results", "results_path", type=click.Path(exists=True), required=True)
 @click.option("--out", type=click.Path(), default=None, help="also write the summary as CSV")
 def report_cmd(results_path, out):

@@ -181,8 +181,9 @@ def format_value(x: float) -> str:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a header line and then the rows; every CSV the package writes
-    goes through here."""
+    """Write a header line and then the rows through ``csv.writer``. Every CSV
+    the package writes goes through here except the stream CSV, whose cells
+    never need quoting (see ``harness.save_stream_csv``)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

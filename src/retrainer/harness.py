@@ -434,24 +434,32 @@ def _rebatch_rows(X, y, n_batches, seed, queries_per_batch):
 
 
 def save_stream_csv(path, data, queries) -> None:
-    """Write a stream in the shared CSV format (data rows then query rows per
-    batch; query labels are required)."""
+    """Write a stream in the shared CSV format: per batch its data rows, then
+    its query rows, whose labels are required (checked before the file opens).
+
+    The lines are built as text, not through ``write_csv``: every cell is an
+    integer or a finite float (batches refuse non-finite points), so none
+    needs quoting, and the bytes are ``csv.writer``'s, CRLF line ends and
+    ``repr`` floats included, at a fraction of its per-cell cost."""
     if not data:
         raise InvalidInputError("nothing to save: empty data stream")
+    for q in queries:
+        if q.eval_labels is None:
+            raise InvalidInputError(f"query batch {q.t} has no labels to save")
     query_by_t = {q.t: q for q in queries}
-
-    def rows():
+    header = ["t"] + [f"f{i}" for i in range(data[0].dim)] + ["label", "is_query"]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
         for batch in data:
-            for x, y in zip(batch.X, batch.y):
-                yield [batch.t] + [format_value(v) for v in x] + [int(y), 0]
+            fh.write(_stream_lines(batch.t, batch.X, batch.y, 0))
             q = query_by_t.get(batch.t)
             if q is not None:
-                if q.eval_labels is None:
-                    raise InvalidInputError(f"query batch {q.t} has no labels to save")
-                for x, y in zip(q.X, q.eval_labels):
-                    yield [batch.t] + [format_value(v) for v in x] + [int(y), 1]
+                fh.write(_stream_lines(batch.t, q.X, q.eval_labels, 1))
 
-    write_csv(path, ["t"] + [f"f{i}" for i in range(data[0].dim)] + ["label", "is_query"], rows())
+
+def _stream_lines(t, X, labels, is_query) -> str:
+    rows = zip(X.tolist(), labels.tolist())
+    return "".join(f"{t},{','.join(map(repr, x))},{label},{is_query}\r\n" for x, label in rows)
 
 
 def run_sweep(cfg: RunConfig, cost_cache: dict | None = None) -> list[RunResult]:

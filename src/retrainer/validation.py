@@ -29,14 +29,16 @@ def as_point_matrix(X, name: str = "X") -> np.ndarray:
 
 
 def as_binary_labels(y, n: int | None = None, name: str = "y") -> np.ndarray:
-    """Coerce to a 1-D int64 array of {0, 1} labels, optionally checking length."""
+    """Coerce to a 1-D int64 array of {0, 1} labels, optionally checking
+    length. Float labels are checked before the cast, so 0.5 or NaN is
+    refused, not truncated to 0."""
     arr = np.asarray(y)
-    if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
-        raise InvalidInputError(f"{name} contains NaN or infinite entries")
+    if arr.dtype.kind == "f" and not ((arr == 0) | (arr == 1)).all():
+        raise InvalidInputError(f"{name} must contain only 0/1 labels")
     arr = arr.astype(np.int64, copy=False).ravel()
     if n is not None and arr.size != n:
         raise InvalidInputError(f"{name} has length {arr.size}, expected {n}")
-    if arr.size and not np.isin(arr, (0, 1)).all():
+    if not ((arr == 0) | (arr == 1)).all():
         raise InvalidInputError(f"{name} must contain only 0/1 labels")
     return np.ascontiguousarray(arr)
 

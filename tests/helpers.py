@@ -22,7 +22,7 @@ from retrainer import (
     replay_policy,
     strategy_cost,
 )
-from retrainer.costmatrix import rbf_weights
+from retrainer.costmatrix import format_value, rbf_weights, write_csv
 from retrainer.models import LogisticClassifier
 from retrainer.policies import CumulativeThresholdPolicy, PeriodicPolicy, ThresholdPolicy
 from retrainer.validation import check_same_dim
@@ -81,6 +81,23 @@ def reference_dp_table(c: CostMatrix):
             V[t, 1:t] = E[1:t, t] + prev[1:t]
         V[t, t] = E[t, t] + prev[:t].min()
     return V
+
+
+def reference_save_stream_csv(path, data, queries):
+    """The stream CSV as ``csv.writer`` writes it, each feature through
+    ``format_value``: the bytes ``save_stream_csv`` must write."""
+    query_by_t = {q.t: q for q in queries}
+
+    def rows():
+        for batch in data:
+            for x, y in zip(batch.X, batch.y):
+                yield [batch.t] + [format_value(v) for v in x] + [int(y), 0]
+            q = query_by_t.get(batch.t)
+            if q is not None:
+                for x, y in zip(q.X, q.eval_labels):
+                    yield [batch.t] + [format_value(v) for v in x] + [int(y), 1]
+
+    write_csv(path, ["t"] + [f"f{i}" for i in range(data[0].dim)] + ["label", "is_query"], rows())
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import inspect
 import json
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from retrainer import InvalidInputError, RunConfig, StreamParseError, StreamSpec, load_csv_stream, results_from_csv
+from retrainer import RunConfig, StreamSpec, load_csv_stream, results_from_csv
 from retrainer.cli import gen as gen_cmd, main
 from retrainer.costmatrix import format_value, write_csv
 from retrainer.harness import RESULT_COLUMNS
@@ -56,6 +57,20 @@ def test_gen_writes_loadable_stream(runner, tmp_path):
     data, queries = load_csv_stream(out, 6)
     assert len(data) == 6 and data[0].size == 40
     assert all(q.size == 4 for q in queries)
+
+
+def test_gen_writes_the_pinned_bytes(runner, tmp_path):
+    # sha256 of this file as written through csv.writer, one format_value per feature
+    out = tmp_path / "stream.csv"
+    result = runner.invoke(
+        main,
+        ["gen", "--dataset", "gauss", "--n-batches", "3", "--batch-size", "8",
+         "--queries", "3", "--seed", "5", "--out", str(out)],
+    )
+    assert result.exit_code == 0, result.output
+    lines = out.read_bytes().split(b"\r\n")
+    assert lines[-1] == b"" and sum(line.endswith(b",1") for line in lines) == 3 * 3  # the query rows
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == "784ac20a6928b67b30299f6967c5f49224c8b0f1feb885bd75dcf6e264167e6a"
 
 
 def test_gen_defaults_are_the_stream_spec_defaults():
@@ -136,9 +151,7 @@ def test_run_subcommand_policy_resolution(runner, config_path, monkeypatch):
 
     monkeypatch.setattr(RunConfig, "costs_for_seed", no_costs)
     result = runner.invoke(main, ["run", "--config", str(config_path), "--policy", "bogus"])
-    assert result.exit_code != 0
-    assert isinstance(result.exception, InvalidInputError)
-    assert "'bogus'" in str(result.exception)
+    assert "'bogus'" in refusal(result)
 
 
 RUN_FIELDS = ("strategy_cost", "oracle_cost", "scpe", "n_retrains", "query_accuracy", "strategy")
@@ -182,10 +195,40 @@ def test_report_refuses_a_row_no_sweep_writes(runner, tmp_path):
     path = tmp_path / "results.csv"
     path.write_text(",".join(RESULT_COLUMNS) + "\ngauss,never,5.0,0,3.5,2.5,0.4,-3,0.9,0:0 0 0\n")
     result = runner.invoke(main, ["report", "--results", str(path)])
-    assert result.exit_code != 0
-    assert isinstance(result.exception, StreamParseError) and result.exception.row == 2
-    assert "n_retrains must be >= 1, got -3" in str(result.exception)
+    assert refusal(result).startswith("row 2: n_retrains must be >= 1, got -3")
     assert "-3.00" not in result.output
+
+
+def refusal(result) -> str:
+    """The message of a command that refused its input: exit code 1 and a
+    single ``Error:`` line, not a traceback. It reads ``output``, which holds
+    stderr under click 8.1's default runner too; ``stderr`` would not."""
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.exception
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
+    return lines[0].removeprefix("Error: ")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["gen", "--dataset", "gauss", "--n-batches", "0", "--out", "{tmp}/x.csv"], "n_batches must be >= 1"),
+        (["cost-matrix", "--config", "{config}", "--kappa", "-1", "--out", "{tmp}/m.csv"], "kappas must be >= 0"),
+        (["oracle", "--config", "{config}", "--seed", "-1"], "seeds must be >= 0"),
+        (["run", "--config", "{config}", "--policy", "never", "--kappa", "nan"], "kappas must be finite, got nan"),
+        (["sweep", "--config", "{tmp}/short.json"], "t_online 13 needs 14 batches, stream has 10"),
+        (["report", "--results", "{tmp}/bad.csv"], "unexpected results header: ['x']"),
+    ],
+    ids=["gen", "cost-matrix", "oracle", "run", "sweep", "report"],
+)
+def test_a_refused_input_prints_one_error_line(runner, config_path, tmp_path, args, message):
+    cfg = json.loads(config_path.read_text())
+    cfg["stream"]["n_batches"] = 10
+    (tmp_path / "short.json").write_text(json.dumps(cfg))
+    (tmp_path / "bad.csv").write_text("x\n")
+    result = runner.invoke(main, [arg.format(config=config_path, tmp=tmp_path) for arg in args])
+    assert refusal(result).startswith(message)
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "m.csv").exists()
 
 
 def test_sweep_requires_output_path(runner, config_path, tmp_path):

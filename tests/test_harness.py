@@ -8,8 +8,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import brute_force_optimum, random_cost_matrix
+from helpers import brute_force_optimum, random_cost_matrix, reference_save_stream_csv
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from retrainer import (
     CsvStream,
@@ -265,6 +266,50 @@ class TestLoadCsvStream:
                 assert a.X.shape == b.X.shape and a.X.tobytes() == b.X.tobytes()
                 labels_a, labels_b = (a.y, b.y) if isinstance(a, DataBatch) else (a.eval_labels, b.eval_labels)
                 assert labels_a.dtype == labels_b.dtype and np.array_equal(labels_a, labels_b)
+
+
+# any finite feature, with the cells whose text is easiest to get wrong
+STREAM_FEATURES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1e16, 0.1]),
+    st.integers(-(10**6), 10**6).map(float),
+)
+
+
+@st.composite
+def saved_streams(draw):
+    """(data, queries): one to four batches at indices >= 10, with d from 1
+    to 5, each with a labeled query batch or, in half the streams, none."""
+    d = draw(st.integers(1, 5))
+    ts = sorted(draw(st.lists(st.integers(10, 10**9), min_size=1, max_size=4, unique=True)))
+
+    def batch(cls, t, n):
+        X = draw(hnp.arrays(np.float64, (n, d), elements=STREAM_FEATURES))
+        return cls(t, X, draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1))))
+
+    data = [batch(DataBatch, t, draw(st.integers(1, 6))) for t in ts]
+    if not draw(st.booleans()):
+        return data, []
+    return data, [batch(QueryBatch, t, draw(st.integers(1, 3))) for t in ts]
+
+
+class TestSaveStreamCsv:
+    @settings(max_examples=60, deadline=None)
+    @given(stream=saved_streams())
+    def test_writes_the_csv_writer_bytes(self, tmp_path_factory, stream):
+        data, queries = stream
+        folder = tmp_path_factory.mktemp("saved")
+        save_stream_csv(folder / "new.csv", data, queries)
+        reference_save_stream_csv(folder / "reference.csv", data, queries)
+        assert (folder / "new.csv").read_bytes() == (folder / "reference.csv").read_bytes()
+
+    def test_unlabeled_queries_are_refused_before_the_file_opens(self, tmp_path):
+        data = [DataBatch(t, np.zeros((2, 2)), [0, 1]) for t in range(3)]
+        queries = [QueryBatch(0, np.zeros((1, 2)), [1]), QueryBatch(2, np.ones((1, 2)))]
+        path = tmp_path / "s.csv"
+        with pytest.raises(InvalidInputError, match="query batch 2 has no labels to save"):
+            save_stream_csv(path, data, queries)
+        assert not path.exists()
 
 
 def constant_batch(t, label, base=0.0):

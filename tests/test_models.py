@@ -17,7 +17,7 @@ from helpers import (
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from retrainer import DataBatch, InvalidInputError, StreamSpec, generate_stream, models
+from retrainer import DataBatch, InvalidInputError, QueryBatch, StreamSpec, generate_stream, models
 from retrainer.models import _TABLE_CELLS_PER_NODE, ForestClassifier, LogisticClassifier, fit_model
 
 
@@ -378,3 +378,26 @@ def test_fit_model_leaves_the_prototype_unfitted():
     assert not hasattr(proto, "n_features_in_") and not hasattr(proto, "trained_at_")
     with pytest.raises(InvalidInputError, match="not fitted"):
         proto.predict([[0.0, 0.0]])
+
+
+@pytest.mark.parametrize("labels", [[0.5, 1.9], [0.7, 0.2], [1.0, -0.0001], [0.0, math.nan], [1.0, math.inf]])
+def test_float_labels_other_than_zero_and_one_are_refused(labels):
+    # a cast to int would truncate them: [0.5, 1.9] to [0, 1], [0.7, 0.2] to a constant 0
+    X = np.zeros((2, 2))
+    for load in (
+        lambda: DataBatch(0, X, labels),
+        lambda: QueryBatch(0, X, labels),
+        lambda: LogisticClassifier().fit(X, labels),
+        lambda: ForestClassifier().fit(X, labels),
+    ):
+        with pytest.raises(InvalidInputError, match="must contain only 0/1 labels"):
+            load()
+
+
+def test_integral_float_labels_load():
+    X = np.array([[0.0, 0.0], [1.0, 1.0]])
+    for batch in (DataBatch(0, X, [0.0, 1.0]), QueryBatch(0, X, np.array([0.0, 1.0]))):
+        labels = batch.y if isinstance(batch, DataBatch) else batch.eval_labels
+        assert labels.dtype == np.int64 and labels.tolist() == [0, 1]
+    model = LogisticClassifier().fit(X, [0.0, 1.0])
+    assert model.constant_ is None and model.predict(X).tolist() == [0, 1]
