@@ -72,7 +72,7 @@ def evaluate_prequential(strategy: Strategy, costs: StreamCosts) -> float:
         if batch.eval_labels is None:
             raise InvalidInputError(f"query batch {t} has no eval labels")
         preds = costs.query_predictions(serving, t)
-        accs.append(float(np.mean(preds == batch.eval_labels)))
+        accs.append(np.count_nonzero(preds == batch.eval_labels) / preds.size)
     return float(np.mean(accs))
 
 
@@ -435,7 +435,8 @@ def _rebatch_rows(X, y, n_batches, seed, queries_per_batch):
 
 def save_stream_csv(path, data, queries) -> None:
     """Write a stream in the shared CSV format: per batch its data rows, then
-    its query rows, whose labels are required (checked before the file opens).
+    its query rows. Each query batch needs labels and a data batch of its
+    index, and no two share an index (all checked before the file opens).
 
     The lines are built as text, not through ``write_csv``: every cell is an
     integer or a finite float (batches refuse non-finite points), so none
@@ -443,10 +444,15 @@ def save_stream_csv(path, data, queries) -> None:
     ``repr`` floats included, at a fraction of its per-cell cost."""
     if not data:
         raise InvalidInputError("nothing to save: empty data stream")
+    data_ts, query_by_t = {batch.t for batch in data}, {}
     for q in queries:
         if q.eval_labels is None:
             raise InvalidInputError(f"query batch {q.t} has no labels to save")
-    query_by_t = {q.t: q for q in queries}
+        if q.t not in data_ts:
+            raise InvalidInputError(f"query batch {q.t} has no data batch {q.t} to be saved with")
+        if q.t in query_by_t:
+            raise InvalidInputError(f"two query batches have index {q.t}")
+        query_by_t[q.t] = q
     header = ["t"] + [f"f{i}" for i in range(data[0].dim)] + ["label", "is_query"]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")

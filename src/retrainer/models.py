@@ -43,19 +43,20 @@ from .streams import DataBatch
 from .validation import as_binary_labels, as_int, as_point_matrix, check_fitted, check_number, check_same_dim
 
 
-def _sigmoid_inplace(z: np.ndarray, e: np.ndarray) -> None:
+def _sigmoid_inplace(buf: np.ndarray, e: np.ndarray, z: np.ndarray) -> None:
     """Overwrite ``z`` with the numerically stable logistic function of
     ``z`` clipped to [-500, 500]: 1 / (1 + e^-z) for z >= 0 and
     e^z / (1 + e^z) below, with e = exp(-|z|) serving both. The numerator
     is exp(min(z, 0)), which is exactly 1 for z >= 0 and the same float as e
-    below. ``e`` is a float64 scratch buffer of z's shape."""
-    np.minimum(z, 500.0, out=z)  # np.clip, without its Python-level wrapper
-    np.maximum(z, -500.0, out=z)
+    below. ``e`` (scratch) and ``z`` are the first and second halves of the
+    float64 buffer ``buf``, so one clamp and one exp serve both exponents.
+    Clamping an exponent at -500 is the clip exactly: max(-|z|, -500) ==
+    -|clip(z)| and max(min(z, 0), -500) == min(clip(z), 0)."""
     np.abs(z, out=e)
     np.negative(e, out=e)
-    np.exp(e, out=e)
     np.minimum(z, 0.0, out=z)
-    np.exp(z, out=z)
+    np.maximum(buf, -500.0, out=buf)
+    np.exp(buf, out=buf)
     e += 1.0
     z /= e
 
@@ -149,9 +150,10 @@ class LogisticClassifier(BaseClassifier):
     ``w -= learning_rate * (X.T @ residual / n + l2 * w)`` and
     ``b -= learning_rate * mean(residual)``. A fit allocates its per-epoch
     arrays once and writes every epoch into them in place. The arithmetic
-    and its order are those of the expressions above (the sigmoid's
-    numerator is an equal form, see ``_sigmoid_inplace``), so the weights
-    are the same bit for bit.
+    and its order are those of the expressions above (the sigmoid's clip
+    and numerator are equal forms, see ``_sigmoid_inplace``, and the
+    products are ``np.dot``, the BLAS call ``@`` makes), so the weights are
+    the same bit for bit.
     """
 
     def __init__(self, learning_rate: float = 0.1, epochs: int = 100, l2: float = 0.0):
@@ -173,24 +175,24 @@ class LogisticClassifier(BaseClassifier):
         w = np.zeros(d)
         b = 0.0
         if self.constant_ is None:
-            yf = y.astype(np.float64)
-            z, e = np.empty(n), np.empty(n)
-            grad, penalty = np.empty(d), np.empty(d)
+            yf, XT, lr, l2 = y.astype(np.float64), X.T, self.learning_rate, self.l2
+            buf, grad, penalty = np.empty(2 * n), np.empty(d), np.empty(d)
+            e, z = buf[:n], buf[n:]
             for _ in range(self.epochs):
                 # residual = sigmoid(X @ w + b) - y, written into z
-                np.matmul(X, w, out=z)
+                np.dot(X, w, out=z)
                 z += b
-                _sigmoid_inplace(z, e)
+                _sigmoid_inplace(buf, e, z)
                 z -= yf
                 # w -= learning_rate * (X.T @ residual / n + l2 * w)
-                np.matmul(X.T, z, out=grad)
+                np.dot(XT, z, out=grad)
                 grad /= n
-                np.multiply(w, self.l2, out=penalty)
+                np.multiply(w, l2, out=penalty)
                 grad += penalty
-                grad *= self.learning_rate
+                grad *= lr
                 w -= grad
-                # np.add.reduce(z) / n is what z.mean() computes, bit for bit
-                b -= self.learning_rate * float(np.add.reduce(z) / n)
+                # the sum over n, correctly rounded, is what z.mean() computes
+                b -= lr * (float(np.add.reduce(z)) / n)
         self.coef_ = w
         self.intercept_ = b
 
@@ -200,7 +202,7 @@ class LogisticClassifier(BaseClassifier):
         margin = np.empty(X.shape[0])
         lo = 0
         for size in sizes:
-            np.matmul(X[lo : lo + size], self.coef_, out=margin[lo : lo + size])
+            np.dot(X[lo : lo + size], self.coef_, out=margin[lo : lo + size])
             lo += size
         margin += self.intercept_
         # probability 0.5 (margin exactly 0) resolves to class 0

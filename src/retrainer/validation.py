@@ -30,9 +30,12 @@ def as_point_matrix(X, name: str = "X") -> np.ndarray:
 
 def as_binary_labels(y, n: int | None = None, name: str = "y") -> np.ndarray:
     """Coerce to a 1-D int64 array of {0, 1} labels, optionally checking
-    length. Float labels are checked before the cast, so 0.5 or NaN is
+    length. Labels that are not bool, integer or float (strings, None) are
+    refused, and float labels are checked before the cast, so 0.5 or NaN is
     refused, not truncated to 0."""
     arr = np.asarray(y)
+    if arr.dtype.kind not in "biuf":
+        raise InvalidInputError(f"{name} must contain only 0/1 labels, got {arr.dtype} labels")
     if arr.dtype.kind == "f" and not ((arr == 0) | (arr == 1)).all():
         raise InvalidInputError(f"{name} must contain only 0/1 labels")
     arr = arr.astype(np.int64, copy=False).ravel()

@@ -311,6 +311,24 @@ class TestSaveStreamCsv:
             save_stream_csv(path, data, queries)
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "query_ts, message",
+        [
+            ([0, 1, 2, 7], "query batch 7 has no data batch 7"),
+            ([0, 1, 1, 2], "two query batches have index 1"),
+            ([2, 0, 2], "two query batches have index 2"),
+        ],
+    )
+    def test_stray_or_duplicate_queries_are_refused_before_the_file_opens(self, tmp_path, query_ts, message):
+        # each would lose query rows: a stray batch has no data rows to
+        # follow, and of two batches at one index only the last was written
+        data = [DataBatch(t, np.zeros((2, 2)), [0, 1]) for t in range(3)]
+        queries = [QueryBatch(t, np.full((1, 2), float(k)), [1]) for k, t in enumerate(query_ts)]
+        path = tmp_path / "s.csv"
+        with pytest.raises(InvalidInputError, match=message):
+            save_stream_csv(path, data, queries)
+        assert not path.exists()
+
 
 def constant_batch(t, label, base=0.0):
     X = np.array([[base, 0.0], [base + 1.0, 1.0], [base + 2.0, 0.5]])

@@ -64,30 +64,47 @@ class TestLogistic:
         )
     )
     def test_sigmoid_equals_the_masked_form(self, z):
-        out = z.copy()
-        models._sigmoid_inplace(out, np.empty_like(z))
-        assert np.array_equal(out, reference_sigmoid(z))
+        buf = np.concatenate([np.empty_like(z), z])
+        models._sigmoid_inplace(buf, buf[: z.size], buf[z.size :])
+        assert np.array_equal(buf[z.size :], reference_sigmoid(z))
 
     @settings(max_examples=150, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(1, 300),
         d=st.integers(1, 8),
-        scale=st.sampled_from([1.0, 50.0, 1e4]),
+        scale=st.sampled_from([1.0, 50.0, 1e4, 1e306]),
         learning_rate=st.sampled_from([1e-3, 0.1, 0.5, 2.0]),
         epochs=st.integers(1, 50),
         l2=st.sampled_from([0.0, 1e-3, 0.5]),
         single_class=st.booleans(),
     )
     def test_fit_equals_the_per_epoch_expression(self, seed, n, d, scale, learning_rate, epochs, l2, single_class):
-        # a scale of 1e4 pushes margins past +-500, so the clip is active
+        # a scale of 1e4 pushes margins past +-500, so the clip is active;
+        # 1e306 overflows the products to inf and the weights to NaN, which
+        # numpy reports on both sides alike
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(n, d)) * scale
         y = np.full(n, seed % 2) if single_class else rng.integers(0, 2, n)
-        model = LogisticClassifier(learning_rate=learning_rate, epochs=epochs, l2=l2).fit(X, y)
-        w, b = reference_logistic_fit(X, y, learning_rate, epochs, l2)
+        with np.errstate(**({"over": "ignore", "invalid": "ignore"} if scale == 1e306 else {})):
+            model = LogisticClassifier(learning_rate=learning_rate, epochs=epochs, l2=l2).fit(X, y)
+            w, b = reference_logistic_fit(X, y, learning_rate, epochs, l2)
         assert model.coef_.tobytes() == w.tobytes()
-        assert model.intercept_ == b and type(model.intercept_) is float
+        assert np.float64(model.intercept_).tobytes() == np.float64(b).tobytes()
+        assert type(model.intercept_) is float
+
+    def test_overflow_gives_the_reference_nan(self):
+        # X^T r overflows to inf in the first epoch, so the weight steps to
+        # -inf; the penalty w * l2 is then 0 * -inf, NaN, even with l2 == 0
+        X = np.full((200, 1), 1e308)
+        y = np.zeros(200, dtype=np.int64)
+        y[0] = 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            model = LogisticClassifier(learning_rate=0.5, epochs=3, l2=0.0).fit(X, y)
+            w, b = reference_logistic_fit(X, y, 0.5, 3, 0.0)
+        assert np.isnan(w).all()
+        assert model.coef_.tobytes() == w.tobytes()
+        assert np.float64(model.intercept_).tobytes() == np.float64(b).tobytes()
 
     def test_separable_training_accuracy(self):
         batch = separable_batch()
@@ -392,6 +409,29 @@ def test_float_labels_other_than_zero_and_one_are_refused(labels):
     ):
         with pytest.raises(InvalidInputError, match="must contain only 0/1 labels"):
             load()
+
+
+@pytest.mark.parametrize("labels", [["0", "1"], ["a", "1"], ["0", "0.5"], [None, 1], [b"0", b"1"], [0j, 1 + 0j]])
+def test_labels_that_are_not_numbers_are_refused(labels):
+    # a cast to int would read "0" and "1" as labels and raise numpy's own
+    # ValueError or TypeError on the rest
+    X = np.zeros((2, 2))
+    for load in (
+        lambda: DataBatch(0, X, labels),
+        lambda: QueryBatch(0, X, labels),
+        lambda: LogisticClassifier().fit(X, labels),
+        lambda: ForestClassifier().fit(X, labels),
+    ):
+        with pytest.raises(InvalidInputError, match=r"(y|eval_labels) must contain only 0/1 labels, got \S+ labels"):
+            load()
+
+
+@pytest.mark.parametrize("labels", [[0, 1], [0.0, 1.0], [True, False], np.array([1, 0], dtype=np.uint8)])
+def test_numeric_labels_load(labels):
+    X = np.array([[0.0, 0.0], [1.0, 1.0]])
+    want = [int(v) for v in labels]
+    assert DataBatch(0, X, labels).y.tolist() == want
+    assert QueryBatch(0, X, labels).eval_labels.tolist() == want
 
 
 def test_integral_float_labels_load():
