@@ -435,8 +435,9 @@ def _rebatch_rows(X, y, n_batches, seed, queries_per_batch):
 
 def save_stream_csv(path, data, queries) -> None:
     """Write a stream in the shared CSV format: per batch its data rows, then
-    its query rows. Each query batch needs labels and a data batch of its
-    index, and no two share an index (all checked before the file opens).
+    its query rows. No two data batches share an index, each query batch
+    needs labels and a data batch of its index, and no two query batches
+    share an index (all checked before the file opens).
 
     The lines are built as text, not through ``write_csv``: every cell is an
     integer or a finite float (batches refuse non-finite points), so none
@@ -444,7 +445,11 @@ def save_stream_csv(path, data, queries) -> None:
     ``repr`` floats included, at a fraction of its per-cell cost."""
     if not data:
         raise InvalidInputError("nothing to save: empty data stream")
-    data_ts, query_by_t = {batch.t for batch in data}, {}
+    data_ts, query_by_t = set(), {}
+    for batch in data:
+        if batch.t in data_ts:
+            raise InvalidInputError(f"two data batches have index {batch.t}")
+        data_ts.add(batch.t)
     for q in queries:
         if q.eval_labels is None:
             raise InvalidInputError(f"query batch {q.t} has no labels to save")

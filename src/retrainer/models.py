@@ -5,22 +5,20 @@ API (``fit`` / ``predict`` / ``get_params``), so they compose with pipeline
 tooling without pulling in an ML framework:
 
 * ``LogisticClassifier`` -- logistic regression trained with full-batch
-  gradient descent on the log loss. Full-batch (rather than stochastic)
-  updates keep training deterministic for the small per-batch datasets this
-  package targets.
+  gradient descent on the log loss, with no penalty. Full-batch (rather
+  than stochastic) updates keep training deterministic for the small
+  per-batch datasets this package targets.
 * ``ForestClassifier`` -- bagging of greedy CART trees grown on Gini
   impurity with midpoint thresholds. All trees of a fit grow together, one
   depth level per pass: every node of the level finds its best cut in one
   array pass per feature over all trees' rows, so the numpy calls per fit
-  grow with the depth, not with the node count. With ``feature_fraction <
-  1`` each node draws its candidate features from a generator keyed by the
-  seed, its tree and its heap index, so the draw does not depend on the
-  order in which nodes grow. The fitted forest keeps its nodes as five flat
-  arrays in that level order, all trees together. Fit ends by compiling the
-  trees into a vote table over the grid their thresholds cut each feature
-  into; predict looks each point's cell up in it. Every comparison a tree
-  makes is constant within a cell, so the table gives the tree walk's votes
-  bit for bit.
+  grow with the depth, not with the node count. Every node weighs every
+  feature. The fitted forest keeps its nodes as five flat arrays in that
+  level order, all trees together. Fit ends by compiling the trees into a
+  vote table over the grid their thresholds cut each feature into; predict
+  looks each point's cell up in it. Every comparison a tree makes is
+  constant within a cell, so the table gives the tree walk's votes bit for
+  bit.
 
 Determinism contract: fitting the same data with the same hyperparameters
 (including a forest's ``seed``) produces a model with bit-identical
@@ -45,17 +43,14 @@ from .validation import as_binary_labels, as_int, as_point_matrix, check_fitted,
 
 def _sigmoid_inplace(buf: np.ndarray, e: np.ndarray, z: np.ndarray) -> None:
     """Overwrite ``z`` with the numerically stable logistic function of
-    ``z`` clipped to [-500, 500]: 1 / (1 + e^-z) for z >= 0 and
-    e^z / (1 + e^z) below, with e = exp(-|z|) serving both. The numerator
-    is exp(min(z, 0)), which is exactly 1 for z >= 0 and the same float as e
-    below. ``e`` (scratch) and ``z`` are the first and second halves of the
-    float64 buffer ``buf``, so one clamp and one exp serve both exponents.
-    Clamping an exponent at -500 is the clip exactly: max(-|z|, -500) ==
-    -|clip(z)| and max(min(z, 0), -500) == min(clip(z), 0)."""
+    ``z``: 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, with
+    e = exp(-|z|) serving both. The numerator is exp(min(z, 0)), which is
+    exactly 1 for z >= 0 and the same float as e below. ``e`` (scratch) and
+    ``z`` are the first and second halves of the float64 buffer ``buf``, so
+    one exp serves both exponents. Both are <= 0, so it never overflows."""
     np.abs(z, out=e)
     np.negative(e, out=e)
     np.minimum(z, 0.0, out=z)
-    np.maximum(buf, -500.0, out=buf)
     np.exp(buf, out=buf)
     e += 1.0
     z /= e
@@ -132,11 +127,10 @@ class LogisticClassifier(BaseClassifier):
         Step size for each gradient update; must be positive.
     epochs : int
         Number of full passes over the batch; must be >= 1.
-    l2 : float
-        L2 penalty on the weights (the intercept is not penalized).
 
     Weights start at zero, so training draws no random numbers and the
-    model takes no seed.
+    model takes no seed. A fit whose weights come out non-finite (features
+    so large that the products overflow) is refused.
 
     Attributes (after fit)
     ----------------------
@@ -147,36 +141,32 @@ class LogisticClassifier(BaseClassifier):
         Set when the training batch contained a single class.
 
     Each epoch computes ``residual = sigmoid(X @ w + b) - y``, then
-    ``w -= learning_rate * (X.T @ residual / n + l2 * w)`` and
+    ``w -= learning_rate * (X.T @ residual / n)`` and
     ``b -= learning_rate * mean(residual)``. A fit allocates its per-epoch
     arrays once and writes every epoch into them in place. The arithmetic
-    and its order are those of the expressions above (the sigmoid's clip
-    and numerator are equal forms, see ``_sigmoid_inplace``, and the
-    products are ``np.dot``, the BLAS call ``@`` makes), so the weights are
-    the same bit for bit.
+    and its order are those of the expressions above (the sigmoid's
+    numerator is an equal form, see ``_sigmoid_inplace``, and the products
+    are ``np.dot``, the BLAS call ``@`` makes), so the weights are the same
+    bit for bit.
     """
 
-    def __init__(self, learning_rate: float = 0.1, epochs: int = 100, l2: float = 0.0):
+    def __init__(self, learning_rate: float = 0.1, epochs: int = 100):
         self.learning_rate = learning_rate
         self.epochs = epochs
-        self.l2 = l2
 
     def _validate_params(self):
         check_number(self.learning_rate, "learning_rate")
         if not self.learning_rate > 0:
             raise InvalidInputError("learning_rate must be > 0")
         as_int(self.epochs, "epochs", 1)
-        check_number(self.l2, "l2")
-        if not self.l2 >= 0:
-            raise InvalidInputError("l2 must be >= 0")
 
     def _fit_impl(self, X, y):
         n, d = X.shape
         w = np.zeros(d)
         b = 0.0
         if self.constant_ is None:
-            yf, XT, lr, l2 = y.astype(np.float64), X.T, self.learning_rate, self.l2
-            buf, grad, penalty = np.empty(2 * n), np.empty(d), np.empty(d)
+            yf, XT, lr = y.astype(np.float64), X.T, self.learning_rate
+            buf, grad = np.empty(2 * n), np.empty(d)
             e, z = buf[:n], buf[n:]
             for _ in range(self.epochs):
                 # residual = sigmoid(X @ w + b) - y, written into z
@@ -184,15 +174,15 @@ class LogisticClassifier(BaseClassifier):
                 z += b
                 _sigmoid_inplace(buf, e, z)
                 z -= yf
-                # w -= learning_rate * (X.T @ residual / n + l2 * w)
+                # w -= learning_rate * (X.T @ residual / n)
                 np.dot(XT, z, out=grad)
                 grad /= n
-                np.multiply(w, l2, out=penalty)
-                grad += penalty
                 grad *= lr
                 w -= grad
                 # the sum over n, correctly rounded, is what z.mean() computes
                 b -= lr * (float(np.add.reduce(z)) / n)
+            if not (math.isfinite(b) and np.isfinite(w).all()):
+                raise InvalidInputError("X: the features are too large to fit: the weights came out non-finite")
         self.coef_ = w
         self.intercept_ = b
 
@@ -291,7 +281,7 @@ def _partition(x2_flat, code, row_offset, threshold, to_left, to_right, out) -> 
     out[dest] = code
 
 
-def _grow_forest(X, y, n_trees, max_depth, feature_fraction, bootstrap, seed) -> tuple:
+def _grow_forest(X, y, n_trees, max_depth, bootstrap, seed) -> tuple:
     """Grow every tree of a forest together, one depth level per pass.
 
     Returns the forest's nodes as five flat arrays ``(feature, threshold,
@@ -314,10 +304,7 @@ def _grow_forest(X, y, n_trees, max_depth, feature_fraction, bootstrap, seed) ->
     distinct values matter to a cut, so the order of tied rows does not.
 
     The forest generator draws only the bootstrap samples, one tree after
-    another. With ``feature_fraction < 1`` a node draws its candidate
-    features from ``np.random.default_rng([seed, tree, heap])``, ``heap``
-    being its heap index (root 0, children 2h + 1 and 2h + 2), so the draw
-    does not depend on the order in which nodes grow.
+    another.
     """
     n, d = X.shape
     X2 = np.repeat(X.T, 2, axis=1)  # X2[f, code] is row code // 2's value of feature f
@@ -328,9 +315,6 @@ def _grow_forest(X, y, n_trees, max_depth, feature_fraction, bootstrap, seed) ->
         counts = np.stack([np.bincount(rng.integers(0, n, size=n), minlength=n) for _ in range(n_trees)])
     else:
         counts = np.ones((n_trees, n), dtype=np.int64)
-    k = max(1, math.ceil(feature_fraction * d))
-    # Python ints: a heap index passes 2**63 below depth 63
-    heap = np.zeros(n_trees, dtype=object) if k < d else None
     tree = np.arange(n_trees)
     size = np.full(n_trees, n, dtype=np.int64)
     ones = counts @ y
@@ -351,19 +335,12 @@ def _grow_forest(X, y, n_trees, max_depth, feature_fraction, bootstrap, seed) ->
         starts = np.cumsum(sizes) - sizes
         level = (starts, np.cumsum(seg_ones) - seg_ones, sizes.astype(np.float64), seg_ones.astype(np.float64))
         seg = np.repeat(np.arange(sizes.size), sizes)
-        candidates = None
-        if heap is not None:
-            candidates = np.zeros((sizes.size, d), dtype=bool)
-            for i, (t, h) in enumerate(zip(tree[open_].tolist(), heap[open_])):
-                candidates[i, np.random.default_rng([seed, t, h]).choice(d, size=k, replace=False)] = True
         best = np.full(sizes.size, np.inf)
         feat = np.full(sizes.size, -1, dtype=np.int64)
         thr = np.zeros(sizes.size)
         for f in range(d):
             cut_segs, gini, cut_thr = _feature_splits(X2[f], orders[f], seg, *level)
             better = gini < best[cut_segs]
-            if candidates is not None:
-                better &= candidates[cut_segs, f]
             cut_segs = cut_segs[better]
             best[cut_segs] = gini[better]
             feat[cut_segs] = f
@@ -374,7 +351,7 @@ def _grow_forest(X, y, n_trees, max_depth, feature_fraction, bootstrap, seed) ->
         split = feat >= 0
         if not split.any():
             break
-        if not split.all():  # a node whose rows tie on every candidate feature is a leaf
+        if not split.all():  # a node whose rows tie on every feature is a leaf
             orders = orders[:, np.repeat(split, sizes)]
         sizes, feat, thr = sizes[split], feat[split], thr[split]
         starts = np.cumsum(sizes) - sizes
@@ -389,8 +366,6 @@ def _grow_forest(X, y, n_trees, max_depth, feature_fraction, bootstrap, seed) ->
         size = np.column_stack((n_left, sizes - n_left)).ravel()
         ones = np.column_stack((ones_left, ones[parents] - ones_left)).ravel()
         open_ = (ones > 0) & (ones < size) & (depth + 1 < max_depth)
-        if heap is not None:
-            heap = np.column_stack((2 * heap[parents] + 1, 2 * heap[parents] + 2)).ravel()
         if not open_.any():
             continue
         # the children to split next take the front of the new layout, in
@@ -430,19 +405,15 @@ class ForestClassifier(BaseClassifier):
         Number of trees; must be >= 1.
     max_depth : int
         Maximum tree depth; must be >= 1.
-    feature_fraction : float in (0, 1]
-        Fraction of features considered at each split. Below 1, each node
-        draws ``ceil(feature_fraction * d)`` candidates from its own
-        generator, ``np.random.default_rng([seed, tree, heap])`` with
-        ``heap`` the node's heap index (root 0, children 2h + 1 and 2h + 2),
-        so a node's draw does not depend on the order in which nodes grow.
-        With the value 1 no feature draw happens at all, so together with
-        ``bootstrap=False`` the fit is seed-independent.
     bootstrap : bool
         Whether each tree trains on a bootstrap resample of the batch.
+        Without it the fit draws no random numbers, so it does not depend
+        on the seed.
     seed : int
         Seeds the bootstrap generator, which draws each tree's sample in
-        turn, and keys the feature draws.
+        turn.
+
+    Every split weighs every feature.
 
     Ties in the vote (possible with an even tree count) resolve to class 0.
 
@@ -466,26 +437,15 @@ class ForestClassifier(BaseClassifier):
         tree node, which keeps the table within a fifth of the trees' size.
     """
 
-    def __init__(
-        self,
-        n_trees: int = 25,
-        max_depth: int = 8,
-        feature_fraction: float = 1.0,
-        bootstrap: bool = True,
-        seed: int = 0,
-    ):
+    def __init__(self, n_trees: int = 25, max_depth: int = 8, bootstrap: bool = True, seed: int = 0):
         self.n_trees = n_trees
         self.max_depth = max_depth
-        self.feature_fraction = feature_fraction
         self.bootstrap = bootstrap
         self.seed = seed
 
     def _validate_params(self):
         as_int(self.n_trees, "n_trees", 1)
         as_int(self.max_depth, "max_depth", 1)
-        check_number(self.feature_fraction, "feature_fraction")
-        if not 0.0 < self.feature_fraction <= 1.0:
-            raise InvalidInputError("feature_fraction must be in (0, 1]")
         if not isinstance(self.bootstrap, bool):
             raise InvalidInputError(f"bootstrap must be a bool, got {self.bootstrap!r}")
         as_int(self.seed, "seed", 0)
@@ -494,9 +454,7 @@ class ForestClassifier(BaseClassifier):
         self.nodes_ = self.cuts_ = self.table_ = None
         if self.constant_ is not None:
             return
-        self.nodes_ = _grow_forest(
-            X, y, self.n_trees, self.max_depth, self.feature_fraction, self.bootstrap, self.seed
-        )
+        self.nodes_ = _grow_forest(X, y, self.n_trees, self.max_depth, self.bootstrap, self.seed)
         self._build_table()
 
     def _build_table(self) -> None:

@@ -180,7 +180,6 @@ def relative_staleness(queries, data_now, data_train, model, gamma):
 def reference_sigmoid(z):
     """The logistic function with one branch per sign, each computed on its
     own gathered points."""
-    z = np.clip(z, -500.0, 500.0)
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -189,7 +188,7 @@ def reference_sigmoid(z):
     return out
 
 
-def reference_logistic_fit(X, y, learning_rate, epochs, l2):
+def reference_logistic_fit(X, y, learning_rate, epochs):
     """``LogisticClassifier``'s gradient descent as one expression per epoch,
     each allocating its results: the ``(coef_, intercept_)`` a fit must give
     bit for bit."""
@@ -201,10 +200,10 @@ def reference_logistic_fit(X, y, learning_rate, epochs, l2):
     if y.min() != y.max():
         yf = y.astype(np.float64)
         for _ in range(epochs):
-            z = np.clip(X @ w + b, -500.0, 500.0)
+            z = X @ w + b
             e = np.exp(-np.abs(z))
             residual = np.where(z >= 0, 1.0, e) / (1.0 + e) - yf
-            w -= learning_rate * (X.T @ residual / n + l2 * w)
+            w -= learning_rate * (X.T @ residual / n)
             b -= learning_rate * float(residual.mean())
     return w, b
 
@@ -353,10 +352,9 @@ class ReferenceAdwinDetector:
 # ---------------------------------------------------------------------------
 # Reference forest: each tree grows depth first, every node argsorting its
 # own rows, and predict walks each tree one level at a time and counts the
-# votes, as the forest once did. With feature_fraction < 1 a node draws its
-# candidate features from a generator keyed by (seed, tree, heap index). The
-# library's level-wise growth must give the same trees, node for node and
-# threshold for threshold, and its vote table the same predictions.
+# votes, as the forest once did. The library's level-wise growth must give
+# the same trees, node for node and threshold for threshold, and its vote
+# table the same predictions.
 # ---------------------------------------------------------------------------
 
 
@@ -365,8 +363,8 @@ class ReferenceCartTree:
         self.max_depth = max_depth
         self.feature, self.threshold, self.left, self.right, self.value = [], [], [], [], []
 
-    def fit(self, X, y, feature_fraction, seed, tree_index):
-        self._grow(X, y, 0, 0, feature_fraction, seed, tree_index)
+    def fit(self, X, y):
+        self._grow(X, y, 0)
         self.feature = np.asarray(self.feature, dtype=np.int64)
         self.threshold = np.asarray(self.threshold, dtype=np.float64)
         self.left = np.asarray(self.left, dtype=np.int64)
@@ -374,7 +372,7 @@ class ReferenceCartTree:
         self.value = np.asarray(self.value, dtype=np.int64)
         return self
 
-    def _grow(self, X, y, depth, heap, feature_fraction, seed, tree_index):
+    def _grow(self, X, y, depth):
         node = len(self.feature)
         n = y.size
         ones = int(y.sum())
@@ -385,31 +383,23 @@ class ReferenceCartTree:
         self.value.append(1 if 2 * ones > n else 0)
         if depth >= self.max_depth or ones == 0 or ones == n:
             return node
-        d = X.shape[1]
-        k = max(1, math.ceil(feature_fraction * d))
-        if k == d:
-            candidates = np.arange(d)
-        else:
-            rng = np.random.default_rng([seed, tree_index, heap])
-            candidates = np.sort(rng.choice(d, size=k, replace=False))
-        split = self._best_split(X, y, candidates)
+        split = self._best_split(X, y)
         if split is None:
             return node
         feat, thr = split
         mask = X[:, feat] <= thr
         self.feature[node] = int(feat)
         self.threshold[node] = float(thr)
-        keys = (feature_fraction, seed, tree_index)
-        self.left[node] = self._grow(X[mask], y[mask], depth + 1, 2 * heap + 1, *keys)
-        self.right[node] = self._grow(X[~mask], y[~mask], depth + 1, 2 * heap + 2, *keys)
+        self.left[node] = self._grow(X[mask], y[mask], depth + 1)
+        self.right[node] = self._grow(X[~mask], y[~mask], depth + 1)
         return node
 
     @staticmethod
-    def _best_split(X, y, candidates):
+    def _best_split(X, y):
         n = y.size
         best_gini = math.inf
         best = None
-        for feat in candidates:
+        for feat in range(X.shape[1]):
             vals = X[:, feat]
             order = np.argsort(vals, kind="stable")
             sv = vals[order]
@@ -444,10 +434,9 @@ def reference_forest_trees(forest, X, y):
     n = X.shape[0]
     rng = np.random.default_rng(forest.seed) if forest.bootstrap else None
     trees = []
-    for t in range(forest.n_trees):
+    for _ in range(forest.n_trees):
         idx = rng.integers(0, n, size=n) if forest.bootstrap else np.arange(n)
-        tree = ReferenceCartTree(forest.max_depth)
-        trees.append(tree.fit(X[idx], y[idx], forest.feature_fraction, forest.seed, t))
+        trees.append(ReferenceCartTree(forest.max_depth).fit(X[idx], y[idx]))
     return trees
 
 

@@ -329,6 +329,17 @@ class TestSaveStreamCsv:
             save_stream_csv(path, data, queries)
         assert not path.exists()
 
+    @pytest.mark.parametrize("data_ts, twice", [([0, 0, 1], 0), ([0, 1, 2, 1], 1)])
+    def test_duplicate_data_batches_are_refused_before_the_file_opens(self, tmp_path, data_ts, twice):
+        # their rows would reload as one batch, followed by the index's
+        # query rows once per data batch
+        data = [DataBatch(t, np.full((2, 2), float(k)), [0, 1]) for k, t in enumerate(data_ts)]
+        queries = [QueryBatch(t, np.zeros((1, 2)), [1]) for t in sorted(set(data_ts))]
+        path = tmp_path / "s.csv"
+        with pytest.raises(InvalidInputError, match=f"two data batches have index {twice}"):
+            save_stream_csv(path, data, queries)
+        assert not path.exists()
+
 
 def constant_batch(t, label, base=0.0):
     X = np.array([[base, 0.0], [base + 1.0, 1.0], [base + 2.0, 0.5]])
@@ -793,16 +804,16 @@ class TestRunConfig:
         "model, message",
         [
             ({"kind": "forest", "n_trees": 0}, "n_trees must be >= 1"),
-            ({"kind": "forest", "feature_fraction": 1.5}, "feature_fraction must be in"),
+            ({"kind": "forest", "feature_fraction": 1.0}, "unknown forest model key 'feature_fraction'"),
             ({"kind": "logistic", "epochs": 0}, "epochs must be >= 1"),
             ({"kind": "forest", "n_trees": "5"}, "n_trees must be an integer, got '5'"),
             ({"kind": "forest", "n_trees": 2.5}, "n_trees must be an integer, got 2.5"),
             ({"kind": "forest", "max_depth": True}, "max_depth must be an integer, got True"),
-            ({"kind": "forest", "feature_fraction": None}, "feature_fraction must be a number, got None"),
+            ({"kind": "forest", "max_depth": 0}, "max_depth must be >= 1"),
             ({"kind": "logistic", "epochs": 10.0}, "epochs must be an integer, got 10.0"),
             ({"kind": "logistic", "learning_rate": "0.1"}, "learning_rate must be a number, got '0.1'"),
             ({"kind": "logistic", "learning_rate": math.nan}, "learning_rate must be > 0"),
-            ({"kind": "logistic", "l2": False}, "l2 must be a number, got False"),
+            ({"kind": "logistic", "l2": 0.0}, "unknown logistic model key 'l2'"),
             ({"kind": "logistic", "seed": "x"}, "unknown logistic model key 'seed'"),
             ({"kind": "forest", "seed": 2.5}, "seed must be an integer, got 2.5"),
             ({"kind": "forest", "seed": -1}, "seed must be >= 0"),
