@@ -6,8 +6,8 @@ Three 2-D binary stream families:
   walks along (c, 0.5 - c) with c = ((t + 1) % 15) / 30, labeled by the fixed
   parabola x2 > 4 (x1 - 0.5)^2.
 * circle -- gradual concept drift: uniform points on the unit square labeled
-  by whether they fall outside a circle; the circle grows/moves through a
-  schedule of concepts split over equal segments of the stream.
+  by whether they fall outside a circle; the circle grows/moves through the
+  concepts of ``CIRCLE_SCHEDULE``, split over equal segments of the stream.
 * covcon -- covariate and concept drift: both coordinates from a Gaussian
   with mean ((t + 1) % 7) / 10 and sigma 0.1, labeled by
   alpha * sin(pi * x1) > x2 with the inequality direction flipping every 10
@@ -36,7 +36,8 @@ from .validation import as_int, check_finite
 DATASETS = ("gauss", "circle", "covcon")
 QUERY_MODES = ("D", "S")
 
-DEFAULT_CIRCLE_SCHEDULE = (
+# (c1, c2, r) of each circle, in stream order
+CIRCLE_SCHEDULE = (
     (0.2, 0.5, 0.15),
     (0.4, 0.5, 0.2),
     (0.6, 0.5, 0.25),
@@ -59,7 +60,6 @@ class StreamSpec:
     seed: int = 0
     covcon_alpha: float = 1.0
     gauss_sigma: float = 0.1
-    circle_schedule: tuple = DEFAULT_CIRCLE_SCHEDULE
 
     def __post_init__(self):
         if self.dataset not in DATASETS:
@@ -74,13 +74,6 @@ class StreamSpec:
         check_finite(self.gauss_sigma, "gauss_sigma")
         if self.gauss_sigma < 0:
             raise InvalidInputError(f"gauss_sigma must be >= 0, got {self.gauss_sigma}")
-        schedule = self.circle_schedule
-        if not schedule or any(np.shape(c) != (3,) for c in schedule):
-            raise InvalidInputError("circle_schedule must be a non-empty list of (c1, c2, r)")
-        for concept in schedule:
-            for v in concept:
-                check_finite(v, "circle_schedule")
-        object.__setattr__(self, "circle_schedule", tuple(tuple(float(v) for v in c) for c in schedule))
 
     @property
     def name(self) -> str:
@@ -106,9 +99,9 @@ def covcon_flipped(t: int) -> bool:
 
 def circle_concept(spec: StreamSpec, t: int) -> tuple[float, float, float]:
     """Concept active at batch t: the schedule covers equal stream segments."""
-    k = len(spec.circle_schedule)
+    k = len(CIRCLE_SCHEDULE)
     seg = min(k - 1, (t * k) // spec.n_batches)
-    return spec.circle_schedule[seg]
+    return CIRCLE_SCHEDULE[seg]
 
 
 def concept_label(spec: StreamSpec, X, t: int) -> np.ndarray:

@@ -43,7 +43,7 @@ import numpy as np
 from .costmatrix import CostMatrix, Strategy, StreamCosts, format_value, strategy_cost, write_csv
 from .datagen import StreamSpec, generate_stream, sample_queries
 from .errors import InvalidInputError, StreamParseError, UndefinedMetricError
-from .models import MODEL_KINDS
+from .models import MODEL_KINDS, BaseClassifier, ForestClassifier
 from .oracle import oracle_strategy
 from .policies import CALIBRATABLE, POLICY_KINDS, RetrainPolicy, make_policy, optimize_offline, replay_policy
 from .streams import DataBatch, QueryBatch
@@ -135,9 +135,6 @@ class CsvStream:
         return Path(self.path).stem
 
 
-CONFIG_KEYS = ("stream", "t_offline", "t_online", "kappas", "policies", "model", "gamma", "seeds", "output")
-
-
 def _check_keys(raw: dict, known, level: str) -> None:
     """Reject a key that this level of a run config does not read, naming the key and the level."""
     for key in raw:
@@ -152,16 +149,20 @@ def _object(value, level: str) -> dict:
     return dict(value)
 
 
-def _required(raw: dict, key: str, level: str = "run config"):
-    try:
-        return raw.pop(key)
-    except KeyError:
-        raise InvalidInputError(f"{level} is missing {key!r}") from None
+def _arguments(raw: dict, cls, level: str, extra=()) -> dict:
+    """``raw``, checked to hold every argument ``cls`` needs and no key but its arguments and ``extra``."""
+    params = inspect.signature(cls).parameters
+    _check_keys(raw, [*extra, *params], level)
+    for key, param in params.items():
+        if param.default is param.empty and key not in raw:
+            raise InvalidInputError(f"{level} is missing {key!r}")
+    return raw
 
 
 @dataclass
 class RunConfig:
-    """Declarative description of a sweep.
+    """Declarative description of a sweep; its fields are the keys of a
+    run config's JSON object.
 
     Each seed in ``seeds`` replaces a generated stream's own ``seed`` and
     offsets the seed of a model that takes one (the forest), so the stream's
@@ -173,13 +174,16 @@ class RunConfig:
     t_online: int
     kappas: list
     policies: list
-    model_kind: str = "forest"
-    model_params: dict = field(default_factory=dict)
+    model: BaseClassifier = field(default_factory=ForestClassifier)
     gamma: float | None = None
     seeds: list = field(default_factory=lambda: [0])
     output: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.stream, (StreamSpec, CsvStream)):
+            raise InvalidInputError(f"stream must be a StreamSpec or a CsvStream, got {self.stream!r}")
+        if not isinstance(self.model, BaseClassifier):
+            raise InvalidInputError(f"model must be a classifier, got {self.model!r}")
         as_int(self.t_offline, "t_offline", 0)
         as_int(self.t_online, "t_online", 0)
         if not self.t_offline < self.t_online:
@@ -200,11 +204,6 @@ class RunConfig:
         if not isinstance(self.seeds, (list, tuple)) or not self.seeds:
             raise InvalidInputError(f"seeds must be a non-empty list, got {self.seeds!r}")
         self.seeds = [as_int(s, "seeds", 0) for s in self.seeds]
-        if self.model_kind not in MODEL_KINDS:
-            raise InvalidInputError(f"unknown model kind {self.model_kind!r}")
-        model_keys = inspect.signature(MODEL_KINDS[self.model_kind]).parameters
-        _check_keys(self.model_params, model_keys, f"{self.model_kind} model")
-        MODEL_KINDS[self.model_kind](**self.model_params)._validate_params()
         if self.gamma is not None:
             check_finite(self.gamma, "gamma")
             if not self.gamma > 0:
@@ -216,10 +215,7 @@ class RunConfig:
             if not isinstance(p, PolicySpec):
                 if not isinstance(p, dict):
                     raise InvalidInputError(f"policy entry must be an object with a 'name', got {p!r}")
-                _check_keys(p, inspect.signature(PolicySpec).parameters, "policy entry")
-                if "name" not in p:
-                    raise InvalidInputError("policy entry is missing 'name'")
-                p = PolicySpec(p["name"], p.get("params", {}))
+                p = PolicySpec(**_arguments(p, PolicySpec, "policy entry"))
             specs.append(p)
         self.policies = specs
 
@@ -231,44 +227,28 @@ class RunConfig:
             )
         else:
             data, queries = generate_stream(replace(self.stream, seed=seed))
-        cls = MODEL_KINDS[self.model_kind]
-        params = dict(self.model_params)
-        if "seed" in inspect.signature(cls).parameters:
-            params["seed"] = params.get("seed", 0) + seed
-        return data, queries, StreamCosts(data, queries, cls(**params), self.gamma)
+        model, params = self.model, self.model.get_params()
+        if "seed" in params:
+            model = type(model)(**{**params, "seed": params["seed"] + seed})
+        return data, queries, StreamCosts(data, queries, model, self.gamma)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        raw = _object(raw, "run config")
-        _check_keys(raw, CONFIG_KEYS, "run config")
-        stream_raw = _object(_required(raw, "stream"), "stream")
-        dataset = _required(stream_raw, "dataset", "stream")
-        if dataset == "csv":
-            _check_keys(stream_raw, ["dataset", *inspect.signature(CsvStream).parameters], "csv stream")
-            stream = CsvStream(
-                _required(stream_raw, "path", "csv stream"),
-                stream_raw.get("n_batches"),
-                stream_raw.get("queries_per_batch"),
-            )
+        """The run config of a JSON object; its stream and model are built
+        here and checked by their constructors."""
+        raw = _arguments(_object(raw, "run config"), cls, "run config")
+        stream = _object(raw["stream"], "stream")
+        if stream.get("dataset") == "csv":
+            del stream["dataset"]
+            raw["stream"] = CsvStream(**_arguments(stream, CsvStream, "csv stream", extra=["dataset"]))
         else:
-            _check_keys(stream_raw, inspect.signature(StreamSpec).parameters, "stream")
-            if "circle_schedule" in stream_raw and stream_raw["circle_schedule"] is None:
-                stream_raw.pop("circle_schedule")
-            stream = StreamSpec(dataset, **stream_raw)
-        model_raw = _object(raw.pop("model", {"kind": "forest"}), "model")
-        model_kind = model_raw.pop("kind", "forest")
-        return cls(
-            stream=stream,
-            t_offline=_required(raw, "t_offline"),
-            t_online=_required(raw, "t_online"),
-            kappas=_required(raw, "kappas"),
-            policies=_required(raw, "policies"),
-            model_kind=model_kind,
-            model_params=model_raw,
-            gamma=raw.pop("gamma", None),
-            seeds=raw.pop("seeds", [0]),
-            output=raw.pop("output", None),
-        )
+            raw["stream"] = StreamSpec(**_arguments(stream, StreamSpec, "stream"))
+        model = _object(raw.get("model", {"kind": "forest"}), "model")
+        kind = model.pop("kind", "forest")
+        if kind not in MODEL_KINDS:
+            raise InvalidInputError(f"unknown model kind {kind!r}")
+        raw["model"] = MODEL_KINDS[kind](**_arguments(model, MODEL_KINDS[kind], f"{kind} model"))
+        return cls(**raw)
 
     @classmethod
     def load(cls, path) -> "RunConfig":
@@ -307,11 +287,11 @@ def load_csv_stream(
     """Read a stream CSV (header ``t,f0..f{d-1},label,is_query``).
 
     Files carrying explicit query rows (is_query = 1) are trusted as-is: rows
-    are grouped by their t column, so a saved stream reloads identically.
-    Plain data files (no query rows) are re-batched: rows are partitioned in
-    file order into ``n_batches`` equal batches (trailing remainder dropped)
-    and 10% of each batch (or ``queries_per_batch``) is sampled, seeded, as
-    data-mode queries.
+    are grouped by their t column, so a saved stream reloads identically,
+    and ``queries_per_batch`` is refused. Plain data files (no query rows)
+    are re-batched: rows are partitioned in file order into ``n_batches``
+    equal batches (trailing remainder dropped) and 10% of each batch (or
+    ``queries_per_batch``) is sampled, seeded, as data-mode queries.
     """
     if n_batches is not None:
         n_batches = as_int(n_batches, "n_batches", 1)
@@ -332,6 +312,8 @@ def load_csv_stream(
         rows = _parse_rows(path, n_cols)
     ts, marks, X, y = rows
     if np.any(marks):
+        if queries_per_batch is not None:
+            raise InvalidInputError("queries_per_batch applies only to a plain data file; this file has query rows")
         return _group_marked_rows(ts, marks, X, y, n_batches)
     return _rebatch_rows(X, y, n_batches, seed, queries_per_batch)
 

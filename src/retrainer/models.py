@@ -59,10 +59,10 @@ def _sigmoid_inplace(buf: np.ndarray, e: np.ndarray, z: np.ndarray) -> None:
 class BaseClassifier:
     """Shared estimator plumbing: parameter introspection, fit and predict glue.
 
-    Subclasses store constructor arguments verbatim under the same attribute
-    names, so the constructor's signature is the one list of parameters that
-    ``get_params`` and ``__repr__`` read. They implement
-    ``_validate_params``, ``_fit_impl`` and ``_predict_impl``.
+    Subclasses check their constructor arguments and store them verbatim
+    under the same attribute names, so the constructor's signature is the one
+    list of parameters that ``get_params`` and ``__repr__`` read. They
+    implement ``_fit_impl`` and ``_predict_impl``.
     """
 
     def get_params(self) -> dict:
@@ -74,7 +74,6 @@ class BaseClassifier:
 
     def fit(self, X, y):
         """Train on (X, y); a single-class batch gives a constant classifier."""
-        self._validate_params()
         X = as_point_matrix(X, name="X")
         y = as_binary_labels(y, n=X.shape[0], name="y")
         self.n_features_in_ = X.shape[1]
@@ -130,7 +129,8 @@ class LogisticClassifier(BaseClassifier):
 
     Weights start at zero, so training draws no random numbers and the
     model takes no seed. A fit whose weights come out non-finite (features
-    so large that the products overflow) is refused.
+    so large that the products overflow) is refused, without a numpy
+    overflow warning before it.
 
     Attributes (after fit)
     ----------------------
@@ -151,14 +151,12 @@ class LogisticClassifier(BaseClassifier):
     """
 
     def __init__(self, learning_rate: float = 0.1, epochs: int = 100):
+        check_number(learning_rate, "learning_rate")
+        if not learning_rate > 0:
+            raise InvalidInputError("learning_rate must be > 0")
+        as_int(epochs, "epochs", 1)
         self.learning_rate = learning_rate
         self.epochs = epochs
-
-    def _validate_params(self):
-        check_number(self.learning_rate, "learning_rate")
-        if not self.learning_rate > 0:
-            raise InvalidInputError("learning_rate must be > 0")
-        as_int(self.epochs, "epochs", 1)
 
     def _fit_impl(self, X, y):
         n, d = X.shape
@@ -168,19 +166,21 @@ class LogisticClassifier(BaseClassifier):
             yf, XT, lr = y.astype(np.float64), X.T, self.learning_rate
             buf, grad = np.empty(2 * n), np.empty(d)
             e, z = buf[:n], buf[n:]
-            for _ in range(self.epochs):
-                # residual = sigmoid(X @ w + b) - y, written into z
-                np.dot(X, w, out=z)
-                z += b
-                _sigmoid_inplace(buf, e, z)
-                z -= yf
-                # w -= learning_rate * (X.T @ residual / n)
-                np.dot(XT, z, out=grad)
-                grad /= n
-                grad *= lr
-                w -= grad
-                # the sum over n, correctly rounded, is what z.mean() computes
-                b -= lr * (float(np.add.reduce(z)) / n)
+            # an overflow gives non-finite weights, refused below, so numpy need not warn of it
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(self.epochs):
+                    # residual = sigmoid(X @ w + b) - y, written into z
+                    np.dot(X, w, out=z)
+                    z += b
+                    _sigmoid_inplace(buf, e, z)
+                    z -= yf
+                    # w -= learning_rate * (X.T @ residual / n)
+                    np.dot(XT, z, out=grad)
+                    grad /= n
+                    grad *= lr
+                    w -= grad
+                    # the sum over n, correctly rounded, is what z.mean() computes
+                    b -= lr * (float(np.add.reduce(z)) / n)
             if not (math.isfinite(b) and np.isfinite(w).all()):
                 raise InvalidInputError("X: the features are too large to fit: the weights came out non-finite")
         self.coef_ = w
@@ -438,17 +438,15 @@ class ForestClassifier(BaseClassifier):
     """
 
     def __init__(self, n_trees: int = 25, max_depth: int = 8, bootstrap: bool = True, seed: int = 0):
+        as_int(n_trees, "n_trees", 1)
+        as_int(max_depth, "max_depth", 1)
+        if not isinstance(bootstrap, bool):
+            raise InvalidInputError(f"bootstrap must be a bool, got {bootstrap!r}")
+        as_int(seed, "seed", 0)
         self.n_trees = n_trees
         self.max_depth = max_depth
         self.bootstrap = bootstrap
         self.seed = seed
-
-    def _validate_params(self):
-        as_int(self.n_trees, "n_trees", 1)
-        as_int(self.max_depth, "max_depth", 1)
-        if not isinstance(self.bootstrap, bool):
-            raise InvalidInputError(f"bootstrap must be a bool, got {self.bootstrap!r}")
-        as_int(self.seed, "seed", 0)
 
     def _fit_impl(self, X, y):
         self.nodes_ = self.cuts_ = self.table_ = None

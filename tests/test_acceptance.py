@@ -37,7 +37,7 @@ from retrainer import (
 )
 from retrainer.cli import main as cli_main
 from retrainer.costmatrix import StreamCosts
-from retrainer.models import LogisticClassifier, fit_model
+from retrainer.models import ForestClassifier, LogisticClassifier, fit_model
 from retrainer.oracle import memoize_dp
 from retrainer.policies import (
     AdwinPolicy,
@@ -98,8 +98,7 @@ def covcon_artifacts():
             {"name": "never"},
             {"name": "adwin"},
         ],
-        model_kind="forest",
-        model_params={"n_trees": 25, "max_depth": 8},
+        model=ForestClassifier(n_trees=25, max_depth=8),
         seeds=SWEEP_SEEDS,
     )
     cache = {}

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import inspect
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,32 @@ def test_a_refused_input_prints_one_error_line(runner, config_path, tmp_path, ar
     result = runner.invoke(main, [arg.format(config=config_path, tmp=tmp_path) for arg in args])
     assert refusal(result).startswith(message)
     assert not (tmp_path / "x.csv").exists() and not (tmp_path / "m.csv").exists()
+
+
+def test_an_overflowing_logistic_fit_prints_one_error_line(runner, tmp_path):
+    # products of features near the float limit overflow in the first fit;
+    # numpy warns of none of it, so outside the test suite too the refusal
+    # is the only line
+    rng = np.random.default_rng(0)
+    x = rng.choice([-1e308, 1e308], size=200).tolist()
+    write_csv(tmp_path / "huge.csv", ["t", "f0", "label", "is_query"], [[0, repr(v), int(v > 0), 0] for v in x])
+    cfg = {
+        "stream": {"dataset": "csv", "path": str(tmp_path / "huge.csv"), "n_batches": 10},
+        "t_offline": 3,
+        "t_online": 9,
+        "kappas": [1],
+        "policies": [{"name": "never"}],
+        "model": {"kind": "logistic"},
+        "output": str(tmp_path / "results.csv"),
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, ["sweep", "--config", str(path)])
+    assert refusal(result).startswith("X: the features are too large to fit")
+    assert [str(w.message) for w in caught] == []
+    assert not (tmp_path / "results.csv").exists()
 
 
 def test_sweep_requires_output_path(runner, config_path, tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from retrainer import InvalidInputError, StreamSpec, generate_stream
 from retrainer.datagen import (
-    DEFAULT_CIRCLE_SCHEDULE,
+    CIRCLE_SCHEDULE,
     STATIC_QUERY_SIGMA,
     circle_concept,
     concept_label,
@@ -45,9 +45,11 @@ class TestGauss:
 
 class TestCircle:
     def test_inside_circle_is_zero(self):
-        spec = spec_for("circle", circle_schedule=[(0.5, 0.5, 0.3)])
-        assert concept_label(spec, [[0.5, 0.5]], 0)[0] == 0
-        assert concept_label(spec, [[0.95, 0.5]], 0)[0] == 1
+        spec = spec_for("circle")
+        c1, c2, r = CIRCLE_SCHEDULE[0]
+        assert concept_label(spec, [[c1, c2]], 0)[0] == 0
+        assert concept_label(spec, [[c1 + 0.99 * r, c2]], 0)[0] == 0
+        assert concept_label(spec, [[c1 + 1.01 * r, c2]], 0)[0] == 1
 
     def test_far_corner_is_one_under_all_default_concepts(self):
         spec = spec_for("circle", n_batches=100)
@@ -56,10 +58,10 @@ class TestCircle:
 
     def test_schedule_boundaries_at_equal_quarters(self):
         spec = spec_for("circle", n_batches=100)
-        assert circle_concept(spec, 0) == DEFAULT_CIRCLE_SCHEDULE[0]
-        assert circle_concept(spec, 24) == DEFAULT_CIRCLE_SCHEDULE[0]
-        assert circle_concept(spec, 25) == DEFAULT_CIRCLE_SCHEDULE[1]
-        assert circle_concept(spec, 99) == DEFAULT_CIRCLE_SCHEDULE[3]
+        assert circle_concept(spec, 0) == CIRCLE_SCHEDULE[0]
+        assert circle_concept(spec, 24) == CIRCLE_SCHEDULE[0]
+        assert circle_concept(spec, 25) == CIRCLE_SCHEDULE[1]
+        assert circle_concept(spec, 99) == CIRCLE_SCHEDULE[3]
 
     def test_points_are_uniform_on_unit_square(self):
         batch = gen_batch(spec_for("circle", batch_size=500), 0)
@@ -163,8 +165,6 @@ def test_spec_validation():
         StreamSpec(dataset="gauss", n_batches=0)
     with pytest.raises(InvalidInputError):
         StreamSpec(dataset="gauss", query_mode="X")
-    with pytest.raises(InvalidInputError):
-        StreamSpec(dataset="circle", circle_schedule=[])
     with pytest.raises(InvalidInputError):
         gen_batch(StreamSpec(dataset="gauss", n_batches=5), 5)
     assert StreamSpec(dataset="gauss").name == "gauss-D"

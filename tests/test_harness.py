@@ -38,7 +38,7 @@ from retrainer import (
 from retrainer import harness
 from retrainer.costmatrix import StreamCosts
 from retrainer.harness import PolicySpec, render_summary
-from retrainer.models import MODEL_KINDS, LogisticClassifier
+from retrainer.models import MODEL_KINDS, ForestClassifier, LogisticClassifier
 from retrainer.oracle import oracle_strategy
 from retrainer.policies import POLICY_KINDS, MarkovPolicy
 
@@ -143,6 +143,15 @@ class TestLoadCsvStream:
         write_plain_csv(path, 100)
         with pytest.raises(InvalidInputError, match="queries_per_batch"):
             load_csv_stream(path, 4, queries_per_batch=q)
+
+    def test_queries_per_batch_is_refused_for_a_file_with_query_rows(self, tmp_path):
+        # the file's own query rows are the queries, so a requested count would be ignored
+        data, queries = generate_stream(StreamSpec("gauss", n_batches=4, batch_size=30, queries_per_batch=3))
+        path = tmp_path / "s.csv"
+        save_stream_csv(path, data, queries)
+        with pytest.raises(InvalidInputError, match="^queries_per_batch applies only to a plain data file"):
+            load_csv_stream(path, 4, queries_per_batch=7)
+        assert [q.size for q in load_csv_stream(path, 4)[1]] == [3, 3, 3, 3]
 
     def test_too_few_rows_rejected(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -404,8 +413,7 @@ def small_config(**overrides):
             {"name": "never"},
             {"name": "markov"},
         ],
-        model_kind="logistic",
-        model_params={"learning_rate": 0.5, "epochs": 80},
+        model=LogisticClassifier(learning_rate=0.5, epochs=80),
         seeds=[0, 1],
     )
     base.update(overrides)
@@ -515,7 +523,7 @@ class TestRunSweep:
             t_online=7,
             kappas=[1.0],
             policies=[{"name": "never"}],
-            model_kind="logistic",
+            model=LogisticClassifier(),
             seeds=[0],
         )
         results = run_sweep(cfg)
@@ -627,7 +635,43 @@ class TestRunConfig:
         with pytest.raises(InvalidInputError):
             small_config(t_online=16)  # stream only has 16 batches (0..15)
         with pytest.raises(InvalidInputError):
-            small_config(model_kind="svm")
+            small_config(model="svm")
+
+    @pytest.mark.parametrize("stream", [{"dataset": "gauss"}, "gauss", None])
+    def test_stream_that_is_not_a_stream_object_is_refused(self, stream):
+        message = f"stream must be a StreamSpec or a CsvStream, got {stream!r}"
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            small_config(stream=stream)
+
+    @pytest.mark.parametrize("model", [{"kind": "forest"}, "forest", ForestClassifier, None])
+    def test_model_that_is_not_a_classifier_is_refused(self, model):
+        with pytest.raises(InvalidInputError, match=re.escape(f"model must be a classifier, got {model!r}")):
+            small_config(model=model)
+
+    def test_forest_seed_is_offset_by_each_run_seed(self):
+        raw = {
+            "stream": {"dataset": "covcon", "n_batches": 8, "batch_size": 40, "queries_per_batch": 4},
+            "t_offline": 2,
+            "t_online": 7,
+            "kappas": [1],
+            "policies": [{"name": "never"}],
+            "model": {"kind": "forest", "n_trees": 5, "max_depth": 3, "seed": 4},
+            "seeds": [0, 2],
+        }
+        cfg = RunConfig.from_dict(raw)
+        cache = {}
+        run_sweep(cfg, cost_cache=cache)
+        data, queries, costs = cache[2]
+        assert costs.model.get_params() == {"n_trees": 5, "max_depth": 3, "bootstrap": True, "seed": 6}
+        assert cfg.model.seed == 4
+        swept = costs.staleness_matrix(0, 7)
+
+        def staleness(seed):
+            model = ForestClassifier(n_trees=5, max_depth=3, seed=seed)
+            return StreamCosts(data, queries, model).staleness_matrix(0, 7)
+
+        assert swept.tobytes() == staleness(6).tobytes()
+        assert swept.tobytes() != staleness(4).tobytes()  # the offset shows in the matrix
 
     def test_policy_spec_validation(self):
         with pytest.raises(InvalidInputError):
@@ -651,8 +695,8 @@ class TestRunConfig:
         }
         cfg = RunConfig.from_dict(raw)
         assert cfg.stream.dataset == "gauss"
-        assert cfg.model_kind == "logistic"
-        assert cfg.model_params["epochs"] == 50
+        assert isinstance(cfg.model, LogisticClassifier)
+        assert cfg.model.epochs == 50
         assert cfg.output == "out.csv"
         import json
 
@@ -859,7 +903,6 @@ class TestRunConfig:
             ("gauss", "batch_size", "40", "batch_size must be an integer, got '40'"),
             ("gauss", "covcon_alpha", "2", "covcon_alpha must be a number, got '2'"),
             ("gauss", "gauss_sigma", -0.1, "gauss_sigma must be >= 0"),
-            ("gauss", "circle_schedule", [[0.5, 0.5, "0.3"]], "circle_schedule must be a number, got '0.3'"),
             ("gauss", "dataset", None, "stream is missing 'dataset'"),
         ],
     )

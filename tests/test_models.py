@@ -2,6 +2,7 @@ import gc
 import hashlib
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -111,6 +112,15 @@ class TestLogistic:
             with pytest.raises(InvalidInputError, match=r"^X: the features are too large to fit"):
                 LogisticClassifier(learning_rate=0.5, epochs=3).fit(X, y)
 
+    def test_overflow_is_refused_without_a_warning(self):
+        X = np.full((200, 1), 1e308)
+        y = np.zeros(200, dtype=np.int64)
+        y[0] = 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=r"^X: the features are too large to fit"):
+                LogisticClassifier(learning_rate=0.5, epochs=3).fit(X, y)
+
     def test_workload_weights_keep_their_bits(self):
         # every batch of the csv-long-logistic benchmark stream: the digest
         # pins the weights behind that workload's pinned results CSV
@@ -200,13 +210,9 @@ class TestForest:
         assert np.array_equal(fit_model(batch, proto).predict(PROBE), fit_model(batch, proto).predict(PROBE))
 
     def test_invalid_hyperparams(self):
-        batch = xor_batch()
-        for bad in (
-            ForestClassifier(n_trees=0),
-            ForestClassifier(max_depth=0),
-        ):
+        for bad in ({"n_trees": 0}, {"max_depth": 0}):
             with pytest.raises(InvalidInputError):
-                bad.fit(batch.X, batch.y)
+                ForestClassifier(**bad)
 
     def test_leaf_tie_predicts_zero(self):
         # indistinguishable points with split class counts: no split exists,
