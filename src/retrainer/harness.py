@@ -12,8 +12,8 @@ the sweep
 3. replays each policy on the online matrix (``replay_policy``, with the
    cached error vectors for the drift detectors), pricing its strategy on
    that matrix and scoring prequential query accuracy from the same cache.
-   A policy that does not read kappa (``requires_kappa`` unset: all but
-   markov) gives the same strategy under every kappa, so it is replayed and
+   A policy whose ``decide`` does not take ``kappa`` (all but markov)
+   gives the same strategy under every kappa, so it is replayed and
    scored once per seed and set of parameters, then re-priced on each
    kappa's matrix; calibrated policies whose parameters come out equal
    under two kappas share that replay too.
@@ -45,9 +45,11 @@ from .datagen import StreamSpec, generate_stream, sample_queries
 from .errors import InvalidInputError, StreamParseError, UndefinedMetricError
 from .models import MODEL_KINDS, BaseClassifier, ForestClassifier
 from .oracle import oracle_strategy
-from .policies import CALIBRATABLE, POLICY_KINDS, RetrainPolicy, make_policy, optimize_offline, replay_policy
+from .policies import (
+    CALIBRATABLE, POLICY_KINDS, RetrainPolicy, decide_inputs, make_policy, optimize_offline, replay_policy
+)
 from .streams import DataBatch, QueryBatch
-from .validation import as_int, check_finite
+from .validation import as_int, as_kind, check_finite
 
 
 def scpe(policy_cost: float, oracle_cost: float) -> float:
@@ -84,9 +86,7 @@ class PolicySpec:
     params: dict | str = field(default_factory=dict)
 
     def __post_init__(self):
-        cls = POLICY_KINDS.get(self.name)
-        if cls is None:
-            raise InvalidInputError(f"unknown policy {self.name!r}; expected one of {sorted(POLICY_KINDS)}")
+        cls = as_kind(self.name, POLICY_KINDS, "policy")
         if self.params == "optimize":
             if self.name not in CALIBRATABLE:
                 raise InvalidInputError(f"policy {self.name!r} has no optimizable parameters")
@@ -245,9 +245,8 @@ class RunConfig:
             raw["stream"] = StreamSpec(**_arguments(stream, StreamSpec, "stream"))
         model = _object(raw.get("model", {"kind": "forest"}), "model")
         kind = model.pop("kind", "forest")
-        if kind not in MODEL_KINDS:
-            raise InvalidInputError(f"unknown model kind {kind!r}")
-        raw["model"] = MODEL_KINDS[kind](**_arguments(model, MODEL_KINDS[kind], f"{kind} model"))
+        model_cls = as_kind(kind, MODEL_KINDS, "model kind")
+        raw["model"] = model_cls(**_arguments(model, model_cls, f"{kind} model"))
         return cls(**raw)
 
     @classmethod
@@ -500,7 +499,7 @@ def run_sweep(cfg: RunConfig, cost_cache: dict | None = None) -> list[RunResult]
                 try:
                     policy = spec.build(offline_c)
                     params = policy.get_params()
-                    key = None if policy.requires_kappa else (spec.name, tuple(sorted(params.items())))
+                    key = None if "kappa" in decide_inputs(policy) else (spec.name, tuple(sorted(params.items())))
                     replayed = kappa_blind.get(key)
                     if replayed is None:
                         strat = replay_policy(policy, online_c, costs.errors)

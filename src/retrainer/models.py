@@ -31,14 +31,15 @@ Fitted models are immutable by convention and safe to share across threads.
 from __future__ import annotations
 
 import copy
-import inspect
 import math
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .streams import DataBatch
-from .validation import as_binary_labels, as_int, as_point_matrix, check_fitted, check_number, check_same_dim
+from .validation import (
+    ConstructorParams, as_binary_labels, as_int, as_point_matrix, check_fitted, check_number, check_same_dim
+)
 
 
 def _sigmoid_inplace(buf: np.ndarray, e: np.ndarray, z: np.ndarray) -> None:
@@ -56,21 +57,14 @@ def _sigmoid_inplace(buf: np.ndarray, e: np.ndarray, z: np.ndarray) -> None:
     z /= e
 
 
-class BaseClassifier:
-    """Shared estimator plumbing: parameter introspection, fit and predict glue.
+class BaseClassifier(ConstructorParams):
+    """Shared estimator plumbing: fit and predict glue.
 
     Subclasses check their constructor arguments and store them verbatim
     under the same attribute names, so the constructor's signature is the one
     list of parameters that ``get_params`` and ``__repr__`` read. They
     implement ``_fit_impl`` and ``_predict_impl``.
     """
-
-    def get_params(self) -> dict:
-        return {name: getattr(self, name) for name in inspect.signature(type(self)).parameters}
-
-    def __repr__(self):
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"
 
     def fit(self, X, y):
         """Train on (X, y); a single-class batch gives a constant classifier."""

@@ -2,18 +2,21 @@
 
 A policy looks at one batch at a time and decides Keep or Retrain:
 ``decide`` returns True to retrain. The one decision loop starts from the
-model trained at the range start, then per batch feeds each policy the
-inputs it declares:
+model trained at the range start, then per batch passes each policy the
+inputs its ``decide`` takes after the batch index ``t``, by keyword:
 
-* ``requires_staleness`` -- the relative staleness of the current model,
-  read from the cost matrix (threshold, cumulative and markov policies);
-* ``requires_errors`` -- the model's per-sample 0/1 errors on the current
-  data batch, in stream order, from an ``errors(t_model, t_data)`` source
-  (the ADWIN and DDM drift detectors, each of which is its own policy,
-  holds the detector state and reads a batch's bits in one call);
-* ``requires_kappa`` -- the retraining cost of the current batch, read from
-  the matrix diagonal (the markov policy). A policy without it gets no
-  ``kappa`` and so replays to the same strategy under every retraining cost.
+* ``staleness`` -- the relative staleness of the current model, read from
+  the cost matrix (threshold, cumulative and markov policies);
+* ``errors`` -- the model's per-sample 0/1 errors on the current data
+  batch, in stream order, from an ``errors(t_model, t_data)`` source (the
+  ADWIN and DDM drift detectors, each of which is its own policy, holds the
+  detector state and reads a batch's bits in one call);
+* ``kappa`` -- the retraining cost of the current batch, read from the
+  matrix diagonal (the markov policy). A policy whose ``decide`` does not
+  take it replays to the same strategy under every retraining cost.
+
+``decide_inputs`` reads that list from the signature, so a policy cannot
+read an input it does not declare.
 
 ``replay_policy`` runs one policy through that loop. An online run is a
 replay on the online cost matrix, with ``StreamCosts.errors`` as the
@@ -44,31 +47,27 @@ import numpy as np
 
 from .costmatrix import CostMatrix, Strategy, _cost_terms
 from .errors import InvalidInputError
-from .validation import as_count, as_int, as_reals, check_number
+from .validation import ConstructorParams, as_count, as_int, as_kind, as_reals, check_number
 
 
-class RetrainPolicy:
+class RetrainPolicy(ConstructorParams):
     """Base decision function; subclasses override ``decide``."""
 
     name = "base"
-    requires_staleness = False
-    requires_errors = False
-    requires_kappa = False
 
     def reset(self) -> None:
         """Clear any per-run mutable state."""
 
-    def decide(self, t: int, *, staleness=None, errors=None, kappa=None):
-        """True to retrain at batch ``t``, False to keep the current model."""
+    def decide(self, t: int):
+        """True to retrain at batch ``t``, False to keep the current model.
+        An override takes, by keyword, the inputs it reads: some of
+        ``staleness``, ``errors`` and ``kappa``."""
         raise NotImplementedError
 
-    def get_params(self) -> dict:
-        """The constructor's arguments as Python scalars, in its order."""
-        return {name: np.asarray(getattr(self, name)).item() for name in inspect.signature(type(self)).parameters}
 
-    def __repr__(self):
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"
+def decide_inputs(policy: RetrainPolicy) -> tuple:
+    """The inputs ``policy.decide`` takes after ``t``, in its order."""
+    return tuple(inspect.signature(policy.decide).parameters)[1:]
 
 
 class ThresholdPolicy(RetrainPolicy):
@@ -80,12 +79,11 @@ class ThresholdPolicy(RetrainPolicy):
     """
 
     name = "threshold"
-    requires_staleness = True
 
     def __init__(self, tau: float):
         self.tau = as_reals(tau, "tau")
 
-    def decide(self, t, *, staleness=None, errors=None, kappa=None):
+    def decide(self, t, *, staleness):
         return np.logical_not(staleness < self.tau)
 
     @classmethod
@@ -98,7 +96,6 @@ class CumulativeThresholdPolicy(RetrainPolicy):
     ``tau_cum``; the accumulator resets to zero on retrain."""
 
     name = "cumulative"
-    requires_staleness = True
 
     def __init__(self, tau_cum: float):
         self.tau_cum = as_reals(tau_cum, "tau_cum")
@@ -107,7 +104,7 @@ class CumulativeThresholdPolicy(RetrainPolicy):
     def reset(self):
         self.cumulative_ = np.zeros(self.tau_cum.shape)
 
-    def decide(self, t, *, staleness=None, errors=None, kappa=None):
+    def decide(self, t, *, staleness):
         self.cumulative_ += staleness
         retrain = np.logical_not(self.cumulative_ < self.tau_cum)
         self.cumulative_[retrain] = 0.0
@@ -128,7 +125,7 @@ class PeriodicPolicy(RetrainPolicy):
         self.period = as_count(period, "period", 1)
         self.offset = as_count(offset, "offset", 0)
 
-    def decide(self, t, *, staleness=None, errors=None, kappa=None):
+    def decide(self, t):
         return (t - self.offset) % self.period == 0
 
     @classmethod
@@ -144,7 +141,7 @@ class NeverRetrainPolicy(RetrainPolicy):
 
     name = "never"
 
-    def decide(self, t, *, staleness=None, errors=None, kappa=None):
+    def decide(self, t):
         return False
 
 
@@ -153,10 +150,8 @@ class MarkovPolicy(RetrainPolicy):
     below the current retraining cost."""
 
     name = "markov"
-    requires_staleness = True
-    requires_kappa = True
 
-    def decide(self, t, *, staleness=None, errors=None, kappa=None):
+    def decide(self, t, *, staleness, kappa):
         return not staleness < kappa
 
 
@@ -186,9 +181,7 @@ class DriftDetectorPolicy(RetrainPolicy):
     decision.
     """
 
-    requires_errors = True
-
-    def decide(self, t, *, staleness=None, errors=None, kappa=None):
+    def decide(self, t, *, errors):
         if self._detects(_bits(errors)):
             self.reset()
             return True
@@ -369,13 +362,7 @@ POLICY_KINDS = {
 
 
 def make_policy(name: str, **params) -> RetrainPolicy:
-    try:
-        cls = POLICY_KINDS[name]
-    except KeyError:
-        raise InvalidInputError(
-            f"unknown policy {name!r}; expected one of {sorted(POLICY_KINDS)}"
-        ) from None
-    return cls(**params)
+    return as_kind(name, POLICY_KINDS, "policy")(**params)
 
 
 CALIBRATABLE = {name: cls for name, cls in POLICY_KINDS.items() if hasattr(cls, "calibration_grid")}
@@ -385,13 +372,11 @@ def replay_policy(policy: RetrainPolicy, c: CostMatrix, errors=None) -> Strategy
     """Run the decision loop against a prebuilt cost matrix.
 
     The matrix rows supply every staleness value the policy can ask for, so
-    no model is fit for them. Detector policies read per-sample errors from
-    ``errors(t_model, t_data)`` and cannot be replayed without it. Only a
-    policy that declares ``requires_kappa`` is passed ``kappa``, so one that
-    reads it without declaring it fails here instead of being replayed once
-    for every retraining cost by ``run_sweep``.
+    no model is fit for them. A policy whose ``decide`` takes ``errors`` (a
+    drift detector) reads per-sample errors from ``errors(t_model, t_data)``
+    and cannot be replayed without it.
     """
-    if policy.requires_errors and errors is None:
+    if "errors" in decide_inputs(policy) and errors is None:
         raise InvalidInputError(
             f"policy {policy.name!r} consumes per-sample errors and cannot be "
             "replayed from a cost matrix alone"
@@ -402,17 +387,20 @@ def replay_policy(policy: RetrainPolicy, c: CostMatrix, errors=None) -> Strategy
 def _serving_rows(policy: RetrainPolicy, c: CostMatrix, shape: tuple, errors=None) -> np.ndarray:
     """The decision loop: the range-relative training batch of the model
     serving each batch of ``c``, shape (n, *shape) for a policy whose
-    parameters are arrays of ``shape`` (() for a single policy)."""
+    parameters are arrays of ``shape`` (() for a single policy). Each step
+    passes ``decide`` exactly the inputs ``decide_inputs`` names, read once
+    per call."""
+    reads = decide_inputs(policy)
     policy.reset()
     rel = np.zeros(shape, dtype=np.int64)
     served = np.empty((c.n, *shape), dtype=np.int64)
     for j in range(c.n):
         inputs = {}
-        if policy.requires_kappa:
+        if "kappa" in reads:
             inputs["kappa"] = float(c.kappa[j])
-        if policy.requires_staleness:
+        if "staleness" in reads:
             inputs["staleness"] = c.staleness[rel, j]
-        if policy.requires_errors:
+        if "errors" in reads:
             inputs["errors"] = errors(c.start + int(rel), c.start + j)
         rel[policy.decide(c.start + j, **inputs)] = j
         served[j] = rel
@@ -463,12 +451,7 @@ def optimize_offline(family: str, c: CostMatrix) -> RetrainPolicy:
     retrain-free online instead of inheriting a knife-edge finite threshold.
     Periodic ties prefer the largest period, then the smallest offset.
     """
-    try:
-        cls = CALIBRATABLE[family]
-    except KeyError:
-        raise InvalidInputError(
-            f"unknown optimizable family {family!r}; expected one of {list(CALIBRATABLE)}"
-        ) from None
+    cls = as_kind(family, CALIBRATABLE, "optimizable family")
     grid = cls.calibration_grid(c)
     best = int(np.argmin(_candidate_costs(cls, grid, c)))
     return cls(**{name: values[best] for name, values in grid.items()})

@@ -6,6 +6,7 @@ code never has to re-check dtype or layout.
 
 from __future__ import annotations
 
+import inspect
 import math
 import numbers
 
@@ -31,18 +32,16 @@ def as_point_matrix(X, name: str = "X") -> np.ndarray:
 def as_binary_labels(y, n: int | None = None, name: str = "y") -> np.ndarray:
     """Coerce to a 1-D int64 array of {0, 1} labels, optionally checking
     length. Labels that are not bool, integer or float (strings, None) are
-    refused, and float labels are checked before the cast, so 0.5 or NaN is
+    refused, and the values are checked before the cast, so 0.5 or NaN is
     refused, not truncated to 0."""
     arr = np.asarray(y)
     if arr.dtype.kind not in "biuf":
         raise InvalidInputError(f"{name} must contain only 0/1 labels, got {arr.dtype} labels")
-    if arr.dtype.kind == "f" and not ((arr == 0) | (arr == 1)).all():
+    if not ((arr == 0) | (arr == 1)).all():
         raise InvalidInputError(f"{name} must contain only 0/1 labels")
     arr = arr.astype(np.int64, copy=False).ravel()
     if n is not None and arr.size != n:
         raise InvalidInputError(f"{name} has length {arr.size}, expected {n}")
-    if not ((arr == 0) | (arr == 1)).all():
-        raise InvalidInputError(f"{name} must contain only 0/1 labels")
     return np.ascontiguousarray(arr)
 
 
@@ -78,6 +77,14 @@ def as_reals(value, name: str) -> np.ndarray:
     return arr
 
 
+def as_kind(name, kinds: dict, what: str):
+    """The class ``kinds`` maps ``name`` to. A name that is not a string or
+    not a kind is refused, naming it and the sorted kinds."""
+    if not isinstance(name, str) or name not in kinds:
+        raise InvalidInputError(f"unknown {what} {name!r}; expected one of {sorted(kinds)}")
+    return kinds[name]
+
+
 def check_number(value, name: str) -> None:
     """Refuse a value that is not a real number; bools are refused too."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -103,3 +110,17 @@ def check_fitted(estimator, attribute: str = "n_features_in_") -> None:
         raise NotFittedError(
             f"{type(estimator).__name__} is not fitted; call fit() first"
         )
+
+
+class ConstructorParams:
+    """Parameter introspection for a class whose constructor stores each
+    argument under its own name: the constructor's signature is the one list
+    of parameters that ``get_params`` and ``__repr__`` read."""
+
+    def get_params(self) -> dict:
+        """The constructor's arguments as Python scalars, in its order."""
+        return {name: np.asarray(getattr(self, name)).item() for name in inspect.signature(type(self)).parameters}
+
+    def __repr__(self):
+        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
+        return f"{type(self).__name__}({args})"

@@ -232,6 +232,24 @@ def test_a_refused_input_prints_one_error_line(runner, config_path, tmp_path, ar
     assert not (tmp_path / "x.csv").exists() and not (tmp_path / "m.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("model", {"kind": ["forest"]}, "unknown model kind ['forest']; expected one of ['forest', 'logistic']"),
+        ("policies", [{"name": ["never"]}], "unknown policy ['never']; expected one of ['adwin', 'cumulative', "),
+    ],
+    ids=["model-kind", "policy-name"],
+)
+def test_a_name_that_is_not_a_string_prints_one_error_line(runner, config_path, tmp_path, key, value, message):
+    cfg = json.loads(config_path.read_text())
+    cfg[key] = value
+    path = tmp_path / "listed.json"
+    path.write_text(json.dumps(cfg))
+    result = runner.invoke(main, ["sweep", "--config", str(path)])
+    assert refusal(result).startswith(message)
+    assert not (tmp_path / "results.csv").exists()
+
+
 def test_an_overflowing_logistic_fit_prints_one_error_line(runner, tmp_path):
     # products of features near the float limit overflow in the first fit;
     # numpy warns of none of it, so outside the test suite too the refusal

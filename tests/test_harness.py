@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import brute_force_optimum, random_cost_matrix, reference_save_stream_csv
+from helpers import brute_force_optimum, reference_save_stream_csv
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -562,13 +562,22 @@ class TestKappaBlindReplays:
             assert np.array_equal(fresh.served_by, row.strategy.served_by)
             assert row.query_accuracy == evaluate_prequential(fresh, costs)
 
-    def test_undeclared_kappa_read_fails_in_replay(self):
-        class HiddenKappa(MarkovPolicy):
-            requires_kappa = False
+    def test_kappa_blindness_is_read_from_decide(self, monkeypatch):
+        # a markov rule whose decide drops kappa is replayed once per seed
+        class FixedMarkov(MarkovPolicy):
+            def decide(self, t, *, staleness):
+                return not staleness < 4.0
 
-        c = random_cost_matrix(np.random.default_rng(0), 5, 2.0)
-        with pytest.raises(TypeError):
-            replay_policy(HiddenKappa(), c)
+        calls = []
+
+        def counting(policy, c, errors=None):
+            calls.append(policy.name)
+            return replay_policy(policy, c, errors)
+
+        monkeypatch.setattr(harness, "replay_policy", counting)
+        monkeypatch.setitem(POLICY_KINDS, "markov", FixedMarkov)
+        run_sweep(small_config(kappas=[1.0, 4.0, 20.0], policies=[{"name": "markov"}]))
+        assert calls == ["markov"] * 2
 
 
 class TestReport:
@@ -830,6 +839,7 @@ class TestRunConfig:
             ({"name": "cumulative", "params": {"tau_cum": "1"}}, "cumulative policy params: tau_cum must be a number"),
             ({"name": "ddm", "params": {"drift_sigma": "3"}}, "ddm policy params: drift_sigma must be a number, got '3'"),
             ({"name": "adwin", "params": {"delta": "0.01"}}, "adwin policy params: delta must be a number, got '0.01'"),
+            ({"name": ["never"]}, re.escape(f"unknown policy ['never']; expected one of {sorted(POLICY_KINDS)}")),
         ],
     )
     def test_policy_entry_fails_at_load(self, entry, message):
@@ -863,6 +873,8 @@ class TestRunConfig:
             ({"kind": "forest", "seed": -1}, "seed must be >= 0"),
             ({"kind": "forest", "bootstrap": "false"}, "bootstrap must be a bool, got 'false'"),
             ({"kind": "forest", "bootstrap": 0}, "bootstrap must be a bool, got 0"),
+            ({"kind": ["forest"]}, re.escape("unknown model kind ['forest']; expected one of ['forest', 'logistic']")),
+            ({"kind": "tree"}, re.escape("unknown model kind 'tree'; expected one of ['forest', 'logistic']")),
         ],
     )
     def test_model_hyperparameters_fail_at_load(self, model, message):
@@ -954,3 +966,8 @@ def test_get_params_reads_the_constructor_signature(name, cls):
     assert list(params) == list(inspect.signature(cls).parameters)
     assert all(type(value) in (bool, int, float) for value in params.values())
     assert cls(**params).get_params() == params
+
+
+def test_get_params_gives_python_scalars_for_numpy_arguments():
+    params = ForestClassifier(n_trees=np.int64(5)).get_params()
+    assert params["n_trees"] == 5 and type(params["n_trees"]) is int

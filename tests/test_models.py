@@ -442,6 +442,13 @@ def test_labels_that_are_not_numbers_are_refused(labels):
             load()
 
 
+@pytest.mark.parametrize("labels", [[0, 2, 1], [0.0, 2.0, 1.0], np.array([0, 2, 1], dtype=np.uint8)])
+def test_a_bad_label_is_named_before_a_wrong_length(labels):
+    # the values are checked once, before the cast, whatever the dtype
+    with pytest.raises(InvalidInputError, match="y must contain only 0/1 labels$"):
+        LogisticClassifier().fit(np.zeros((2, 2)), labels)
+
+
 @pytest.mark.parametrize("labels", [[0, 1], [0.0, 1.0], [True, False], np.array([1, 0], dtype=np.uint8)])
 def test_numeric_labels_load(labels):
     X = np.array([[0.0, 0.0], [1.0, 1.0]])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from retrainer.costmatrix import StreamCosts
 from retrainer.models import ForestClassifier, LogisticClassifier
 from retrainer.policies import (
     _BLOCK,
+    POLICY_KINDS,
     AdwinPolicy,
     CumulativeThresholdPolicy,
     DdmPolicy,
@@ -35,6 +37,7 @@ from retrainer.policies import (
     ThresholdPolicy,
     _candidate_costs,
     _serving_rows,
+    decide_inputs,
 )
 
 
@@ -220,7 +223,7 @@ class TestRunPolicy:
 
     def test_replay_feeds_detectors_the_serving_models_errors(self):
         class ErrorsSeen(AdwinPolicy):
-            def decide(self, t, *, staleness=None, errors=None, kappa=None):
+            def decide(self, t, *, errors):
                 return errors.sum() > 0
 
         def errors(t_model, t_data):
@@ -229,6 +232,18 @@ class TestRunPolicy:
         c = random_cost_matrix(np.random.default_rng(0), 7, kappa=1.0, start=3)
         s = replay_policy(ErrorsSeen(), c, errors)
         assert np.array_equal(s.served_by, [3, 3, 5, 5, 7, 7, 9])
+
+    @pytest.mark.parametrize(
+        "policy",
+        [ThresholdPolicy(0.3), CumulativeThresholdPolicy(0.8), PeriodicPolicy(2, 1), NeverRetrainPolicy(), MarkovPolicy()],
+        ids=repr,
+    )
+    def test_replay_reads_no_errors_a_policy_does_not_take(self, policy):
+        def errors(t_model, t_data):
+            raise AssertionError(f"{policy!r} was handed errors")
+
+        c = random_cost_matrix(np.random.default_rng(0), 7, kappa=1.0, start=3)
+        assert replay_policy(policy, c, errors).served_by.tolist() == replay_policy(policy, c).served_by.tolist()
 
     def test_replay_rejects_detector_policies(self):
         c = random_cost_matrix(np.random.default_rng(0), 4, kappa=1.0)
@@ -341,8 +356,11 @@ class TestOptimizeOffline:
 
     def test_unknown_family_rejected(self):
         c = random_cost_matrix(np.random.default_rng(3), 4, kappa=1.0)
-        with pytest.raises(InvalidInputError):
+        expected = re.escape("expected one of ['cumulative', 'periodic', 'threshold']")
+        with pytest.raises(InvalidInputError, match="unknown optimizable family 'never'; " + expected):
             optimize_offline("never", c)
+        with pytest.raises(InvalidInputError, match=r"unknown optimizable family \['threshold'\]"):
+            optimize_offline(["threshold"], c)
 
 
 @st.composite
@@ -457,5 +475,24 @@ class TestDriftScenarioPolicies:
 def test_make_policy_registry():
     assert isinstance(make_policy("threshold", tau=1.0), ThresholdPolicy)
     assert isinstance(make_policy("adwin", delta=0.01), AdwinPolicy)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="unknown policy 'nope'; expected one of"):
         make_policy("nope")
+    with pytest.raises(InvalidInputError, match=r"unknown policy \['never'\]"):
+        make_policy(["never"])
+
+
+DECIDE_INPUTS = {
+    "threshold": ("staleness",),
+    "cumulative": ("staleness",),
+    "periodic": (),
+    "never": (),
+    "markov": ("staleness", "kappa"),
+    "adwin": ("errors",),
+    "ddm": ("errors",),
+}
+
+
+@pytest.mark.parametrize("name", POLICY_KINDS)
+def test_decide_declares_the_inputs_it_reads(name):
+    required = {"threshold": {"tau": 0.5}, "cumulative": {"tau_cum": 1.0}, "periodic": {"period": 2}}
+    assert decide_inputs(make_policy(name, **required.get(name, {}))) == DECIDE_INPUTS[name]
