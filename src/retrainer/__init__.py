@@ -16,12 +16,7 @@ from .costmatrix import (
     validate_strategy,
 )
 from .datagen import StreamSpec, generate_stream
-from .errors import (
-    ContractViolationError,
-    InvalidInputError,
-    StreamParseError,
-    UndefinedMetricError,
-)
+from .errors import ContractViolationError, InvalidInputError, StreamParseError
 from .harness import (
     CsvStream,
     RunConfig,
@@ -57,7 +52,6 @@ __all__ = [
     "StreamParseError",
     "StreamSpec",
     "Strategy",
-    "UndefinedMetricError",
     "evaluate_prequential",
     "generate_stream",
     "load_csv_stream",

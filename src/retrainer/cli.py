@@ -65,8 +65,6 @@ _SPEC = inspect.signature(StreamSpec).parameters
 @click.option("--queries", "queries_per_batch", default=_SPEC["queries_per_batch"].default, show_default=True)
 @click.option("--query-mode", type=click.Choice(QUERY_MODES), default=_SPEC["query_mode"].default, show_default=True)
 @click.option("--seed", default=_SPEC["seed"].default, show_default=True)
-@click.option("--covcon-alpha", default=_SPEC["covcon_alpha"].default, show_default=True)
-@click.option("--gauss-sigma", default=_SPEC["gauss_sigma"].default, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 def gen(out, **spec_args):
     """Generate a synthetic stream and write it as a stream CSV."""

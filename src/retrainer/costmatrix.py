@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ContractViolationError, InvalidInputError
 from .models import BaseClassifier, fit_model
 from .streams import DataBatch, QueryBatch
-from .validation import as_point_matrix, check_finite, check_same_dim
+from .validation import as_count, as_point_matrix, check_finite, check_same_dim
 
 
 def rbf_weights(Q, X, gamma: float) -> np.ndarray:
@@ -74,7 +74,7 @@ class Strategy:
     def __post_init__(self):
         if self.end < self.start:
             raise InvalidInputError(f"strategy range [{self.start}, {self.end}] ends before it starts")
-        served = np.asarray(self.served_by, dtype=np.int64)
+        served = as_count(self.served_by, "served_by", 0)
         if served.ndim != 1 or served.size != self.end - self.start + 1:
             raise InvalidInputError(
                 f"served_by must have length {self.end - self.start + 1}, got {served.size}"

@@ -2,16 +2,16 @@
 
 Three 2-D binary stream families:
 
-* gauss  -- recurring covariate drift: points from a Gaussian whose center
-  walks along (c, 0.5 - c) with c = ((t + 1) % 15) / 30, labeled by the fixed
-  parabola x2 > 4 (x1 - 0.5)^2.
+* gauss  -- recurring covariate drift: points from a Gaussian with sigma 0.1
+  whose center walks along (c, 0.5 - c) with c = ((t + 1) % 15) / 30, labeled
+  by the fixed parabola x2 > 4 (x1 - 0.5)^2.
 * circle -- gradual concept drift: uniform points on the unit square labeled
   by whether they fall outside a circle; the circle grows/moves through the
   concepts of ``CIRCLE_SCHEDULE``, split over equal segments of the stream.
 * covcon -- covariate and concept drift: both coordinates from a Gaussian
-  with mean ((t + 1) % 7) / 10 and sigma 0.1, labeled by
-  alpha * sin(pi * x1) > x2 with the inequality direction flipping every 10
-  batches (first flip at t = 10).
+  with mean ((t + 1) % 7) / 10 and sigma 0.1, labeled by sin(pi * x1) > x2
+  with the inequality direction flipping every 10 batches (first flip at
+  t = 10).
 
 Query regimes: mode "D" samples queries (with their labels) from the data
 batch without replacement and without removing them from it; mode "S" draws
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .streams import DataBatch, QueryBatch
-from .validation import as_int, check_finite
+from .validation import as_int
 
 DATASETS = ("gauss", "circle", "covcon")
 QUERY_MODES = ("D", "S")
@@ -58,8 +58,6 @@ class StreamSpec:
     queries_per_batch: int = 100
     query_mode: str = "D"
     seed: int = 0
-    covcon_alpha: float = 1.0
-    gauss_sigma: float = 0.1
 
     def __post_init__(self):
         if self.dataset not in DATASETS:
@@ -70,10 +68,6 @@ class StreamSpec:
             raise InvalidInputError(f"query_mode must be 'D' or 'S', got {self.query_mode!r}")
         if self.query_mode == "D" and self.queries_per_batch > self.batch_size:
             raise InvalidInputError("mode D cannot sample more queries than the batch size")
-        check_finite(self.covcon_alpha, "covcon_alpha")
-        check_finite(self.gauss_sigma, "gauss_sigma")
-        if self.gauss_sigma < 0:
-            raise InvalidInputError(f"gauss_sigma must be >= 0, got {self.gauss_sigma}")
 
     @property
     def name(self) -> str:
@@ -113,7 +107,7 @@ def concept_label(spec: StreamSpec, X, t: int) -> np.ndarray:
         c1, c2, r = circle_concept(spec, t)
         labels = (X[:, 0] - c1) ** 2 + (X[:, 1] - c2) ** 2 - r**2 > 0
     else:
-        boundary = spec.covcon_alpha * np.sin(math.pi * X[:, 0])
+        boundary = np.sin(math.pi * X[:, 0])
         if covcon_flipped(t):
             labels = boundary < X[:, 1]
         else:
@@ -127,7 +121,7 @@ def gen_batch(spec: StreamSpec, t: int) -> DataBatch:
     rng = _rng(spec.seed, t, 0)
     size = (spec.batch_size, 2)
     if spec.dataset == "gauss":
-        X = rng.normal(loc=gauss_center(t), scale=spec.gauss_sigma, size=size)
+        X = rng.normal(loc=gauss_center(t), scale=0.1, size=size)
     elif spec.dataset == "circle":
         X = rng.uniform(0.0, 1.0, size=size)
     else:

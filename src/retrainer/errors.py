@@ -21,7 +21,3 @@ class StreamParseError(InvalidInputError):
         super().__init__(f"row {row}: {message}")
         self.row = row
 
-
-class UndefinedMetricError(ArithmeticError):
-    """Raised when a metric is undefined for the given inputs (e.g. a zero
-    reference cost)."""

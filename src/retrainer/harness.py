@@ -42,20 +42,21 @@ import numpy as np
 
 from .costmatrix import CostMatrix, Strategy, StreamCosts, format_value, strategy_cost, write_csv
 from .datagen import StreamSpec, generate_stream, sample_queries
-from .errors import InvalidInputError, StreamParseError, UndefinedMetricError
+from .errors import InvalidInputError, StreamParseError
 from .models import MODEL_KINDS, BaseClassifier, ForestClassifier
 from .oracle import oracle_strategy
 from .policies import (
     CALIBRATABLE, POLICY_KINDS, RetrainPolicy, decide_inputs, make_policy, optimize_offline, replay_policy
 )
 from .streams import DataBatch, QueryBatch
-from .validation import as_int, as_kind, check_finite
+from .validation import as_int, as_kind, check_finite, check_same_dim
 
 
-def scpe(policy_cost: float, oracle_cost: float) -> float:
-    """Strategy-cost percentage error against the optimal cost."""
+def scpe(policy_cost: float, oracle_cost: float) -> float | None:
+    """Strategy-cost percentage error against the optimal cost; None
+    (undefined) at a zero optimal cost."""
     if oracle_cost == 0:
-        raise UndefinedMetricError("percentage error is undefined for a zero optimal cost")
+        return None
     return 100.0 * abs(policy_cost - oracle_cost) / abs(oracle_cost)
 
 
@@ -117,18 +118,16 @@ class PolicySpec:
 
 @dataclass(frozen=True)
 class CsvStream:
-    """A stream read from a CSV file by ``load_csv_stream``; named after the file."""
+    """A stream read from a CSV file by ``load_csv_stream``; named after
+    the file. A plain data file's queries are sampled from its batches."""
 
     path: str
     n_batches: int
-    queries_per_batch: int | None = None
 
     def __post_init__(self):
         if not isinstance(self.path, (str, os.PathLike)):
             raise InvalidInputError(f"csv stream path must be a string, got {self.path!r}")
         as_int(self.n_batches, "csv stream n_batches", 1)
-        if self.queries_per_batch is not None:
-            as_int(self.queries_per_batch, "csv stream queries_per_batch", 1)
 
     @property
     def name(self) -> str:
@@ -222,9 +221,7 @@ class RunConfig:
     def costs_for_seed(self, seed: int) -> tuple[list[DataBatch], list[QueryBatch], StreamCosts]:
         """The seed's stream and the cost cache over it; a model that takes a seed has it offset by ``seed``."""
         if isinstance(self.stream, CsvStream):
-            data, queries = load_csv_stream(
-                self.stream.path, self.stream.n_batches, seed=seed, queries_per_batch=self.stream.queries_per_batch
-            )
+            data, queries = load_csv_stream(self.stream.path, self.stream.n_batches, seed=seed)
         else:
             data, queries = generate_stream(replace(self.stream, seed=seed))
         model, params = self.model, self.model.get_params()
@@ -276,26 +273,18 @@ class RunResult:
 RESULT_COLUMNS = tuple(f.name for f in fields(RunResult) if f.name != "params")
 
 
-def load_csv_stream(
-    path,
-    n_batches: int | None = None,
-    *,
-    seed: int = 0,
-    queries_per_batch: int | None = None,
-) -> tuple[list[DataBatch], list[QueryBatch]]:
+def load_csv_stream(path, n_batches: int | None = None, *, seed: int = 0) -> tuple[list[DataBatch], list[QueryBatch]]:
     """Read a stream CSV (header ``t,f0..f{d-1},label,is_query``).
 
     Files carrying explicit query rows (is_query = 1) are trusted as-is: rows
-    are grouped by their t column, so a saved stream reloads identically,
-    and ``queries_per_batch`` is refused. Plain data files (no query rows)
-    are re-batched: rows are partitioned in file order into ``n_batches``
-    equal batches (trailing remainder dropped) and 10% of each batch (or
-    ``queries_per_batch``) is sampled, seeded, as data-mode queries.
+    are grouped by their t column, so a saved stream reloads identically.
+    Plain data files (no query rows) are re-batched: rows are partitioned in
+    file order into ``n_batches`` equal batches (trailing remainder dropped)
+    and 10% of each batch (at least one row) is sampled, seeded, as
+    data-mode queries.
     """
     if n_batches is not None:
         n_batches = as_int(n_batches, "n_batches", 1)
-    if queries_per_batch is not None:
-        as_int(queries_per_batch, "queries_per_batch", 1)
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), None)
         if header is None:
@@ -311,10 +300,8 @@ def load_csv_stream(
         rows = _parse_rows(path, n_cols)
     ts, marks, X, y = rows
     if np.any(marks):
-        if queries_per_batch is not None:
-            raise InvalidInputError("queries_per_batch applies only to a plain data file; this file has query rows")
         return _group_marked_rows(ts, marks, X, y, n_batches)
-    return _rebatch_rows(X, y, n_batches, seed, queries_per_batch)
+    return _rebatch_rows(X, y, n_batches, seed)
 
 
 def _parse_rows_numpy(path, dim: int):
@@ -400,25 +387,25 @@ def _group_marked_rows(ts, marks, X, y, n_batches):
     return data, queries
 
 
-def _rebatch_rows(X, y, n_batches, seed, queries_per_batch):
+def _rebatch_rows(X, y, n_batches, seed):
     if n_batches is None:
         raise InvalidInputError("n_batches is required to batch a plain data file")
     if len(X) < n_batches:
         raise InvalidInputError(f"{len(X)} rows cannot fill {n_batches} batches")
     batch_size = len(X) // n_batches
-    q_per_batch = queries_per_batch if queries_per_batch is not None else max(1, batch_size // 10)
     data = []
     for t in range(n_batches):
         chunk = slice(t * batch_size, (t + 1) * batch_size)
         data.append(DataBatch(t, X[chunk], y[chunk]))
-    return data, [sample_queries(seed, batch, q_per_batch) for batch in data]
+    return data, [sample_queries(seed, batch, max(1, batch_size // 10)) for batch in data]
 
 
 def save_stream_csv(path, data, queries) -> None:
     """Write a stream in the shared CSV format: per batch its data rows, then
-    its query rows. No two data batches share an index, each query batch
-    needs labels and a data batch of its index, and no two query batches
-    share an index (all checked before the file opens).
+    its query rows. Every batch has the first data batch's dimensionality,
+    no two data batches share an index, each query batch needs labels and a
+    data batch of its index, and no two query batches share an index (all
+    checked before the file opens).
 
     The lines are built as text, not through ``write_csv``: every cell is an
     integer or a finite float (batches refuse non-finite points), so none
@@ -428,10 +415,12 @@ def save_stream_csv(path, data, queries) -> None:
         raise InvalidInputError("nothing to save: empty data stream")
     data_ts, query_by_t = set(), {}
     for batch in data:
+        check_same_dim(data[0].dim, batch.dim, f"data batch {batch.t}")
         if batch.t in data_ts:
             raise InvalidInputError(f"two data batches have index {batch.t}")
         data_ts.add(batch.t)
     for q in queries:
+        check_same_dim(data[0].dim, q.dim, f"query batch {q.t}")
         if q.eval_labels is None:
             raise InvalidInputError(f"query batch {q.t} has no labels to save")
         if q.t not in data_ts:
@@ -487,7 +476,7 @@ def run_sweep(cfg: RunConfig, cost_cache: dict | None = None) -> list[RunResult]
                     seed=seed,
                     strategy_cost=cost,
                     oracle_cost=opt_cost,
-                    scpe=scpe(cost, opt_cost) if opt_cost != 0 else None,
+                    scpe=scpe(cost, opt_cost),
                     n_retrains=strategy.n_retrains,
                     query_accuracy=accuracy,
                     strategy=strategy,

@@ -15,29 +15,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
-from .validation import as_binary_labels, as_point_matrix
+from .validation import as_binary_labels, as_int, as_point_matrix
 
 
 @dataclass(frozen=True)
-class DataBatch:
-    """Labeled points that arrived at step ``t``.
-
-    X has shape (n, d) with finite float entries; y holds the matching
-    0/1 labels.
-    """
+class _Batch:
+    """The points of step ``t``: an integer ``t >= 0`` and an (n, d) matrix
+    X of finite floats."""
 
     t: int
     X: np.ndarray
-    y: np.ndarray
 
     def __post_init__(self):
-        if self.t < 0:
-            raise InvalidInputError(f"batch index must be non-negative, got {self.t}")
-        X = as_point_matrix(self.X, name=f"DataBatch[{self.t}].X")
-        y = as_binary_labels(self.y, n=X.shape[0], name=f"DataBatch[{self.t}].y")
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "t", as_int(self.t, "batch index", 0))
+        object.__setattr__(self, "X", as_point_matrix(self.X, name=f"{self._name}.X"))
+
+    @property
+    def _name(self) -> str:
+        return f"{type(self).__name__}[{self.t}]"
 
     @property
     def size(self) -> int:
@@ -49,32 +44,29 @@ class DataBatch:
 
 
 @dataclass(frozen=True)
-class QueryBatch:
+class DataBatch(_Batch):
+    """Labeled points that arrived at step ``t``; y holds the matching 0/1
+    labels."""
+
+    y: np.ndarray
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "y", as_binary_labels(self.y, n=self.size, name=f"{self._name}.y"))
+
+
+@dataclass(frozen=True)
+class QueryBatch(_Batch):
     """Query points to answer at step ``t``.
 
     eval_labels, when present, are ground-truth 0/1 labels used for accuracy
     reporting only.
     """
 
-    t: int
-    X: np.ndarray
     eval_labels: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
-        if self.t < 0:
-            raise InvalidInputError(f"batch index must be non-negative, got {self.t}")
-        X = as_point_matrix(self.X, name=f"QueryBatch[{self.t}].X")
-        object.__setattr__(self, "X", X)
+        super().__post_init__()
         if self.eval_labels is not None:
-            labels = as_binary_labels(
-                self.eval_labels, n=X.shape[0], name=f"QueryBatch[{self.t}].eval_labels"
-            )
+            labels = as_binary_labels(self.eval_labels, n=self.size, name=f"{self._name}.eval_labels")
             object.__setattr__(self, "eval_labels", labels)
-
-    @property
-    def size(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.X.shape[1]

@@ -77,7 +77,7 @@ def test_gen_writes_the_pinned_bytes(runner, tmp_path):
 def test_gen_defaults_are_the_stream_spec_defaults():
     spec = inspect.signature(StreamSpec).parameters
     options = [p for p in gen_cmd.params if p.name in spec and spec[p.name].default is not inspect.Parameter.empty]
-    assert len(options) == 7
+    assert len(options) == 5
     for option in options:
         assert option.default == spec[option.name].default, option.name
 
@@ -248,6 +248,28 @@ def test_a_name_that_is_not_a_string_prints_one_error_line(runner, config_path, 
     result = runner.invoke(main, ["sweep", "--config", str(path)])
     assert refusal(result).startswith(message)
     assert not (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["covcon_alpha", "gauss_sigma"])
+def test_a_removed_stream_key_prints_one_error_line(runner, config_path, tmp_path, key):
+    # the covcon boundary and the gauss spread are fixed; a config that sets either is refused
+    cfg = json.loads(config_path.read_text())
+    cfg["stream"][key] = 1.0
+    path = tmp_path / "removed.json"
+    path.write_text(json.dumps(cfg))
+    result = runner.invoke(main, ["sweep", "--config", str(path)])
+    assert refusal(result).startswith(f"unknown stream key {key!r}")
+    assert not (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize("option", ["--covcon-alpha", "--gauss-sigma"])
+def test_gen_has_no_removed_option(runner, tmp_path, option):
+    out = tmp_path / "stream.csv"
+    result = runner.invoke(main, ["gen", "--dataset", "covcon", option, "0.3", "--out", str(out)])
+    # click words the error "No such option: --x" or "No such option '--x'", by version
+    assert result.exit_code == 2 and "Error: No such option" in result.output and option in result.output
+    assert not out.exists()
+    assert option not in runner.invoke(main, ["gen", "--help"]).output
 
 
 def test_an_overflowing_logistic_fit_prints_one_error_line(runner, tmp_path):

@@ -429,6 +429,23 @@ class TestValidateStrategy:
         with pytest.raises(InvalidInputError, match="ends before it starts"):
             Strategy(start, end, [])
 
+    @pytest.mark.parametrize(
+        "served, message",
+        [
+            ([0.0, 1.7], "served_by must be an integer"),
+            ([False, True], "served_by must be an integer"),
+            (["0", "1"], "served_by must be an integer"),
+            ([0.0, math.nan], "served_by must be an integer"),
+            ([0, -1], "served_by must be >= 0"),
+            ([[0, 1]], "served_by must have length 2"),
+            ([0, 1, 1], "served_by must have length 2"),
+        ],
+    )
+    def test_served_models_are_refused_not_truncated(self, served, message):
+        with pytest.raises(InvalidInputError, match=message):
+            Strategy(0, 1, served)
+        assert Strategy(0, 1, [0, 1]).served_by.tolist() == [0, 1]
+
     def test_retrain_counting(self):
         s = Strategy(0, 3, np.array([0, 0, 2, 2]))
         assert s.n_retrains == 2

@@ -40,7 +40,7 @@ class TestGauss:
         spec = spec_for("gauss", batch_size=2000)
         batch = gen_batch(spec, 3)
         assert np.allclose(batch.X.mean(axis=0), gauss_center(3), atol=0.02)
-        assert np.allclose(batch.X.std(axis=0), spec.gauss_sigma, rtol=0.2)
+        assert np.allclose(batch.X.std(axis=0), 0.1, rtol=0.2)
 
 
 class TestCircle:
@@ -84,9 +84,14 @@ class TestCovcon:
         assert concept_label(spec, point, 5)[0] == 1
         assert concept_label(spec, point, 15)[0] == 0
 
-    def test_alpha_scales_boundary(self):
-        spec = spec_for("covcon", covcon_alpha=0.3)
-        assert concept_label(spec, [[0.5, 0.5]], 0)[0] == 0  # 0.3 < 0.5
+    def test_labels_are_the_sine_boundary_then_its_reverse(self):
+        spec = spec_for("covcon")
+        X = np.random.default_rng(4).uniform(-0.5, 1.5, size=(500, 2))
+        above = (np.sin(np.pi * X[:, 0]) > X[:, 1]).astype(np.int64)
+        for t in (0, 9, 20, 29):
+            assert np.array_equal(concept_label(spec, X, t), above)
+        for t in (10, 19, 30):
+            assert np.array_equal(concept_label(spec, X, t), 1 - above)
 
 
 class TestQueries:

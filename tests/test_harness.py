@@ -21,7 +21,6 @@ from retrainer import (
     Strategy,
     StreamParseError,
     StreamSpec,
-    UndefinedMetricError,
     evaluate_prequential,
     generate_stream,
     load_csv_stream,
@@ -72,6 +71,12 @@ class TestLoadCsvStream:
         assert all(b.size == 100 for b in data)
         assert all(q.size == 10 for q in queries)
         assert [b.t for b in data] == list(range(10))
+
+    def test_a_small_batch_samples_one_query(self, tmp_path):
+        path = tmp_path / "s.csv"
+        write_plain_csv(path, 76)
+        data, queries = load_csv_stream(path, 4)
+        assert [b.size for b in data] == [19] * 4 and [q.size for q in queries] == [1] * 4
 
     def test_remainder_rows_dropped(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -136,22 +141,6 @@ class TestLoadCsvStream:
         write_plain_csv(path, 100)
         with pytest.raises(InvalidInputError, match="n_batches"):
             load_csv_stream(path, n_batches)
-
-    @pytest.mark.parametrize("q", [0, -1, 2.5, "3"])
-    def test_queries_per_batch_must_be_a_positive_integer(self, tmp_path, q):
-        path = tmp_path / "s.csv"
-        write_plain_csv(path, 100)
-        with pytest.raises(InvalidInputError, match="queries_per_batch"):
-            load_csv_stream(path, 4, queries_per_batch=q)
-
-    def test_queries_per_batch_is_refused_for_a_file_with_query_rows(self, tmp_path):
-        # the file's own query rows are the queries, so a requested count would be ignored
-        data, queries = generate_stream(StreamSpec("gauss", n_batches=4, batch_size=30, queries_per_batch=3))
-        path = tmp_path / "s.csv"
-        save_stream_csv(path, data, queries)
-        with pytest.raises(InvalidInputError, match="^queries_per_batch applies only to a plain data file"):
-            load_csv_stream(path, 4, queries_per_batch=7)
-        assert [q.size for q in load_csv_stream(path, 4)[1]] == [3, 3, 3, 3]
 
     def test_too_few_rows_rejected(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -349,6 +338,25 @@ class TestSaveStreamCsv:
             save_stream_csv(path, data, queries)
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "data_dims, query_dims, message",
+        [
+            ([2, 3], [2, 2], "data batch 1 has dimensionality 3, expected 2"),
+            ([2, 2], [2, 3], "query batch 1 has dimensionality 3, expected 2"),
+            ([3, 3], [2, 3], "query batch 0 has dimensionality 2, expected 3"),
+        ],
+    )
+    def test_a_batch_of_another_dimensionality_is_refused_before_the_file_opens(
+        self, tmp_path, data_dims, query_dims, message
+    ):
+        # the header has the first data batch's columns, so the reader would refuse the row
+        data = [DataBatch(t, np.zeros((2, d)), [0, 1]) for t, d in enumerate(data_dims)]
+        queries = [QueryBatch(t, np.ones((1, d)), [1]) for t, d in enumerate(query_dims)]
+        path = tmp_path / "s.csv"
+        with pytest.raises(InvalidInputError, match=message):
+            save_stream_csv(path, data, queries)
+        assert not path.exists()
+
 
 def constant_batch(t, label, base=0.0):
     X = np.array([[base, 0.0], [base + 1.0, 1.0], [base + 2.0, 0.5]])
@@ -398,8 +406,8 @@ class TestScpe:
         assert scpe(117.72, 100.0) == pytest.approx(17.72, abs=1e-10)
 
     def test_zero_reference_undefined(self):
-        with pytest.raises(UndefinedMetricError):
-            scpe(1.0, 0.0)
+        assert scpe(1.0, 0.0) is None
+        assert scpe(0.0, 0.0) is None
 
 
 def small_config(**overrides):
@@ -724,8 +732,8 @@ class TestRunConfig:
         }
 
     def test_from_dict_csv_stream(self):
-        cfg = RunConfig.from_dict(self.csv_raw(n_batches=10, queries_per_batch=4))
-        assert cfg.stream == CsvStream("data/stream.csv", 10, 4)
+        cfg = RunConfig.from_dict(self.csv_raw(n_batches=10))
+        assert cfg.stream == CsvStream("data/stream.csv", 10)
         assert cfg.stream.name == "stream"
 
     def test_csv_stream_needs_n_batches(self):
@@ -759,6 +767,10 @@ class TestRunConfig:
             ("logistic model", "epocs", GAUSS_STREAM, lambda raw: raw["model"]),
             ("policy entry", "parms", GAUSS_STREAM, lambda raw: raw["policies"][0]),
             ("adwin policy params", "dleta", GAUSS_STREAM, adwin_params),
+            # options that were removed: the boundary, the spread and the query share are fixed
+            ("stream", "covcon_alpha", {**GAUSS_STREAM, "dataset": "covcon"}, lambda raw: raw["stream"]),
+            ("stream", "gauss_sigma", GAUSS_STREAM, lambda raw: raw["stream"]),
+            ("csv stream", "queries_per_batch", CSV_STREAM, lambda raw: raw["stream"]),
         ],
     )
     def test_unknown_key_is_named_with_its_level(self, level, key, stream, where):
@@ -907,14 +919,10 @@ class TestRunConfig:
             ("run", "gamma", "0.5", "gamma must be a number, got '0.5'"),
             ("run", "gamma", math.inf, "gamma must be finite, got inf"),
             ("csv", "n_batches", "12", "csv stream n_batches must be an integer, got '12'"),
-            ("csv", "queries_per_batch", 0, "csv stream queries_per_batch must be >= 1"),
-            ("csv", "queries_per_batch", "3", "csv stream queries_per_batch must be an integer, got '3'"),
             ("csv", "path", 5, "csv stream path must be a string, got 5"),
             ("csv", "path", None, "csv stream is missing 'path'"),
             ("gauss", "n_batches", 12.0, "n_batches must be an integer, got 12.0"),
             ("gauss", "batch_size", "40", "batch_size must be an integer, got '40'"),
-            ("gauss", "covcon_alpha", "2", "covcon_alpha must be a number, got '2'"),
-            ("gauss", "gauss_sigma", -0.1, "gauss_sigma must be >= 0"),
             ("gauss", "dataset", None, "stream is missing 'dataset'"),
         ],
     )
