@@ -13,9 +13,9 @@ either keep the previous model or switch to one trained at the current
 batch. The cost of a strategy is the sum of its matrix entries.
 
 ``StreamCosts`` is the shared computation cache behind matrix builds, policy
-replays and evaluation: per-batch fitted models, query predictions and the
-0/1 error vectors of the pairs that drift detectors read are computed once
-and reused, and ``staleness_matrix`` is the one place staleness is computed.
+replays and evaluation: per-batch fitted models and query predictions are
+computed once and reused, and ``staleness_matrix`` is the one place staleness
+is computed.
 Staleness entries do not depend on kappa, so the matrices of every kappa
 over one range share the one cached staleness array.
 """
@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import ContractViolationError, InvalidInputError
 from .models import BaseClassifier, fit_model
-from .streams import DataBatch, QueryBatch
-from .validation import as_count, as_point_matrix, check_finite, check_same_dim
+from .streams import DataBatch, QueryBatch, check_stream
+from .validation import as_count, as_int, as_point_matrix, check_finite, check_same_dim
 
 
 def rbf_weights(Q, X, gamma: float) -> np.ndarray:
@@ -72,6 +72,8 @@ class Strategy:
     served_by: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "start", as_int(self.start, "strategy start", 0))
+        object.__setattr__(self, "end", as_int(self.end, "strategy end", 0))
         if self.end < self.start:
             raise InvalidInputError(f"strategy range [{self.start}, {self.end}] ends before it starts")
         served = as_count(self.served_by, "served_by", 0)
@@ -130,6 +132,7 @@ class CostMatrix:
     kappa: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "start", as_int(self.start, "cost matrix start", 0))
         psi = np.asarray(self.staleness, dtype=np.float64)
         if psi.ndim != 2 or psi.shape[0] != psi.shape[1] or psi.size == 0:
             raise InvalidInputError(f"staleness must be square and non-empty, got shape {psi.shape}")
@@ -211,8 +214,8 @@ class StreamCosts:
     reproduce the same model), and can be negative.
 
     The matrix is built one row (one model t') at a time, and a pair's error
-    vector is dropped once its entry is known: ``errors`` computes and keeps
-    only the pairs it is asked for, at most one per batch and policy run.
+    vector is dropped once its entry is known; ``errors`` computes a pair's
+    vector on each request and keeps nothing.
 
     The training term reads the kernel only at the points its model gets
     wrong, and is exactly 0.0 for a model without training errors. That is
@@ -221,9 +224,8 @@ class StreamCosts:
     erring columns are gathered, and the dot still runs over the whole error
     vector, so each product and each partial sum keeps its bits.
 
-    Streams are passed as sequences of batches; batches are indexed by their
-    own ``t`` field, so partial streams work as long as the batches needed by
-    a request are present and contiguous in dimensionality.
+    A stream holds batch t at position t (``streams.check_stream``); the
+    queries may be empty when only ``errors`` and fits are read.
     """
 
     def __init__(
@@ -233,36 +235,22 @@ class StreamCosts:
         model: BaseClassifier,
         gamma: float | None = None,
     ):
-        self._data: dict[int, DataBatch] = {b.t: b for b in data}
-        self._queries: dict[int, QueryBatch] = {b.t: b for b in queries}
-        if not self._data:
-            raise InvalidInputError("data stream is empty")
-        dim = next(iter(self._data.values())).dim
-        for b in self._data.values():
-            check_same_dim(dim, b.dim, name=f"DataBatch[{b.t}]")
-        for q in self._queries.values():
-            check_same_dim(dim, q.dim, name=f"QueryBatch[{q.t}]")
+        check_stream(data, queries)
+        self._data, self._queries = list(data), list(queries)
         self.model = model
-        self.gamma = 1.0 / dim if gamma is None else gamma
+        self.gamma = 1.0 / data[0].dim if gamma is None else gamma
         check_finite(self.gamma, "gamma")
         if not self.gamma > 0:
             raise InvalidInputError(f"gamma must be > 0, got {self.gamma}")
         self._models: dict[int, BaseClassifier] = {}
-        self._errors: dict[tuple[int, int], np.ndarray] = {}
         self._query_preds: dict[tuple[int, int], np.ndarray] = {}
         self._staleness_base: dict[tuple[int, int], np.ndarray] = {}
 
     def data_batch(self, t: int) -> DataBatch:
-        try:
-            return self._data[t]
-        except KeyError:
-            raise InvalidInputError(f"data stream has a gap: no batch {t}") from None
+        return _batch_at(self._data, t, "data")
 
     def query_batch(self, t: int) -> QueryBatch:
-        try:
-            return self._queries[t]
-        except KeyError:
-            raise InvalidInputError(f"query stream has a gap: no batch {t}") from None
+        return _batch_at(self._queries, t, "query")
 
     def model_at(self, t: int) -> BaseClassifier:
         """The model trained on batch t (fitted lazily, cached)."""
@@ -272,13 +260,9 @@ class StreamCosts:
 
     def errors(self, t_model: int, t_data: int) -> np.ndarray:
         """0/1 losses of model t_model on data batch t_data, stream order, as
-        bools; computed on first request and kept."""
-        key = (t_model, t_data)
-        if key not in self._errors:
-            batch = self.data_batch(t_data)
-            preds = self.model_at(t_model).predict(batch.X)
-            self._errors[key] = preds != batch.y
-        return self._errors[key]
+        bools; computed on each request, not kept."""
+        batch = self.data_batch(t_data)
+        return self.model_at(t_model).predict(batch.X) != batch.y
 
     def query_predictions(self, t_model: int, t_query: int) -> np.ndarray:
         key = (t_model, t_query)
@@ -368,6 +352,13 @@ class StreamCosts:
 
     def cost_matrix(self, start: int, end: int, kappa) -> CostMatrix:
         return CostMatrix(start, self.staleness_matrix(start, end), kappa)
+
+
+def _batch_at(batches: list, t: int, kind: str):
+    """Batch t of a stream, which sits at position t."""
+    if not 0 <= t < len(batches):
+        raise InvalidInputError(f"no {kind} batch {t} in a stream of {len(batches)}")
+    return batches[t]
 
 
 def _served_terms(strategy: Strategy, c: CostMatrix) -> np.ndarray:

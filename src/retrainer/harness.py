@@ -9,8 +9,8 @@ the sweep
    policy marked "optimize" on it (only when some policy is),
 2. builds the online matrix over (t_offline, t_online], computes the optimal
    strategy on it, and
-3. replays each policy on the online matrix (``replay_policy``, with the
-   cached error vectors for the drift detectors), pricing its strategy on
+3. replays each policy on the online matrix (``replay_policy``, with
+   ``StreamCosts.errors`` for the drift detectors), pricing its strategy on
    that matrix and scoring prequential query accuracy from the same cache.
    A policy whose ``decide`` does not take ``kappa`` (all but markov)
    gives the same strategy under every kappa, so it is replayed and
@@ -48,8 +48,8 @@ from .oracle import oracle_strategy
 from .policies import (
     CALIBRATABLE, POLICY_KINDS, RetrainPolicy, decide_inputs, make_policy, optimize_offline, replay_policy
 )
-from .streams import DataBatch, QueryBatch
-from .validation import as_int, as_kind, check_finite, check_same_dim
+from .streams import DataBatch, QueryBatch, check_stream
+from .validation import as_int, as_kind, check_finite
 
 
 def scpe(policy_cost: float, oracle_cost: float) -> float | None:
@@ -94,11 +94,7 @@ class PolicySpec:
             return
         if not isinstance(self.params, dict):
             raise InvalidInputError(f"{self.name} policy params must be a dict or 'optimize', got {self.params!r}")
-        keys = inspect.signature(cls).parameters
-        _check_keys(self.params, keys, f"{self.name} policy params")
-        for key, param in keys.items():
-            if param.default is param.empty and key not in self.params:
-                raise InvalidInputError(f"{self.name} policy params are missing {key!r}")
+        _arguments(self.params, cls, f"{self.name} policy params")
         try:
             cls(**self.params)  # the constructor's own checks run at load
         except (TypeError, ValueError) as exc:
@@ -134,13 +130,6 @@ class CsvStream:
         return Path(self.path).stem
 
 
-def _check_keys(raw: dict, known, level: str) -> None:
-    """Reject a key that this level of a run config does not read, naming the key and the level."""
-    for key in raw:
-        if key not in known:
-            raise InvalidInputError(f"unknown {level} key {key!r}; expected one of {sorted(known)}")
-
-
 def _object(value, level: str) -> dict:
     """A copy of one level of a run config, which must be a JSON object."""
     if not isinstance(value, dict):
@@ -149,9 +138,13 @@ def _object(value, level: str) -> dict:
 
 
 def _arguments(raw: dict, cls, level: str, extra=()) -> dict:
-    """``raw``, checked to hold every argument ``cls`` needs and no key but its arguments and ``extra``."""
+    """``raw``, checked to hold every argument ``cls`` needs and no key but
+    its arguments and ``extra``; a wrong key is named with its level."""
     params = inspect.signature(cls).parameters
-    _check_keys(raw, [*extra, *params], level)
+    known = [*extra, *params]
+    for key in raw:
+        if key not in known:
+            raise InvalidInputError(f"unknown {level} key {key!r}; expected one of {sorted(known)}")
     for key, param in params.items():
         if param.default is param.empty and key not in raw:
             raise InvalidInputError(f"{level} is missing {key!r}")
@@ -276,8 +269,9 @@ RESULT_COLUMNS = tuple(f.name for f in fields(RunResult) if f.name != "params")
 def load_csv_stream(path, n_batches: int | None = None, *, seed: int = 0) -> tuple[list[DataBatch], list[QueryBatch]]:
     """Read a stream CSV (header ``t,f0..f{d-1},label,is_query``).
 
-    Files carrying explicit query rows (is_query = 1) are trusted as-is: rows
-    are grouped by their t column, so a saved stream reloads identically.
+    Files carrying explicit query rows (is_query = 1) are grouped by their t
+    column and must hold batch t at position t (``check_stream``), with data
+    and query rows at every index, so a saved stream reloads identically.
     Plain data files (no query rows) are re-batched: rows are partitioned in
     file order into ``n_batches`` equal batches (trailing remainder dropped)
     and 10% of each batch (at least one row) is sampled, seeded, as
@@ -369,21 +363,17 @@ def _csv_rows(reader, n_cols: int):
 
 
 def _group_marked_rows(ts, marks, X, y, n_batches):
+    """The batches of a file with query rows, by their ``t`` cell; an index
+    without data or query rows makes an empty batch, which is refused."""
     grouped: dict[int, tuple[list, list]] = {}
     for i, (t, is_query) in enumerate(zip(ts, marks)):
         grouped.setdefault(int(t), ([], []))[is_query].append(i)
-    ts = sorted(grouped)
-    if ts != list(range(len(ts))):
-        raise InvalidInputError(f"batch indices are not contiguous from 0: {ts[:5]}...")
-    if n_batches is not None and len(ts) != n_batches:
-        raise InvalidInputError(f"file holds {len(ts)} batches, expected {n_batches}")
-    data, queries = [], []
-    for t in ts:
-        d, q = grouped[t]
-        if not d or not q:
-            raise InvalidInputError(f"batch {t} is missing data or query rows")
-        data.append(DataBatch(t, X[d], y[d]))
-        queries.append(QueryBatch(t, X[q], y[q]))
+    groups = sorted(grouped.items())
+    data = [DataBatch(t, X[d], y[d]) for t, (d, _) in groups]
+    queries = [QueryBatch(t, X[q], y[q]) for t, (_, q) in groups]
+    check_stream(data, queries)
+    if n_batches is not None and len(data) != n_batches:
+        raise InvalidInputError(f"file holds {len(data)} batches, expected {n_batches}")
     return data, queries
 
 
@@ -402,40 +392,27 @@ def _rebatch_rows(X, y, n_batches, seed):
 
 def save_stream_csv(path, data, queries) -> None:
     """Write a stream in the shared CSV format: per batch its data rows, then
-    its query rows. Every batch has the first data batch's dimensionality,
-    no two data batches share an index, each query batch needs labels and a
-    data batch of its index, and no two query batches share an index (all
-    checked before the file opens).
+    its query rows. A stream that ``check_stream`` refuses (a gap, a
+    duplicate or misplaced index, query batches for only some data batches,
+    another dimensionality) and an unlabeled query batch are refused before
+    the file opens, so every file written with query batches reloads batch
+    for batch.
 
     The lines are built as text, not through ``write_csv``: every cell is an
     integer or a finite float (batches refuse non-finite points), so none
     needs quoting, and the bytes are ``csv.writer``'s, CRLF line ends and
     ``repr`` floats included, at a fraction of its per-cell cost."""
-    if not data:
-        raise InvalidInputError("nothing to save: empty data stream")
-    data_ts, query_by_t = set(), {}
-    for batch in data:
-        check_same_dim(data[0].dim, batch.dim, f"data batch {batch.t}")
-        if batch.t in data_ts:
-            raise InvalidInputError(f"two data batches have index {batch.t}")
-        data_ts.add(batch.t)
+    check_stream(data, queries)
     for q in queries:
-        check_same_dim(data[0].dim, q.dim, f"query batch {q.t}")
         if q.eval_labels is None:
             raise InvalidInputError(f"query batch {q.t} has no labels to save")
-        if q.t not in data_ts:
-            raise InvalidInputError(f"query batch {q.t} has no data batch {q.t} to be saved with")
-        if q.t in query_by_t:
-            raise InvalidInputError(f"two query batches have index {q.t}")
-        query_by_t[q.t] = q
     header = ["t"] + [f"f{i}" for i in range(data[0].dim)] + ["label", "is_query"]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for batch in data:
-            fh.write(_stream_lines(batch.t, batch.X, batch.y, 0))
-            q = query_by_t.get(batch.t)
-            if q is not None:
-                fh.write(_stream_lines(batch.t, q.X, q.eval_labels, 1))
+        for t, batch in enumerate(data):
+            fh.write(_stream_lines(t, batch.X, batch.y, 0))
+            if queries:
+                fh.write(_stream_lines(t, queries[t].X, queries[t].eval_labels, 1))
 
 
 def _stream_lines(t, X, labels, is_query) -> str:

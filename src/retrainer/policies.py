@@ -21,7 +21,7 @@ read an input it does not declare.
 ``replay_policy`` runs one policy through that loop. An online run is a
 replay on the online cost matrix, with ``StreamCosts.errors`` as the
 detectors' error source; the matrix and the error vectors both come from the
-same ``StreamCosts`` cache.
+same ``StreamCosts``, whose fitted models they share.
 
 Policies that keep mutable state reset it when they decide to retrain, so a
 single instance can be reused across runs via ``reset()``.

@@ -1,9 +1,11 @@
 """Batched stream containers.
 
-A stream is a list of batches indexed by a non-negative time step ``t``.
+A stream is a list of batches in which batch t sits at position t, from 0.
 ``DataBatch`` carries labeled training points, ``QueryBatch`` carries the
 points the deployed model must answer at the same step; query labels are
 optional and used only when scoring accuracy, never by decision policies.
+``check_stream`` is the one rule for what a stream is; the cost cache, the
+stream CSV writer and its reader all apply it.
 
 Batches are treated as immutable after construction: the arrays are owned by
 the batch and shared freely across threads.
@@ -15,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .validation import as_binary_labels, as_int, as_point_matrix
+from .errors import InvalidInputError
+from .validation import as_binary_labels, as_int, as_point_matrix, check_same_dim
 
 
 @dataclass(frozen=True)
@@ -70,3 +73,19 @@ class QueryBatch(_Batch):
         if self.eval_labels is not None:
             labels = as_binary_labels(self.eval_labels, n=self.size, name=f"{self._name}.eval_labels")
             object.__setattr__(self, "eval_labels", labels)
+
+
+def check_stream(data, queries) -> None:
+    """Refuse a stream that is not batch t at position t: ``data`` must be
+    non-empty with batch t at position t, from 0, ``queries`` empty or the
+    same with one batch per data batch, and every batch must have the first
+    data batch's dimensionality."""
+    if not data:
+        raise InvalidInputError("data stream is empty")
+    for kind, batches in (("data", data), ("query", queries)):
+        if len(batches) not in (0, len(data)):
+            raise InvalidInputError(f"expected {len(data)} {kind} batches or none, got {len(batches)}")
+        for t, batch in enumerate(batches):
+            if batch.t != t:
+                raise InvalidInputError(f"{kind} batch {batch.t} is at position {t}; batch t must be at position t")
+            check_same_dim(data[0].dim, batch.dim, f"{kind} batch {t}")

@@ -100,6 +100,32 @@ def reference_save_stream_csv(path, data, queries):
     write_csv(path, ["t"] + [f"f{i}" for i in range(data[0].dim)] + ["label", "is_query"], rows())
 
 
+# Streams that break "batch t at position t", as (data indices, query
+# indices, the refusal), each list in stream order; ``indexed_stream`` builds
+# them.
+MALFORMED_STREAMS = {
+    "empty": ([], [], "data stream is empty"),
+    "gap": ([0, 2], [0, 2], "data batch 2 is at position 1"),
+    "not-from-0": ([1, 2], [], "data batch 1 is at position 0"),
+    "index-10": ([10], [10], "data batch 10 is at position 0"),
+    "duplicate-data": ([0, 0, 1], [0, 1], "data batch 0 is at position 1"),
+    "misordered-data": ([1, 0], [1, 0], "data batch 1 is at position 0"),
+    "duplicate-query": ([0, 1, 2], [0, 1, 1], "query batch 1 is at position 2"),
+    "misordered-query": ([0, 1, 2], [0, 2, 1], "query batch 2 is at position 1"),
+    "partial-queries": ([0, 1, 2], [0], "expected 3 query batches or none, got 1"),
+    "stray-query": ([0, 1, 2], [0, 1, 2, 7], "expected 3 query batches or none, got 4"),
+}
+
+
+def indexed_stream(data_ts, query_ts):
+    """2-D data batches of two points and labeled query batches of one, at
+    the given indices and in the given order; the k-th batch of each list
+    has every feature at k."""
+    data = [DataBatch(t, np.full((2, 2), float(k)), [0, 1]) for k, t in enumerate(data_ts)]
+    queries = [QueryBatch(t, np.full((1, 2), float(k)), [1]) for k, t in enumerate(query_ts)]
+    return data, queries
+
+
 # ---------------------------------------------------------------------------
 # Reference staleness: the definition, one query and one point at a time.
 #

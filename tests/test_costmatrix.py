@@ -1,11 +1,14 @@
 import gc
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from helpers import (
+    MALFORMED_STREAMS,
     drift_scenario,
+    indexed_stream,
     naive_strategy_cost,
     random_cost_matrix,
     reachable_strategies,
@@ -95,6 +98,30 @@ class TestBuild:
             StreamCosts([data[0], data[2], data[3]], queries[1:], MODEL).cost_matrix(0, 3, 1.0)
         with pytest.raises(InvalidInputError):
             StreamCosts(data, queries, MODEL).cost_matrix(4, 4, 1.0)
+
+    @pytest.mark.parametrize("data_ts, query_ts, message", MALFORMED_STREAMS.values(), ids=MALFORMED_STREAMS)
+    def test_a_stream_that_is_not_batch_t_at_position_t_is_refused_at_construction(self, data_ts, query_ts, message):
+        data, queries = indexed_stream(data_ts, query_ts)
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}"):
+            StreamCosts(data, queries, MODEL)
+
+    def test_a_stream_without_queries_serves_fits_and_errors(self):
+        data, queries = small_stream()
+        costs = StreamCosts(data, [], MODEL)
+        expected = fit_model(data[0], MODEL).predict(data[2].X) != data[2].y
+        assert np.array_equal(costs.errors(0, 2), expected)
+        with pytest.raises(InvalidInputError, match="^no query batch 1 in a stream of 0$"):
+            costs.query_batch(1)
+
+    @pytest.mark.parametrize("t", [-1, 4])
+    def test_a_batch_outside_the_stream_is_refused(self, t):
+        # a list reads position -1 as the last batch; the accessor must not
+        data, queries = small_stream()
+        costs = StreamCosts(data, queries, MODEL)
+        for read, kind in ((costs.data_batch, "data"), (costs.query_batch, "query")):
+            with pytest.raises(InvalidInputError, match=f"^no {kind} batch {t} in a stream of 4$"):
+                read(t)
+        assert costs.data_batch(3) is data[3] and costs.query_batch(3) is queries[3]
 
     def test_kappa_patch_leaves_staleness_bit_identical(self):
         data, queries = small_stream()
@@ -227,7 +254,6 @@ class TestRowBuild:
         data, queries = generate_stream(spec)
         costs = StreamCosts(data, queries, model)
         c = costs.cost_matrix(2, 13, 1.0)
-        assert costs._errors == {}  # the build keeps no error vector
         read = []
 
         def errors(t_model, t_data):
@@ -236,7 +262,6 @@ class TestRowBuild:
 
         for policy in (AdwinPolicy(delta=0.5), DdmPolicy(min_samples=5)):
             replay_policy(policy, c, errors)
-        assert set(costs._errors) == set(read)
         for t_model, t_data in read:
             expected = fit_model(data[t_model], model).predict(data[t_data].X) != data[t_data].y
             assert np.array_equal(costs.errors(t_model, t_data), expected)
@@ -359,6 +384,17 @@ class TestInvariants:
         with pytest.raises(InvalidInputError, match=message):
             CostMatrix(0, np.array(staleness), kappa)
 
+    @pytest.mark.parametrize(
+        "start, message",
+        [(2.5, "must be an integer, got 2.5"), (True, "must be an integer, got True"), (-3, "must be >= 0")],
+    )
+    def test_start_must_be_a_non_negative_integer(self, start, message):
+        # a float start would label the oracle strategy of start 2.5 "2|2"
+        with pytest.raises(InvalidInputError, match=f"^cost matrix start {message}$"):
+            CostMatrix(start, np.zeros((1, 1)), 1.0)
+        c = CostMatrix(np.int64(2), np.zeros((1, 1)), 1.0)
+        assert c.start == 2 and type(c.start) is int
+
     @pytest.mark.parametrize("t_prime, t", [(10, 9), (9, 10), (9, 9), (14, 14), (10, 14), (14, 13)])
     def test_cost_refuses_a_batch_outside_the_range(self, t_prime, t):
         # unchecked, (10, 9) read cell (10, 13) through a negative index
@@ -445,6 +481,22 @@ class TestValidateStrategy:
         with pytest.raises(InvalidInputError, match=message):
             Strategy(0, 1, served)
         assert Strategy(0, 1, [0, 1]).served_by.tolist() == [0, 1]
+
+    @pytest.mark.parametrize(
+        "start, end, served, message",
+        [
+            (-1, 0, [0, 0], "strategy start must be >= 0"),
+            (0.5, 1.5, [0, 1], "strategy start must be an integer, got 0.5"),
+            (True, True, [1], "strategy start must be an integer, got True"),
+            (0, 1.0, [0, 0], "strategy end must be an integer, got 1.0"),
+            (0, -1, [], "strategy end must be >= 0"),
+        ],
+    )
+    def test_range_must_be_non_negative_integers(self, start, end, served, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            Strategy(start, end, served)
+        s = Strategy(np.int64(1), np.int64(2), [1, 1])
+        assert (s.start, s.end) == (1, 2) and type(s.start) is int and type(s.end) is int
 
     def test_retrain_counting(self):
         s = Strategy(0, 3, np.array([0, 0, 2, 2]))

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import brute_force_optimum, reference_save_stream_csv
+from helpers import MALFORMED_STREAMS, brute_force_optimum, indexed_stream, reference_save_stream_csv
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -114,6 +114,22 @@ class TestLoadCsvStream:
         second = tmp_path / "b.csv"
         save_stream_csv(second, data2, queries2)
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["0,0.5,1,0", "0,0.5,1,1", "2,0.5,1,0", "2,0.5,1,1"], "data batch 2 is at position 1"),
+            (["1,0.5,1,0", "1,0.5,1,1"], "data batch 1 is at position 0"),
+            (["0,0.5,1,0", "0,0.5,1,1", "1,0.5,1,0"], "QueryBatch[1].X must be non-empty"),
+            (["0,0.5,1,0", "0,0.5,1,1", "1,0.5,1,1"], "DataBatch[1].X must be non-empty"),
+        ],
+        ids=["gap", "not-from-0", "no-query-rows", "no-data-rows"],
+    )
+    def test_a_marked_file_that_is_not_batch_t_at_position_t_is_refused(self, tmp_path, rows, message):
+        path = tmp_path / "s.csv"
+        path.write_text("t,f0,label,is_query\n" + "\n".join(rows) + "\n")
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}"):
+            load_csv_stream(path)
 
     def test_parse_errors_carry_row_numbers(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -274,21 +290,48 @@ STREAM_FEATURES = st.one_of(
 )
 
 
+def stream_batch(draw, cls, t, d, max_points):
+    """One drawn batch of ``cls`` at index ``t``: one to ``max_points``
+    points of ``d`` features, every one labeled."""
+    n = draw(st.integers(1, max_points))
+    X = draw(hnp.arrays(np.float64, (n, d), elements=STREAM_FEATURES))
+    return cls(t, X, draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1))))
+
+
 @st.composite
 def saved_streams(draw):
-    """(data, queries): one to four batches at indices >= 10, with d from 1
-    to 5, each with a labeled query batch or, in half the streams, none."""
-    d = draw(st.integers(1, 5))
-    ts = sorted(draw(st.lists(st.integers(10, 10**9), min_size=1, max_size=4, unique=True)))
-
-    def batch(cls, t, n):
-        X = draw(hnp.arrays(np.float64, (n, d), elements=STREAM_FEATURES))
-        return cls(t, X, draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1))))
-
-    data = [batch(DataBatch, t, draw(st.integers(1, 6))) for t in ts]
+    """(data, queries): batches 0 to n - 1 for n from 1 to 12, so that
+    two-digit indices are written, with d from 1 to 5, each with a labeled
+    query batch or, in half the streams, none."""
+    d, n = draw(st.integers(1, 5)), draw(st.integers(1, 12))
+    data = [stream_batch(draw, DataBatch, t, d, 6) for t in range(n)]
     if not draw(st.booleans()):
         return data, []
-    return data, [batch(QueryBatch, t, draw(st.integers(1, 3))) for t in ts]
+    return data, [stream_batch(draw, QueryBatch, t, d, 3) for t in range(n)]
+
+
+@st.composite
+def marked_streams(draw):
+    """(data, queries, fault): n batches of each kind at indices 0 to n - 1;
+    unless ``fault`` is None, the indices of one list or both are then
+    broken by a gap, a duplicate or a swap of two neighbours, or a query
+    batch is dropped."""
+    fault = draw(st.sampled_from([None, "gap", "duplicate", "misorder", "partial"]))
+    d, n = draw(st.integers(1, 3)), draw(st.integers(1 if fault in (None, "gap", "duplicate") else 2, 12))
+    data_ts, query_ts = list(range(n)), list(range(n))
+    if fault == "partial":
+        del query_ts[draw(st.integers(0, n - 1))]
+    elif fault is not None:
+        k = draw(st.integers(0, n - 2 if fault == "misorder" else n - 1))
+        for ts in draw(st.sampled_from([(data_ts,), (query_ts,), (data_ts, query_ts)])):
+            if fault == "gap":
+                ts[k:] = [t + 1 for t in ts[k:]]
+            elif fault == "duplicate":
+                ts.insert(k, ts[k])
+            else:
+                ts[k], ts[k + 1] = ts[k + 1], ts[k]
+    data = [stream_batch(draw, DataBatch, t, d, 4) for t in data_ts]
+    return data, [stream_batch(draw, QueryBatch, t, d, 3) for t in query_ts], fault
 
 
 class TestSaveStreamCsv:
@@ -301,9 +344,39 @@ class TestSaveStreamCsv:
         reference_save_stream_csv(folder / "reference.csv", data, queries)
         assert (folder / "new.csv").read_bytes() == (folder / "reference.csv").read_bytes()
 
+    @settings(max_examples=80, deadline=None)
+    @given(stream=marked_streams())
+    def test_what_is_written_reloads_batch_for_batch(self, tmp_path_factory, stream):
+        # a stream whose indices break batch t at position t is refused
+        # before the file opens; any other reloads equal, bit for bit
+        data, queries, fault = stream
+        path = tmp_path_factory.mktemp("marked") / "s.csv"
+        try:
+            save_stream_csv(path, data, queries)
+        except InvalidInputError:
+            assert fault is not None and not path.exists()
+            return
+        assert fault is None
+        reloaded = load_csv_stream(path)
+        for saved, loaded in zip((data, queries), reloaded):
+            assert [b.t for b in loaded] == [b.t for b in saved]
+            assert [b.X.tobytes() for b in loaded] == [b.X.tobytes() for b in saved]
+        assert [b.y.tolist() for b in reloaded[0]] == [b.y.tolist() for b in data]
+        assert [q.eval_labels.tolist() for q in reloaded[1]] == [q.eval_labels.tolist() for q in queries]
+
+    @pytest.mark.parametrize("data_ts, query_ts, message", MALFORMED_STREAMS.values(), ids=MALFORMED_STREAMS)
+    def test_a_stream_that_is_not_batch_t_at_position_t_is_refused_before_the_file_opens(
+        self, tmp_path, data_ts, query_ts, message
+    ):
+        # load_csv_stream refuses such a file, so it must not be written
+        path = tmp_path / "s.csv"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}"):
+            save_stream_csv(path, *indexed_stream(data_ts, query_ts))
+        assert not path.exists()
+
     def test_unlabeled_queries_are_refused_before_the_file_opens(self, tmp_path):
         data = [DataBatch(t, np.zeros((2, 2)), [0, 1]) for t in range(3)]
-        queries = [QueryBatch(0, np.zeros((1, 2)), [1]), QueryBatch(2, np.ones((1, 2)))]
+        queries = [QueryBatch(t, np.zeros((1, 2)), [1]) for t in range(2)] + [QueryBatch(2, np.ones((1, 2)))]
         path = tmp_path / "s.csv"
         with pytest.raises(InvalidInputError, match="query batch 2 has no labels to save"):
             save_stream_csv(path, data, queries)
@@ -312,9 +385,9 @@ class TestSaveStreamCsv:
     @pytest.mark.parametrize(
         "query_ts, message",
         [
-            ([0, 1, 2, 7], "query batch 7 has no data batch 7"),
-            ([0, 1, 1, 2], "two query batches have index 1"),
-            ([2, 0, 2], "two query batches have index 2"),
+            ([0, 1, 2, 7], "expected 3 query batches or none, got 4"),
+            ([0, 1, 1, 2], "expected 3 query batches or none, got 4"),
+            ([2, 0, 2], "query batch 2 is at position 0"),
         ],
     )
     def test_stray_or_duplicate_queries_are_refused_before_the_file_opens(self, tmp_path, query_ts, message):
@@ -327,14 +400,17 @@ class TestSaveStreamCsv:
             save_stream_csv(path, data, queries)
         assert not path.exists()
 
-    @pytest.mark.parametrize("data_ts, twice", [([0, 0, 1], 0), ([0, 1, 2, 1], 1)])
-    def test_duplicate_data_batches_are_refused_before_the_file_opens(self, tmp_path, data_ts, twice):
+    @pytest.mark.parametrize(
+        "data_ts, message",
+        [([0, 0, 1], "data batch 0 is at position 1"), ([0, 1, 2, 1], "data batch 1 is at position 3")],
+    )
+    def test_duplicate_data_batches_are_refused_before_the_file_opens(self, tmp_path, data_ts, message):
         # their rows would reload as one batch, followed by the index's
         # query rows once per data batch
         data = [DataBatch(t, np.full((2, 2), float(k)), [0, 1]) for k, t in enumerate(data_ts)]
         queries = [QueryBatch(t, np.zeros((1, 2)), [1]) for t in sorted(set(data_ts))]
         path = tmp_path / "s.csv"
-        with pytest.raises(InvalidInputError, match=f"two data batches have index {twice}"):
+        with pytest.raises(InvalidInputError, match=message):
             save_stream_csv(path, data, queries)
         assert not path.exists()
 
@@ -471,11 +547,11 @@ class TestRunSweep:
             policies=[{"name": "adwin", "params": {"delta": 0.5}}, {"name": "ddm", "params": {"min_samples": 5}}],
             seeds=[0],
         )
-        cache = {}
-        results = run_sweep(cfg, cost_cache=cache)
+        with mock.patch.object(StreamCosts, "errors", autospec=True, side_effect=StreamCosts.errors) as errors:
+            results = run_sweep(cfg)
         served = sum(r.strategy.served_by.size for r in results if r.policy != "oracle" and r.kappa == cfg.kappas[0])
         assert served == 2 * (cfg.t_online - cfg.t_offline)
-        assert 0 < len(cache[0][2]._errors) <= served
+        assert 0 < errors.call_count <= served
 
     def test_results_csv_round_trip(self, tmp_path):
         results = run_sweep(small_config(seeds=[0]))
@@ -832,8 +908,8 @@ class TestRunConfig:
         "entry, message",
         [
             ({"name": "adwn"}, "unknown policy 'adwn'"),
-            ({"name": "threshold"}, "threshold policy params are missing 'tau'"),
-            ({"name": "threshold", "params": {}}, "threshold policy params are missing 'tau'"),
+            ({"name": "threshold"}, "threshold policy params is missing 'tau'"),
+            ({"name": "threshold", "params": {}}, "threshold policy params is missing 'tau'"),
             ({"params": {}}, "policy entry is missing 'name'"),
             ("never", "policy entry must be an object with a 'name', got 'never'"),
             ({"name": "threshold", "params": None}, "threshold policy params must be a dict or 'optimize', got None"),

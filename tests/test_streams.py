@@ -3,8 +3,10 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from helpers import MALFORMED_STREAMS, indexed_stream
 
 from retrainer import DataBatch, InvalidInputError, QueryBatch
+from retrainer.streams import check_stream
 
 X = np.zeros((3, 2))
 
@@ -55,3 +57,34 @@ def test_fields_keep_their_order():
 def test_point_and_label_messages_name_the_batch(make, message):
     with pytest.raises(InvalidInputError, match=re.escape(message)):
         make()
+
+
+@pytest.mark.parametrize("data_ts, query_ts, message", MALFORMED_STREAMS.values(), ids=MALFORMED_STREAMS)
+def test_a_stream_that_is_not_batch_t_at_position_t_is_refused(data_ts, query_ts, message):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}"):
+        check_stream(*indexed_stream(data_ts, query_ts))
+
+
+@pytest.mark.parametrize(
+    "kind, position, message",
+    [
+        ("data", 0, "data batch 1 has dimensionality 2, expected 3"),
+        ("data", 2, "data batch 2 has dimensionality 3, expected 2"),
+        ("query", 0, "query batch 0 has dimensionality 3, expected 2"),
+        ("query", 2, "query batch 2 has dimensionality 3, expected 2"),
+    ],
+)
+def test_a_batch_of_another_dimensionality_is_refused(kind, position, message):
+    # every batch is checked against the first data batch
+    data, queries = indexed_stream(range(3), range(3))
+    batches = data if kind == "data" else queries
+    batches[position] = type(batches[position])(position, np.ones((2, 3)), [0, 1])
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        check_stream(data, queries)
+
+
+@pytest.mark.parametrize("n", [1, 12])
+def test_batch_t_at_position_t_is_accepted_with_or_without_queries(n):
+    data, queries = indexed_stream(range(n), range(n))
+    check_stream(data, queries)
+    check_stream(data, [])
