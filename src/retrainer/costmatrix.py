@@ -276,8 +276,12 @@ class StreamCosts:
 
         Entry (t', t) is total(Q_t, D_t) - total(Q_t, D_t') for the model
         trained at t', where total(Q, D) is the query kernel mass on each
-        point of D dotted with the model's 0/1 errors there, over |D|. One
-        call labels all of a row's batches; every other step keeps the
+        point of D dotted with the model's 0/1 errors there, over |D|.
+
+        The range's points are stacked once, beside their labels, after the
+        column masses are known. Row i labels the view of that stack from
+        batch i on with one ``predict_batches`` call, which predicts each
+        batch as ``predict`` would alone; every other step keeps the
         arithmetic of one pair, so each entry has the bits of the per-pair
         definition.
         """
@@ -292,13 +296,15 @@ class StreamCosts:
             models = [self.model_at(b.t) for b in data[:-1]]
             qq = [_sq_norms(Q) for Q in queries]
             mass = [rbf_weights(Q, b.X, self.gamma).sum(axis=0) for Q, b in zip(queries, data[1:])]
-            bounds = np.cumsum([0] + [b.size for b in data])
+            sizes = [b.size for b in data]
+            bounds = np.cumsum([0] + sizes)
+            points = np.concatenate([b.X for b in data])
             labels = np.concatenate([b.y for b in data])
             out = np.full((n, n), math.inf)
             np.fill_diagonal(out, 0.0)
             for i, model in enumerate(models):
                 train = data[i]
-                wrong = model.predict_batches([b.X for b in data[i:]]) != labels[bounds[i] :]
+                wrong = model.predict_batches(points[bounds[i] :], sizes[i:]) != labels[bounds[i] :]
                 wrong = wrong.astype(np.float64)
                 lo, hi = bounds[i + 1 : -1] - bounds[i], bounds[i + 2 :] - bounds[i]
                 row = np.array([np.dot(w, wrong[a:b]) for w, a, b in zip(mass[i:], lo.tolist(), hi.tolist())])

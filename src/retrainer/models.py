@@ -38,8 +38,19 @@ import numpy as np
 from .errors import InvalidInputError
 from .streams import DataBatch
 from .validation import (
-    ConstructorParams, as_binary_labels, as_int, as_point_matrix, check_fitted, check_number, check_same_dim
+    ConstructorParams, as_binary_labels, as_count, as_int, as_point_matrix, check_fitted, check_number, check_same_dim
 )
+
+
+def _constant(value: float) -> np.ndarray:
+    """A read-only 0-d float64 array: a ufunc takes it with less work per
+    call than a Python float, which it must convert every time."""
+    arr = np.array(value, dtype=np.float64)
+    arr.flags.writeable = False
+    return arr
+
+
+_ZERO, _ONE, _MINUS_ONE = _constant(0.0), _constant(1.0), _constant(-1.0)
 
 
 def _sigmoid_inplace(buf: np.ndarray, e: np.ndarray, z: np.ndarray) -> None:
@@ -48,13 +59,15 @@ def _sigmoid_inplace(buf: np.ndarray, e: np.ndarray, z: np.ndarray) -> None:
     e = exp(-|z|) serving both. The numerator is exp(min(z, 0)), which is
     exactly 1 for z >= 0 and the same float as e below. ``e`` (scratch) and
     ``z`` are the first and second halves of the float64 buffer ``buf``, so
-    one exp serves both exponents. Both are <= 0, so it never overflows."""
-    np.abs(z, out=e)
-    np.negative(e, out=e)
-    np.minimum(z, 0.0, out=z)
-    np.exp(buf, out=buf)
-    e += 1.0
-    z /= e
+    one exp serves both exponents. Both are <= 0, so it never overflows.
+    -|z| is ``copysign(z, -1)``, the same float as ``-abs(z)`` in one call.
+    Outputs are passed by position, which costs less than ``out=``, except
+    to ``minimum``, which deprecates it."""
+    np.copysign(z, _MINUS_ONE, e)
+    np.minimum(z, _ZERO, out=z)
+    np.exp(buf, buf)
+    np.add(e, _ONE, e)
+    np.divide(z, e, z)
 
 
 class BaseClassifier(ConstructorParams):
@@ -86,25 +99,32 @@ class BaseClassifier(ConstructorParams):
         return X
 
     def predict(self, X) -> np.ndarray:
-        """Predicted 0/1 labels for each row of X."""
-        return self.predict_batches([X])
+        """Predicted 0/1 labels for each row of X; a 1-D X is one point.
 
-    def predict_batches(self, Xs) -> np.ndarray:
-        """Predicted 0/1 labels of each point matrix in ``Xs``, concatenated in order.
-
-        Every matrix gets the labels ``predict`` gives it alone, but all of
-        them are checked in one pass over their concatenation."""
-        check_fitted(self)
-        Xs = [np.asarray(X, dtype=np.float64) for X in Xs]
-        Xs = [X.reshape(1, -1) if X.ndim == 1 else X for X in Xs]
-        try:
-            X = Xs[0] if len(Xs) == 1 else np.concatenate(Xs)
-        except ValueError as exc:
-            raise InvalidInputError(f"X: the batches do not stack: {exc}") from None
+        The labels of ``predict_batches(X, [len(X)])``, without the check of
+        sizes that one batch cannot fail."""
         X = self._check_X(X)
+        return self._labels(X, [X.shape[0]])
+
+    def predict_batches(self, X, sizes) -> np.ndarray:
+        """Predicted 0/1 labels of the rows of X, which stacks batches of the
+        given sizes in order.
+
+        Every batch gets the labels ``predict`` gives it alone, wherever it
+        sits in X, so X may be a view at any row offset of a larger stack.
+        X is checked once, as a whole; ``sizes`` must be positive integers
+        that sum to its row count."""
+        X = self._check_X(X)
+        sizes = as_count(sizes, "sizes", 1)
+        if sizes.ndim != 1 or int(sizes.sum()) != X.shape[0]:
+            raise InvalidInputError(f"sizes must be batch sizes that sum to the {X.shape[0]} rows of X, got {sizes}")
+        return self._labels(X, sizes.tolist())
+
+    def _labels(self, X: np.ndarray, sizes: list[int]) -> np.ndarray:
+        """Labels of the checked X's rows, which stack batches of the given sizes."""
         if self.constant_ is not None:
             return np.full(X.shape[0], self.constant_, dtype=np.int64)
-        return self._predict_impl(X, [B.shape[0] for B in Xs])
+        return self._predict_impl(X, sizes)
 
     def _predict_impl(self, X: np.ndarray, sizes: list[int]) -> np.ndarray:
         """Labels of X's rows, which stack batches of the given sizes."""
@@ -142,6 +162,16 @@ class LogisticClassifier(BaseClassifier):
     numerator is an equal form, see ``_sigmoid_inplace``, and the products
     are ``np.dot``, the BLAS call ``@`` makes), so the weights are the same
     bit for bit.
+
+    An epoch is 13 numpy calls: two ``np.dot``, one ``np.add.reduce`` and
+    ten elementwise ufuncs, each called directly and given its output
+    array by position. On the small batches this package trains on, the
+    time goes to the cost of each call, not to arithmetic. So the ufuncs
+    are bound once per fit, and n, the learning rate, the intercept and the
+    sigmoid's 0, 1 and -1 are 0-d float64 arrays, which a ufunc takes for
+    about two thirds of the cost of a Python float that it must convert on
+    every call. Each holds the float the Python number converts to, so no
+    bit moves.
     """
 
     def __init__(self, learning_rate: float = 0.1, epochs: int = 100):
@@ -158,23 +188,28 @@ class LogisticClassifier(BaseClassifier):
         b = 0.0
         if self.constant_ is None:
             yf, XT, lr = y.astype(np.float64), X.T, self.learning_rate
+            n_, lr_, b_ = np.array(float(n)), np.array(float(lr)), np.array(b)
             buf, grad = np.empty(2 * n), np.empty(d)
             e, z = buf[:n], buf[n:]
+            dot, add, subtract, multiply, divide, add_reduce = (
+                np.dot, np.add, np.subtract, np.multiply, np.divide, np.add.reduce
+            )
             # an overflow gives non-finite weights, refused below, so numpy need not warn of it
             with np.errstate(over="ignore", invalid="ignore"):
                 for _ in range(self.epochs):
                     # residual = sigmoid(X @ w + b) - y, written into z
-                    np.dot(X, w, out=z)
-                    z += b
+                    dot(X, w, z)
+                    add(z, b_, z)
                     _sigmoid_inplace(buf, e, z)
-                    z -= yf
+                    subtract(z, yf, z)
                     # w -= learning_rate * (X.T @ residual / n)
-                    np.dot(XT, z, out=grad)
-                    grad /= n
-                    grad *= lr
-                    w -= grad
+                    dot(XT, z, grad)
+                    divide(grad, n_, grad)
+                    multiply(grad, lr_, grad)
+                    subtract(w, grad, w)
                     # the sum over n, correctly rounded, is what z.mean() computes
-                    b -= lr * (float(np.add.reduce(z)) / n)
+                    b -= lr * (float(add_reduce(z)) / n)
+                    b_[()] = b
             if not (math.isfinite(b) and np.isfinite(w).all()):
                 raise InvalidInputError("X: the features are too large to fit: the weights came out non-finite")
         self.coef_ = w
@@ -306,7 +341,11 @@ def _grow_forest(X, y, n_trees, max_depth, bootstrap, seed) -> tuple:
     codes = 2 * np.arange(n) + y
     if bootstrap:
         rng = np.random.default_rng(seed)
-        counts = np.stack([np.bincount(rng.integers(0, n, size=n), minlength=n) for _ in range(n_trees)])
+        # one draw of every tree's sample gives the per-tree draws in turn
+        draws = rng.integers(0, n, size=(n_trees, n))
+        draws += n * np.arange(n_trees)[:, None]
+        counts = np.bincount(draws.ravel(), minlength=n_trees * n).reshape(n_trees, n)
+        del draws
     else:
         counts = np.ones((n_trees, n), dtype=np.int64)
     tree = np.arange(n_trees)

@@ -391,18 +391,22 @@ def _serving_rows(policy: RetrainPolicy, c: CostMatrix, shape: tuple, errors=Non
     passes ``decide`` exactly the inputs ``decide_inputs`` names, read once
     per call."""
     reads = decide_inputs(policy)
+    read_kappa, read_staleness, read_errors = "kappa" in reads, "staleness" in reads, "errors" in reads
+    decide, staleness, kappa, start = policy.decide, c.staleness, c.kappa, c.start
     policy.reset()
     rel = np.zeros(shape, dtype=np.int64)
     served = np.empty((c.n, *shape), dtype=np.int64)
     for j in range(c.n):
         inputs = {}
-        if "kappa" in reads:
-            inputs["kappa"] = float(c.kappa[j])
-        if "staleness" in reads:
-            inputs["staleness"] = c.staleness[rel, j]
-        if "errors" in reads:
-            inputs["errors"] = errors(c.start + int(rel), c.start + j)
-        rel[policy.decide(c.start + j, **inputs)] = j
+        if read_kappa:
+            inputs["kappa"] = float(kappa[j])
+        if read_staleness:
+            # a column view, then a gather: for a block of candidates this
+            # costs less than staleness[rel, j]
+            inputs["staleness"] = staleness[:, j][rel]
+        if read_errors:
+            inputs["errors"] = errors(start + int(rel), start + j)
+        rel[decide(start + j, **inputs)] = j
         served[j] = rel
     return served
 

@@ -389,18 +389,68 @@ def test_predictions_are_binary(seed, n, kind):
     assert set(np.unique(preds)).issubset({0, 1})
 
 
+def _batch_models():
+    """A fitted logistic model, a forest that looks its cells up, a forest
+    that walks its trees and a constant model, all on 3 features."""
+    rng = np.random.default_rng(3)
+    batch = DataBatch(0, rng.normal(size=(60, 3)), rng.integers(0, 2, size=60))
+    wide = DataBatch(0, rng.normal(size=(300, 3)), rng.integers(0, 2, size=300))
+    one_class = DataBatch(0, rng.normal(size=(5, 3)), [1] * 5)
+    return {
+        "logistic": fit_model(batch, LogisticClassifier(epochs=20)),
+        "forest": fit_model(batch, ForestClassifier(n_trees=3, max_depth=3)),
+        "forest-walk": fit_model(wide, ForestClassifier(n_trees=25, max_depth=8)),
+        "constant": fit_model(one_class, LogisticClassifier()),
+    }
+
+
+BATCH_MODELS = _batch_models()
+
+
 @pytest.mark.parametrize("kind", ["logistic", "forest"])
 def test_predict_batches_equals_predict_on_each(kind):
     rng = np.random.default_rng(3)
-    batch = DataBatch(0, rng.normal(size=(60, 3)), rng.integers(0, 2, size=60))
-    proto = LogisticClassifier(epochs=20) if kind == "logistic" else ForestClassifier(n_trees=3, max_depth=3)
-    model = fit_model(batch, proto)
-    Xs = [rng.normal(size=(n, 3)) for n in (1, 7, 30)] + [rng.normal(size=3)]
-    assert np.array_equal(model.predict_batches(Xs), np.concatenate([model.predict(X) for X in Xs]))
-    with pytest.raises(InvalidInputError, match="do not stack"):
-        model.predict_batches([Xs[1], rng.normal(size=(4, 2))])
+    model = BATCH_MODELS[kind]
+    Xs = [rng.normal(size=(n, 3)) for n in (1, 7, 30)]
+    sizes = [len(X) for X in Xs]
+    assert np.array_equal(model.predict_batches(np.concatenate(Xs), sizes), np.concatenate([model.predict(X) for X in Xs]))
+    assert np.array_equal(model.predict_batches(Xs[1], [7]), model.predict(Xs[1]))
+    x = rng.normal(size=3)  # one point
+    assert np.array_equal(model.predict(x), model.predict_batches(x, [1]))
     with pytest.raises(InvalidInputError, match="dimensionality"):
-        model.predict_batches([rng.normal(size=(4, 2)), rng.normal(size=(5, 2))])
+        model.predict_batches(rng.normal(size=(4, 2)), [4])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+    offset=st.integers(0, 39),
+    kind=st.sampled_from(sorted(BATCH_MODELS)),
+)
+def test_predict_batches_on_a_view_equals_predict_on_each_batch(seed, sizes, offset, kind):
+    # the staleness build labels a view of its stacked points from any batch on
+    model = BATCH_MODELS[kind]
+    assert kind != "forest-walk" or model.table_ is None
+    stack = np.random.default_rng(seed).normal(scale=2.0, size=(offset + sum(sizes), 3))
+    bounds = offset + np.cumsum([0] + sizes)
+    want = np.concatenate([model.predict(stack[a:b].copy()) for a, b in zip(bounds[:-1], bounds[1:])])
+    got = model.predict_batches(stack[offset:], sizes)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+    assert np.array_equal(model.predict_batches(stack[offset:], np.array(sizes)), want)
+
+
+@pytest.mark.parametrize("kind", sorted(BATCH_MODELS))
+@pytest.mark.parametrize(
+    "sizes",
+    [[4, 0, 3], [4, -1, 4], [3.0, 4.0], [3, 4.5], [True] * 7, ["3", "4"], [6], [4, 4], [[3, 4]], 7, []],
+    ids=repr,
+)
+def test_predict_batches_refuses_sizes_by_name(kind, sizes):
+    # sizes must be positive integers that sum to the 7 rows of X
+    with pytest.raises(InvalidInputError, match="^sizes must"):
+        BATCH_MODELS[kind].predict_batches(np.zeros((7, 3)), sizes)
 
 
 def test_fit_model_leaves_the_prototype_unfitted():

@@ -54,6 +54,18 @@ def _queries_by_points(n, d):
     return np.concatenate([np.dot(Q, X.T).ravel() for Q in Qs]), np.concatenate([(Q @ X.T).ravel() for Q in Qs])
 
 
+def _queries_by_points_into_a_buffer(n, d):
+    # Q @ X.T written into a preallocated buffer, as a training term could
+    # reuse one per block
+    rng, X = _operands(n, d)
+    got, want = [], []
+    for q in (1, n + 3):
+        Q, cross = rng.normal(size=(q, d)), np.empty((q, n))
+        got.append(np.dot(Q, X.T, out=cross).ravel())
+        want.append((Q @ X.T).ravel())
+    return np.concatenate(got), np.concatenate(want)
+
+
 def _slice_dots(n, d):
     # the staleness rows: one 1-D dot per batch slice
     rng, _ = _operands(n, d)
@@ -62,6 +74,15 @@ def _slice_dots(n, d):
     got = [np.dot(mass, wrong[a : a + n]) for a in range(0, 2 * n + d + 1, max(1, n // 2))]
     want = [mass @ wrong[a : a + n] for a in range(0, 2 * n + d + 1, max(1, n // 2))]
     return np.array(got), np.array(want)
+
+
+def _row_dots(n, d):
+    # a row of a 2-D array dots as its 1-D copy does, so a training term could
+    # write a block's kernel sums into the rows of one array
+    rng, _ = _operands(n, d)
+    W = rng.uniform(0.0, 5.0, size=(d + 2, n)) * (rng.uniform(size=(d + 2, n)) < 0.5)
+    e = (rng.uniform(size=n) < 0.3).astype(np.float64)
+    return np.array([np.dot(row, e) for row in W]), np.array([row.copy() @ e for row in W])
 
 
 def _points_by_themselves(n, d):
@@ -75,7 +96,9 @@ LAYOUTS = [
     _transpose_vector,
     _concatenation_slices,
     _queries_by_points,
+    _queries_by_points_into_a_buffer,
     _slice_dots,
+    _row_dots,
     _points_by_themselves,
 ]
 
